@@ -31,7 +31,7 @@ from .errors import (
     StabilityError,
 )
 from .genetic import Chromosome, GaConfig, GaHistory, SearchSpace, read_history_csv, run
-from .objective import Target, cost, fitness, l2_error_series
+from .objective import Target, cost, fitness, l2_error_series, project_target, reduced_cost
 from .pod import (
     PodPair,
     RomDatabase,

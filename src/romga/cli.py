@@ -487,6 +487,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args._func(_resolve(args))
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (StabilityError, DivergenceError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (
         ValueError,
         FormatError,
@@ -496,9 +500,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StabilityError, DivergenceError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 def entry() -> None:

@@ -195,7 +195,10 @@ def read_snapshots(path) -> SnapshotMatrix:
 
 @dataclass(frozen=True, eq=False)
 class RegionMask:
-    """Cells whose centers fall strictly inside an observation rectangle."""
+    """Cells whose centers fall strictly inside an observation rectangle.
+
+    Weights are quadrature weights, so each must be finite and positive.
+    """
 
     rect: tuple[float, float, float, float]  # (x_min, x_max, y_min, y_max)
     indices: np.ndarray
@@ -204,8 +207,11 @@ class RegionMask:
     def __post_init__(self) -> None:
         idx = np.array(self.indices, dtype=np.int64, copy=True)
         idx.flags.writeable = False
+        weights = _frozen_array(self.weights, idx.shape)
+        if not (np.isfinite(weights).all() and (weights > 0.0).all()):
+            raise ValueError("mask weights must be finite and positive")
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "weights", _frozen_array(self.weights, idx.shape))
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "rect", tuple(float(v) for v in self.rect))
 
     @property

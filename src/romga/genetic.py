@@ -25,10 +25,16 @@ from .barycentric import (
     FixedPointConfig,
     InterpolationRequest,
     interpolate_reduced,
-    reconstruct_field,
+    reconstruct_field,  # noqa: F401  unused here; perfbench/layers.py traces it by this name
 )
 from .errors import PersistenceError
-from .objective import Target, cost as cost_of, fitness as fitness_of
+from .objective import (
+    ProjectedTarget,
+    Target,
+    fitness as fitness_of,
+    project_target,
+    reduced_cost as cost_of,
+)
 from .pod import RomDatabase
 
 # Cost assigned to chromosomes whose interpolation request is rejected.
@@ -187,16 +193,18 @@ def init_population(cfg: GaConfig, rng: np.random.Generator | None = None) -> li
 def evaluate_population(
     population,
     db: RomDatabase,
-    target: Target,
+    projection: ProjectedTarget,
     cfg: GaConfig,
     cache: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cost and fitness per chromosome.
 
-    A chromosome whose interpolation request the database rejects is kept in
-    the population but charged the largest finite cost. Identical
-    chromosomes always score identically; the optional cache exploits that
-    across generations.
+    Each chromosome is scored in the reduced space against ``projection``,
+    the target as project_target prepared it for ``db``. A chromosome whose
+    interpolation request the database rejects is kept in the population but
+    charged the largest finite cost; a numerical failure
+    (np.linalg.LinAlgError) propagates. Identical chromosomes always score
+    identically; the optional cache exploits that across generations.
     """
     costs = np.empty(len(population))
     for i, c in enumerate(population):
@@ -210,8 +218,9 @@ def evaluate_population(
                 InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m),
                 cfg.fixed_point,
             )
-            predicted = reconstruct_field(db, result.reduced, rows=target.mask.indices)
-            value = cost_of(predicted, target)
+            value = cost_of(result.spatial_factor, result.temporal_factor, projection)
+        except np.linalg.LinAlgError:
+            raise
         except ValueError:
             value = PENALTY_COST
         costs[i] = value
@@ -311,7 +320,8 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
     generation evaluates the population bred from the previous one. With
     elitism enabled the per-generation best cost never increases. A
     ``generations`` of 0 degenerates to evaluating the initial population
-    only.
+    only. The target is projected onto the database's bases once, before
+    the first generation, and every chromosome is scored against that.
     """
     d_lo, d_hi = cfg.space.delta_bounds
     hull_lo, hull_hi = db.hull
@@ -324,8 +334,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
         raise ValueError("neighbor bound exceeds the number of training samples")
     if cfg.space.m_bounds[1] > db.q:
         raise ValueError("truncation bound exceeds the database order q")
-    if target.times != db.times:
-        raise ValueError("target time axis must match the database")
+    projection = project_target(db, target)
 
     rng = np.random.default_rng(cfg.rng_seed)
     cache: dict = {}
@@ -335,7 +344,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
     best_cost = float("inf")
     total = max(cfg.generations, 1)
     for generation in range(1, total + 1):
-        costs, fitnesses = evaluate_population(population, db, target, cfg, cache)
+        costs, fitnesses = evaluate_population(population, db, projection, cfg, cache)
         leader = int(np.argmin(costs))
         if costs[leader] < best_cost:
             best = population[leader]

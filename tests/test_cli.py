@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -343,6 +345,37 @@ def test_numerical_failures_exit_with_three(tmp_path, monkeypatch, capsys):
     )
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_nan_in_a_stored_block_exits_with_three(pipeline, tmp_path, capsys):
+    source = pipeline / "db.rom1"
+    db = read_rom(source)
+    # ROM1 layout: 65-byte header, params, both bases, then per sample the
+    # spatial block (r x q) and the temporal block (s x q). Poison the first
+    # entry of sample 2's spatial block (delta 0.4): column 0 survives every
+    # truncation, so every query with that sample among its neighbors meets it.
+    offset = 65 + 8 * (
+        db.n_params
+        + db.grid.n_cells * db.r
+        + db.times.n_steps * db.s
+        + 2 * db.q * (db.r + db.s)
+    )
+    blob = bytearray(source.read_bytes())
+    blob[offset : offset + 8] = struct.pack("<d", float("nan"))
+    rom = tmp_path / "nan.rom1"
+    rom.write_bytes(bytes(blob))
+    predict = ["predict", "--rom", str(rom), "--delta", "0.42", "--out", str(tmp_path / "p.snp1")]
+    assert cli.main(predict) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    optimize = [
+        "optimize", "--rom", str(rom),
+        "--target", str(pipeline / "target_0.375.snp1"),
+        "--pop", "6", "--gens", "2", "--seed", "3",
+        "--out", str(tmp_path / "h.csv"),
+    ]
+    assert cli.main(optimize) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_argparse_surface(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from romga import (
     Grid,
     ParamKind,
+    RegionMask,
     SnapshotMatrix,
     TimeAxis,
     build_mask,
@@ -215,3 +216,6 @@ def test_mask_errors():
         build_mask(grid, (2.0, 3.0, 2.0, 3.0))  # fully outside the domain
     with pytest.raises(EmptyMaskError):
         build_mask(grid, (0.06, 0.14, 0.06, 0.14))  # between centers
+    for bad in (0.0, -0.01, np.nan, np.inf):  # weights are square-rooted by the GA
+        with pytest.raises(ValueError):
+            RegionMask((0.0, 1.0, 0.0, 1.0), [0, 1], [0.01, bad])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from romga import (
     Chromosome,
     GaConfig,
     GaHistory,
+    Grid,
+    InterpolationRequest,
     PersistenceError,
     PlumeParams,
     SearchSpace,
@@ -16,8 +20,12 @@ from romga import (
     analytic_plume,
     build_mask,
     cost,
+    interpolate_reduced,
+    project_target,
     read_history_csv,
+    reconstruct_field,
     reconstruct_sample,
+    reduced_cost,
     run,
 )
 from romga.genetic import (
@@ -41,6 +49,11 @@ def plume_target(plume_db, plume_grid, plume_times):
     mask = build_mask(plume_grid, (0.1, 0.9, 0.15, 0.7))
     truth = analytic_plume(PlumeParams(0.4, sigma=0.3), plume_grid, plume_times)
     return Target(truth.values[mask.indices], mask, plume_times)
+
+
+@pytest.fixture(scope="module")
+def plume_projection(plume_db, plume_target):
+    return project_target(plume_db, plume_target)
 
 
 class ScriptedRng:
@@ -241,58 +254,124 @@ def test_step_handles_odd_offspring_counts(rng):
 # ---------------------------------------------------------------- evaluation
 
 
-def test_node_chromosome_scores_like_the_trained_sample(plume_db, plume_target):
+def test_node_chromosome_scores_like_the_trained_sample(
+    plume_db, plume_target, plume_projection
+):
     # delta 0.35 is training sample 1; at full order the prediction is the
     # sample itself, so the cost must agree with scoring it directly.
     cfg = GaConfig(SPACE)
-    costs, _ = evaluate_population([Chromosome(0.35, 2, 2, 10)], plume_db, plume_target, cfg)
+    costs, _ = evaluate_population(
+        [Chromosome(0.35, 2, 2, 10)], plume_db, plume_projection, cfg
+    )
     sample = reconstruct_sample(plume_db, 1, m=10)
     direct = cost(sample.values[plume_target.mask.indices], plume_target)
     assert costs[0] == pytest.approx(direct, rel=1e-8)
 
 
-def test_identical_chromosomes_score_identically(plume_db, plume_target):
+def test_identical_chromosomes_score_identically(plume_db, plume_projection):
     cfg = GaConfig(SPACE)
     twins = [Chromosome(0.37, 3, 3, 8)] * 3
-    costs, fitnesses = evaluate_population(twins, plume_db, plume_target, cfg)
+    costs, fitnesses = evaluate_population(twins, plume_db, plume_projection, cfg)
     assert costs[0] == costs[1] == costs[2]
     assert np.all(fitnesses == 1.0 / (costs + 1e-12))
 
 
-def test_evaluation_cache_short_circuits(plume_db, plume_target):
+def test_evaluation_cache_short_circuits(plume_db, plume_projection):
     cfg = GaConfig(SPACE)
     pop = [Chromosome(0.37, 3, 3, 8), Chromosome(0.44, 2, 4, 6)]
     cache: dict = {}
-    costs, _ = evaluate_population(pop, plume_db, plume_target, cfg, cache)
+    costs, _ = evaluate_population(pop, plume_db, plume_projection, cfg, cache)
     assert len(cache) == 2
     poisoned = {key: 123.5 for key in cache}
-    again, _ = evaluate_population(pop, plume_db, plume_target, cfg, poisoned)
+    again, _ = evaluate_population(pop, plume_db, plume_projection, cfg, poisoned)
     assert again.tolist() == [123.5, 123.5]  # proves values came from the cache
-    fresh, _ = evaluate_population(pop, plume_db, plume_target, cfg, {})
+    fresh, _ = evaluate_population(pop, plume_db, plume_projection, cfg, {})
     assert np.array_equal(fresh, costs)
 
 
-def test_rejected_requests_cost_the_penalty(plume_db, plume_target):
+def test_rejected_requests_cost_the_penalty(plume_db, plume_projection):
     cfg = GaConfig(SPACE)
     pop = [
         Chromosome(0.4, 9, 3, 8),   # ne_t beyond the sample count
         Chromosome(0.4, 3, 3, 8),
     ]
-    costs, fitnesses = evaluate_population(pop, plume_db, plume_target, cfg)
+    costs, fitnesses = evaluate_population(pop, plume_db, plume_projection, cfg)
     assert costs[0] == PENALTY_COST
     assert costs[1] < PENALTY_COST
     assert 0.0 < fitnesses[0] < fitnesses[1]
 
 
-def test_cost_landscape_bottoms_out_at_the_true_parameter(plume_db, plume_target):
+def test_cost_landscape_bottoms_out_at_the_true_parameter(plume_db, plume_projection):
     cfg = GaConfig(SPACE)
     deltas = np.linspace(0.30, 0.50, 21)
     pop = [Chromosome(d, 3, 3, 10) for d in deltas]
-    costs, _ = evaluate_population(pop, plume_db, plume_target, cfg)
+    costs, _ = evaluate_population(pop, plume_db, plume_projection, cfg)
     at_truth = costs[10]  # deltas[10] == 0.40
     assert deltas[10] == pytest.approx(0.40, abs=1e-12)
     others = [c for i, c in enumerate(costs) if abs(deltas[i] - 0.40) >= 0.0099]
     assert at_truth < min(others)
+
+
+def _lifted_cost(db, c: Chromosome, target: Target, cfg: GaConfig) -> float:
+    """The masked cost of a chromosome's prediction, lifted onto the mask."""
+    request = InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
+    result = interpolate_reduced(db, request, cfg.fixed_point)
+    return cost(reconstruct_field(db, result.reduced, rows=target.mask.indices), target)
+
+
+# the default window has more cells than r = 50 basis columns, the small one
+# fewer, so both shapes of the reduced QR are scored
+@pytest.mark.parametrize("rect", [(0.1, 0.9, 0.15, 0.7), (0.45, 0.55, 0.45, 0.55)])
+def test_reduced_cost_matches_the_lifted_cost(plume_db, plume_grid, plume_times, rect, rng):
+    mask = build_mask(plume_grid, rect)
+    truth = analytic_plume(PlumeParams(0.4, sigma=0.3), plume_grid, plume_times)
+    # A smooth plume lies in the span of the bases to ~1e-13 of its cost, so
+    # noise supplies the part of the target the residual term must carry.
+    noise = 0.01 * rng.standard_normal((mask.n_cells, plume_times.n_steps))
+    values = truth.values[mask.indices] + noise
+    target = Target(values, mask, plume_times)
+    projection = project_target(plume_db, target)
+    cfg = GaConfig(SearchSpace((0.30, 0.50), (2, 5), (1, 10)), population_size=30)
+    population = init_population(cfg, rng)
+    assert len({c.m for c in population}) > 5
+    costs, _ = evaluate_population(population, plume_db, projection, cfg)
+    assert np.all(projection.residual / plume_times.n_steps > 1e-6 * costs)
+    for c, value in zip(population, costs):
+        assert value == pytest.approx(_lifted_cost(plume_db, c, target, cfg), rel=1e-10)
+
+
+def test_reduced_cost_rejects_mismatched_factors(plume_projection):
+    spatial, temporal = np.zeros((50, 4)), np.zeros((50, 4))
+    assert reduced_cost(spatial, temporal, plume_projection) > 0.0
+    for bad in ((spatial[:49], temporal), (spatial, temporal[:1]), (spatial, temporal[:, :3])):
+        with pytest.raises(ValueError):
+            reduced_cost(*bad, plume_projection)
+
+
+def test_history_costs_are_the_lifted_costs_of_the_leaders(plume_db, plume_target):
+    cfg = GaConfig(SPACE, population_size=8, generations=4, rng_seed=7)
+    _, history = run(cfg, plume_db, plume_target)
+    for rec in history.records:
+        lifted = _lifted_cost(plume_db, rec.best, plume_target, cfg)
+        assert rec.best_cost == pytest.approx(lifted, rel=1e-10)
+
+
+def test_projection_rejects_what_it_cannot_score(plume_db, plume_target, plume_times):
+    stretched = plume_db.temporal_basis * (1.0 + 1e-9)
+    skewed = dataclasses.replace(plume_db, temporal_basis=stretched)
+    with pytest.raises(ValueError, match="orthonormal"):
+        project_target(skewed, plume_target)
+    cfg = GaConfig(SPACE, population_size=4, generations=1)
+    with pytest.raises(ValueError, match="orthonormal"):
+        run(cfg, skewed, plume_target)
+    wider = build_mask(Grid(50, 50, 1.04, 1.04), (0.1, 0.9, 0.15, 0.7))
+    off_grid = Target(np.zeros((wider.n_cells, plume_times.n_steps)), wider, plume_times)
+    with pytest.raises(ValueError, match="out of range"):
+        project_target(plume_db, off_grid)
+    broken = np.array(plume_db.spatial_basis)
+    broken[plume_target.mask.indices[0], 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        project_target(dataclasses.replace(plume_db, spatial_basis=broken), plume_target)
 
 
 # ---------------------------------------------------------------- the driver
