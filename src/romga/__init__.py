@@ -4,7 +4,6 @@ from .barycentric import (
     BarycentricResult,
     FixedPointConfig,
     InterpolationRequest,
-    fixed_point_basis,
     interpolate_reduced,
     lagrange_weights,
     procrustes_align,

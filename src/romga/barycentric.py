@@ -29,7 +29,6 @@ the weighted sums produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,11 +73,6 @@ class InterpolationRequest:
         object.__setattr__(self, "delta_new", float(self.delta_new))
         for name in ("ne_x", "ne_t", "m"):
             object.__setattr__(self, name, int(getattr(self, name)))
-
-
-class ProcrustesResult(NamedTuple):
-    q: np.ndarray
-    degenerate: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,67 +129,31 @@ def lagrange_weights(nodes, delta_new: float) -> np.ndarray:
     return weights
 
 
-def procrustes_align(reference: np.ndarray, other: np.ndarray) -> ProcrustesResult:
+def procrustes_align(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Orthogonal matrix Q minimizing ||other @ Q - reference||_F.
 
     Computed from the SVD of the cross-product reference.T @ other = L D R^T
     as Q = R @ L.T. When ``other`` spans the same subspace as ``reference``
     (other = reference @ G for orthogonal G) the alignment is exact:
-    other @ Q == reference.
-
-    Returns the rotation plus a degeneracy flag raised when the
-    cross-product is rank deficient (the minimizer is then not unique; the
-    returned Q is still a valid choice).
+    other @ Q == reference. A rank-deficient cross-product makes the
+    minimizer non-unique; the returned Q is then still a valid choice.
     """
     reference = np.asarray(reference, dtype=np.float64)
     other = np.asarray(other, dtype=np.float64)
     if reference.shape != other.shape or reference.ndim != 2:
         raise ValueError("reference and other must share a 2D shape")
-    cross = reference.T @ other
-    left, diag, right_t = np.linalg.svd(cross)
-    q = right_t.T @ left.T
-    top = float(diag[0]) if diag.size else 0.0
-    degenerate = top == 0.0 or bool(diag[-1] <= 1.0e-12 * top)
-    return ProcrustesResult(q, degenerate)
+    left, _, right_t = np.linalg.svd(reference.T @ other)
+    return right_t.T @ left.T
 
 
-class FixedPointResult(NamedTuple):
-    basis: np.ndarray
-    alignments: list
-    iterations: int
-    converged: bool
+def _align_and_average(iterate: np.ndarray, blocks, weights) -> tuple[np.ndarray, list]:
+    """One sweep for one factor: the weighted sum of the blocks aligned to ``iterate``.
 
-
-def fixed_point_basis(blocks, weights, init: np.ndarray, config: FixedPointConfig) -> FixedPointResult:
-    """Self-consistent weighted combination of blocks under alignment.
-
-    Iterates  basis <- sum_k weights[k] * blocks[k] @ Q_k  with Q_k the
-    Procrustes alignment of blocks[k] onto the current basis, until the
-    iterate moves less than config.epsilon in Frobenius norm or max_iters
-    sweeps have run. Non-convergence is flagged, not fatal.
+    Returns the new iterate, sum_k weights[k] * blocks[k] @ Q_k, and the
+    rotations Q_k (the Procrustes alignment of blocks[k] onto ``iterate``).
     """
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-    if not blocks:
-        raise ValueError("need at least one block")
-    shape = blocks[0].shape
-    for b in blocks:
-        if b.shape != shape:
-            raise ValueError("all blocks must share one shape")
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(blocks),):
-        raise ValueError("need exactly one weight per block")
-    basis = np.array(init, dtype=np.float64)
-    if basis.shape != shape:
-        raise ValueError("init must match the block shape")
-    alignments: list = []
-    for iteration in range(1, config.max_iters + 1):
-        alignments = [procrustes_align(basis, b).q for b in blocks]
-        updated = sum(w * b @ q for w, b, q in zip(weights, blocks, alignments))
-        step = float(np.linalg.norm(updated - basis))
-        basis = updated
-        if step <= config.epsilon:
-            return FixedPointResult(basis, alignments, iteration, True)
-    return FixedPointResult(basis, alignments, config.max_iters, False)
+    rotations = [procrustes_align(iterate, b) for b in blocks]
+    return sum(w * b @ q for w, b, q in zip(weights, blocks, rotations)), rotations
 
 
 def interpolate_reduced(
@@ -251,12 +209,10 @@ def interpolate_reduced(
     converged = False
     iterations = 0
     for sweep in range(1, config.max_iters + 1):
-        rotations = [procrustes_align(spatial, b).q for b in spatial_blocks]
-        corotations = [procrustes_align(temporal, b).q for b in temporal_blocks]
-        spatial = sum(w * b @ q for w, b, q in zip(spatial_w, spatial_blocks, rotations))
-        temporal = sum(
-            w * b @ q for w, b, q in zip(temporal_w, temporal_blocks, corotations)
-        )
+        # each factor aligns to its own previous iterate, so the two
+        # updates are independent and may run one after the other
+        spatial, rotations = _align_and_average(spatial, spatial_blocks, spatial_w)
+        temporal, corotations = _align_and_average(temporal, temporal_blocks, temporal_w)
         products = [[q @ k.T for k in corotations] for q in rotations]
         iterations = sweep
         if previous is not None:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import genetic
-from .barycentric import FixedPointConfig, InterpolationRequest, interpolate_reduced, reconstruct_field
+from .barycentric import InterpolationRequest, interpolate_reduced, reconstruct_field
 from .dataset import (
     Grid,
     ParamKind,
@@ -58,18 +58,6 @@ PRESETS = {
         "velocity": "0.57",
     },
 }
-
-
-def _float(raw: str) -> float:
-    return float(raw)
-
-
-def _int(raw: str) -> int:
-    return int(raw)
-
-
-def _str(raw: str) -> str:
-    return raw
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -160,37 +148,40 @@ def _out_dir(ns: SimpleNamespace) -> Path:
 
 
 def _write_csv_pairs(path: Path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("index", "value"))
-        for index, value in rows:
-            writer.writerow((index, repr(float(value))))
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(("index", "value"))
+            for index, value in rows:
+                writer.writerow((index, repr(float(value))))
+    except OSError as exc:
+        raise PersistenceError(path, f"cannot write CSV ({exc})") from exc
 
 
 # ---------------------------------------------------------------- datagen
 
 _DATAGEN_OPTS = (
-    _Opt("--family", _str, None, "plume or cavity"),
-    _Opt("--preset", _str, None, "named experiment preset"),
+    _Opt("--family", str, None, "plume or cavity"),
+    _Opt("--preset", str, None, "named experiment preset"),
     _Opt("--deltas", _floats, None, "plume training parameters"),
     _Opt("--velocities", _floats, None, "cavity training velocities (m/s)"),
     _Opt("--temperatures", _floats, None, "cavity training inlet temperatures (C)"),
     _Opt("--target", _floats, None, "held-out parameter values to also generate"),
-    _Opt("--velocity", _float, 0.57, "fixed velocity when temperatures vary"),
-    _Opt("--inlet-temp", _float, 15.0, "fixed inlet temperature when velocities vary"),
-    _Opt("--nx", _int, 48, "cells along x"),
-    _Opt("--ny", _int, 48, "cells along y"),
-    _Opt("--lx", _float, 1.04, "domain extent along x (m)"),
-    _Opt("--ly", _float, 1.04, "domain extent along y (m)"),
-    _Opt("--snapshots", _int, 150, "number of recorded instants"),
-    _Opt("--tfinal", _float, 60.0, "simulated time span (s)"),
-    _Opt("--sigma", _float, 0.25, "plume width (m)"),
-    _Opt("--theta-cold", _float, 15.0, "cold wall temperature (C)"),
-    _Opt("--theta-hot", _float, 35.0, "floor temperature (C)"),
-    _Opt("--theta-init", _float, 15.0, "initial temperature (C)"),
-    _Opt("--kappa", _float, 2.0e-3, "diffusivity (m^2/s)"),
-    _Opt("--cfl", _float, 0.9, "stability safety factor"),
-    _Opt("--out", _str, None, "existing output directory"),
+    _Opt("--velocity", float, 0.57, "fixed velocity when temperatures vary"),
+    _Opt("--inlet-temp", float, 15.0, "fixed inlet temperature when velocities vary"),
+    _Opt("--nx", int, 48, "cells along x"),
+    _Opt("--ny", int, 48, "cells along y"),
+    _Opt("--lx", float, 1.04, "domain extent along x (m)"),
+    _Opt("--ly", float, 1.04, "domain extent along y (m)"),
+    _Opt("--snapshots", int, 150, "number of recorded instants"),
+    _Opt("--tfinal", float, 60.0, "simulated time span (s)"),
+    _Opt("--sigma", float, 0.25, "plume width (m)"),
+    _Opt("--theta-cold", float, 15.0, "cold wall temperature (C)"),
+    _Opt("--theta-hot", float, 35.0, "floor temperature (C)"),
+    _Opt("--theta-init", float, 15.0, "initial temperature (C)"),
+    _Opt("--kappa", float, 2.0e-3, "diffusivity (m^2/s)"),
+    _Opt("--cfl", float, 0.9, "stability safety factor"),
+    _Opt("--out", str, None, "existing output directory"),
 )
 
 
@@ -214,34 +205,20 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
             raise ValueError("cavity runs need exactly one of --velocities/--temperatures")
         solver = SolverConfig(ns.cfl)
         if ns.velocities is not None:
-            train_values = ns.velocities
-            kind = ParamKind.VELOCITY
-
-            def make(value: float) -> SnapshotMatrix:
-                params = CavityParams(
-                    inlet_velocity=value,
-                    inlet_temperature=ns.inlet_temp,
-                    theta_hot=ns.theta_hot,
-                    theta_cold=ns.theta_cold,
-                    theta_initial=ns.theta_init,
-                    kappa=ns.kappa,
-                )
-                return solve_cavity(params, grid, times, solver, vary=kind)
-
+            train_values, kind, varied = ns.velocities, ParamKind.VELOCITY, "inlet_velocity"
         else:
-            train_values = ns.temperatures
-            kind = ParamKind.TEMPERATURE
+            train_values, kind, varied = ns.temperatures, ParamKind.TEMPERATURE, "inlet_temperature"
+        inlet = {"inlet_velocity": ns.velocity, "inlet_temperature": ns.inlet_temp}
 
-            def make(value: float) -> SnapshotMatrix:
-                params = CavityParams(
-                    inlet_velocity=ns.velocity,
-                    inlet_temperature=value,
-                    theta_hot=ns.theta_hot,
-                    theta_cold=ns.theta_cold,
-                    theta_initial=ns.theta_init,
-                    kappa=ns.kappa,
-                )
-                return solve_cavity(params, grid, times, solver, vary=kind)
+        def make(value: float) -> SnapshotMatrix:
+            params = CavityParams(
+                **{**inlet, varied: value},
+                theta_hot=ns.theta_hot,
+                theta_cold=ns.theta_cold,
+                theta_initial=ns.theta_init,
+                kappa=ns.kappa,
+            )
+            return solve_cavity(params, grid, times, solver, vary=kind)
 
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -255,7 +232,11 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
         name = f"train_{i:02d}_{value:g}.snp1"
         write_snapshots(make(value), out / name)
         manifest_lines.append(f"{ParamKind(kind).name.lower()},{value!r},{name}")
-    (out / MANIFEST_NAME).write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+    manifest = out / MANIFEST_NAME
+    try:
+        manifest.write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise PersistenceError(manifest, f"cannot write manifest ({exc})") from exc
 
     targets = ns.target or ()
     for value in targets:
@@ -294,11 +275,11 @@ def _read_manifest(path: Path) -> list[tuple[ParamKind, float, Path]]:
 # ---------------------------------------------------------------- compress
 
 _COMPRESS_OPTS = (
-    _Opt("--snapshots", _str, None, "manifest file listing the training runs"),
-    _Opt("--q", _int, 60, "per-sample truncation order"),
-    _Opt("--r", _int, None, "global spatial rank (default: lossless)"),
-    _Opt("--s", _int, None, "global temporal rank (default: lossless)"),
-    _Opt("--out", _str, None, "ROM output file"),
+    _Opt("--snapshots", str, None, "manifest file listing the training runs"),
+    _Opt("--q", int, 60, "per-sample truncation order"),
+    _Opt("--r", int, None, "global spatial rank (default: lossless)"),
+    _Opt("--s", int, None, "global temporal rank (default: lossless)"),
+    _Opt("--out", str, None, "ROM output file"),
 )
 
 
@@ -326,14 +307,12 @@ def _cmd_compress(ns: SimpleNamespace) -> int:
 # ---------------------------------------------------------------- predict
 
 _PREDICT_OPTS = (
-    _Opt("--rom", _str, None, "ROM database file"),
-    _Opt("--delta", _float, None, "query parameter value"),
-    _Opt("--ne-x", _int, 2, "spatial neighbor count"),
-    _Opt("--ne-t", _int, 2, "temporal neighbor count"),
-    _Opt("--m", _int, None, "block truncation order (default: q)"),
-    _Opt("--epsilon", _float, 1.0e-8, "fixed-point stopping threshold"),
-    _Opt("--max-iters", _int, 100, "fixed-point sweep limit"),
-    _Opt("--out", _str, None, "predicted snapshot output file"),
+    _Opt("--rom", str, None, "ROM database file"),
+    _Opt("--delta", float, None, "query parameter value"),
+    _Opt("--ne-x", int, 2, "spatial neighbor count"),
+    _Opt("--ne-t", int, 2, "temporal neighbor count"),
+    _Opt("--m", int, None, "block truncation order (default: q)"),
+    _Opt("--out", str, None, "predicted snapshot output file"),
 )
 
 
@@ -344,7 +323,7 @@ def _cmd_predict(ns: SimpleNamespace) -> int:
     request = InterpolationRequest(
         delta, ne_x=ns.ne_x, ne_t=ns.ne_t, m=db.q if ns.m is None else ns.m
     )
-    result = interpolate_reduced(db, request, FixedPointConfig(ns.epsilon, ns.max_iters))
+    result = interpolate_reduced(db, request)
     field = reconstruct_field(db, result.reduced)
     write_snapshots(SnapshotMatrix(db.grid, db.times, db.param_kind, delta, field), out)
     print(
@@ -357,24 +336,22 @@ def _cmd_predict(ns: SimpleNamespace) -> int:
 # ---------------------------------------------------------------- optimize
 
 _OPTIMIZE_OPTS = (
-    _Opt("--rom", _str, None, "ROM database file"),
-    _Opt("--target", _str, None, "target snapshot file"),
+    _Opt("--rom", str, None, "ROM database file"),
+    _Opt("--target", str, None, "target snapshot file"),
     _Opt("--mask", _rect, (0.1, 0.9, 0.15, 0.7), "observation window x_min,x_max,y_min,y_max"),
-    _Opt("--pop", _int, 20, "population size"),
-    _Opt("--gens", _int, 30, "number of generations"),
-    _Opt("--pc", _float, 0.8, "crossover probability"),
-    _Opt("--pm", _float, 0.1, "mutation probability"),
-    _Opt("--elite", _int, 1, "elite carry-over count"),
-    _Opt("--seed", _int, 0, "random seed"),
-    _Opt("--epsilon", _float, 1.0e-8, "fixed-point stopping threshold"),
-    _Opt("--max-iters", _int, 100, "fixed-point sweep limit"),
-    _Opt("--delta-min", _float, None, "search lower bound (default: hull)"),
-    _Opt("--delta-max", _float, None, "search upper bound (default: hull)"),
-    _Opt("--ne-min", _int, 2, "neighbor count lower bound"),
-    _Opt("--ne-max", _int, None, "neighbor count upper bound (default: sample count)"),
-    _Opt("--m-min", _int, None, "truncation lower bound (default: min(4, q))"),
-    _Opt("--m-max", _int, None, "truncation upper bound (default: q)"),
-    _Opt("--out", _str, None, "history CSV output file"),
+    _Opt("--pop", int, 20, "population size"),
+    _Opt("--gens", int, 30, "number of generations"),
+    _Opt("--pc", float, 0.8, "crossover probability"),
+    _Opt("--pm", float, 0.1, "mutation probability"),
+    _Opt("--elite", int, 1, "elite carry-over count"),
+    _Opt("--seed", int, 0, "random seed"),
+    _Opt("--delta-min", float, None, "search lower bound (default: hull)"),
+    _Opt("--delta-max", float, None, "search upper bound (default: hull)"),
+    _Opt("--ne-min", int, 2, "neighbor count lower bound"),
+    _Opt("--ne-max", int, None, "neighbor count upper bound (default: sample count)"),
+    _Opt("--m-min", int, None, "truncation lower bound (default: min(4, q))"),
+    _Opt("--m-max", int, None, "truncation upper bound (default: q)"),
+    _Opt("--out", str, None, "history CSV output file"),
 )
 
 
@@ -406,7 +383,6 @@ def _cmd_optimize(ns: SimpleNamespace) -> int:
         mutation_prob=ns.pm,
         elite_count=ns.elite,
         rng_seed=ns.seed,
-        fixed_point=FixedPointConfig(ns.epsilon, ns.max_iters),
     )
     best, history = genetic.run(cfg, db, target)
     history.write_csv(out)
@@ -421,10 +397,10 @@ def _cmd_optimize(ns: SimpleNamespace) -> int:
 # ---------------------------------------------------------------- report
 
 _REPORT_OPTS = (
-    _Opt("--history", _str, None, "search history CSV"),
-    _Opt("--predicted", _str, None, "predicted snapshot file"),
-    _Opt("--target", _str, None, "target snapshot file"),
-    _Opt("--out", _str, None, "existing output directory"),
+    _Opt("--history", str, None, "search history CSV"),
+    _Opt("--predicted", str, None, "predicted snapshot file"),
+    _Opt("--target", str, None, "target snapshot file"),
+    _Opt("--out", str, None, "existing output directory"),
 )
 
 

@@ -14,15 +14,11 @@ outcome.
 from __future__ import annotations
 
 import csv
-import hashlib
-import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .barycentric import (
-    FixedPointConfig,
     InterpolationRequest,
     interpolate_reduced,
     reconstruct_field,  # noqa: F401  unused here; perfbench/layers.py traces it by this name
@@ -112,7 +108,6 @@ class GaConfig:
     mutation_prob: float = 0.1
     elite_count: int = 1
     rng_seed: int = 0
-    fixed_point: FixedPointConfig = field(default_factory=FixedPointConfig)
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -133,7 +128,6 @@ class GenerationRecord:
     best: Chromosome
     best_cost: float
     avg_cost: float
-    digest: str
 
 
 @dataclass(frozen=True)
@@ -165,13 +159,6 @@ class GaHistory:
                     )
         except OSError as exc:
             raise PersistenceError(path, f"cannot write history ({exc})") from exc
-
-
-def _population_digest(population) -> str:
-    hasher = hashlib.sha256()
-    for c in population:
-        hasher.update(struct.pack("<dqqq", c.delta, c.ne_t, c.ne_x, c.m))
-    return hasher.hexdigest()[:16]
 
 
 def init_population(cfg: GaConfig, rng: np.random.Generator | None = None) -> list[Chromosome]:
@@ -214,9 +201,7 @@ def evaluate_population(
             continue
         try:
             result = interpolate_reduced(
-                db,
-                InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m),
-                cfg.fixed_point,
+                db, InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
             )
             value = cost_of(result.spatial_factor, result.temporal_factor, projection)
         except np.linalg.LinAlgError:
@@ -351,11 +336,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
             best_cost = float(costs[leader])
         records.append(
             GenerationRecord(
-                generation,
-                population[leader],
-                float(costs[leader]),
-                float(costs.mean()),
-                _population_digest(population),
+                generation, population[leader], float(costs[leader]), float(costs.mean())
             )
         )
         if generation < total:
@@ -383,7 +364,6 @@ def read_history_csv(path) -> GaHistory:
                     Chromosome(float(delta), int(ne_t), int(ne_x), int(m)),
                     float(best_cost),
                     float(avg_cost),
-                    "",
                 )
             )
     except (ValueError, TypeError) as exc:

@@ -208,7 +208,7 @@ def test_criterion_3_weights_and_alignments_hold_their_invariants():
         cols = int(rng.integers(1, min(rows, 6) + 1))
         q = procrustes_align(
             rng.normal(size=(rows, cols)), rng.normal(size=(rows, cols))
-        ).q
+        )
         worst_ortho = max(worst_ortho, float(np.abs(q.T @ q - np.eye(cols)).max()))
 
     print(f"criterion 3: worst |sum w - 1| = {worst_sum:.3e} (bar 1e-12), "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +18,6 @@ from romga import (
     TimeAxis,
     analytic_plume,
     compress_ensemble,
-    fixed_point_basis,
     interpolate_reduced,
     lagrange_weights,
     procrustes_align,
@@ -100,66 +101,19 @@ def test_lagrange_weights_are_a_partition_of_unity(start, gaps, position):
 def test_procrustes_recovers_an_exact_rotation(rng):
     ref = rng.normal(size=(9, 4))
     g = random_orthogonal(rng, 4)
-    result = procrustes_align(ref, ref @ g)
-    assert not result.degenerate
-    assert np.abs((ref @ g) @ result.q - ref).max() < 1e-10
-    assert np.abs(result.q - g.T).max() < 1e-10
+    q = procrustes_align(ref, ref @ g)
+    assert np.abs((ref @ g) @ q - ref).max() < 1e-10
+    assert np.abs(q - g.T).max() < 1e-10
+    with pytest.raises(ValueError):
+        procrustes_align(ref, np.zeros((8, 4)))
 
 
 def test_procrustes_rotation_is_always_orthogonal(rng):
     for _ in range(20):
         a = rng.normal(size=(7, 3))
         b = rng.normal(size=(7, 3))
-        q = procrustes_align(a, b).q
+        q = procrustes_align(a, b)
         assert np.abs(q.T @ q - np.eye(3)).max() < 1e-10
-
-
-def test_procrustes_flags_rank_deficiency(rng):
-    ref = rng.normal(size=(6, 3))
-    assert procrustes_align(ref, np.zeros((6, 3))).degenerate
-    assert not procrustes_align(ref, rng.normal(size=(6, 3))).degenerate
-    with pytest.raises(ValueError):
-        procrustes_align(ref, np.zeros((5, 3)))
-
-
-# ---------------------------------------------------------------- fixed point
-
-
-def test_single_block_fixed_point_settles_immediately(rng):
-    block = rng.normal(size=(8, 3))
-    result = fixed_point_basis([block], [1.0], block, FixedPointConfig())
-    assert result.converged and result.iterations == 1
-    assert np.abs(result.basis - block).max() < 1e-10
-
-
-def test_fixed_point_limit_ignores_init_rotations(plume_db, rng):
-    blocks = [b[:, :5] for b in plume_db.spatial_blocks[:3]]
-    weights = lagrange_weights(plume_db.params[:3], 0.34)
-    init = np.array(blocks[0])
-    plain = fixed_point_basis(blocks, weights, init, FixedPointConfig())
-    spun = fixed_point_basis(
-        blocks, weights, init @ random_orthogonal(rng, 5), FixedPointConfig()
-    )
-    assert plain.converged and spun.converged
-    align = procrustes_align(plain.basis, spun.basis).q
-    assert np.abs(spun.basis @ align - plain.basis).max() < 1e-8
-
-
-def test_fixed_point_validation(rng):
-    block = rng.normal(size=(6, 2))
-    cfg = FixedPointConfig()
-    with pytest.raises(ValueError):
-        fixed_point_basis([], [], block, cfg)
-    with pytest.raises(ValueError):
-        fixed_point_basis([block, rng.normal(size=(5, 2))], [0.5, 0.5], block, cfg)
-    with pytest.raises(ValueError):
-        fixed_point_basis([block], [0.5, 0.5], block, cfg)
-    with pytest.raises(ValueError):
-        fixed_point_basis([block], [1.0], rng.normal(size=(6, 3)), cfg)
-    with pytest.raises(ValueError):
-        FixedPointConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        FixedPointConfig(max_iters=0)
 
 
 # ---------------------------------------------------------------- queries
@@ -183,6 +137,25 @@ def test_midway_query_tracks_the_generating_family(plume_db, plume_grid, plume_t
     truth = analytic_plume(PlumeParams(0.375, sigma=0.3), plume_grid, plume_times).values
     rel = np.linalg.norm(predicted - truth) / np.linalg.norm(truth)
     assert rel <= 0.05
+
+
+def test_query_ignores_the_rotation_of_each_stored_block_pair(plume_db):
+    # Each sample's blocks are only defined up to one orthogonal change of
+    # columns shared by its spatial and temporal block: S_k G_k (K_k G_k)^T is
+    # the same sample. The alignment must absorb every G_k; an unaligned
+    # weighted sum of the blocks would not.
+    rng = np.random.default_rng(2024)
+    spins = [random_orthogonal(rng, plume_db.q) for _ in plume_db.params]
+    spun_db = dataclasses.replace(
+        plume_db,
+        spatial_blocks=[b @ g for b, g in zip(plume_db.spatial_blocks, spins)],
+        temporal_blocks=[b @ g for b, g in zip(plume_db.temporal_blocks, spins)],
+    )
+    for delta, ne in ((0.34, 3), (0.42, 4), (0.475, 2)):
+        request = InterpolationRequest(delta, ne, ne, plume_db.q)
+        plain = interpolate_reduced(plume_db, request).reduced
+        spun = interpolate_reduced(spun_db, request).reduced
+        assert np.linalg.norm(spun - plain) <= 1e-8 * np.linalg.norm(plain), delta
 
 
 def test_query_results_are_deterministic(plume_db):
@@ -226,6 +199,10 @@ def test_iteration_cap_is_respected_and_reported():
     assert result.iterations == 3
     assert not result.converged
     assert np.isfinite(result.final_error)
+    with pytest.raises(ValueError):
+        FixedPointConfig(epsilon=0.0)
+    with pytest.raises(ValueError):
+        FixedPointConfig(max_iters=0)
 
 
 def test_request_validation(plume_db):

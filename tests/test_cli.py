@@ -9,6 +9,7 @@ import pytest
 
 from romga import cli, read_history_csv, read_rom, read_snapshots
 from romga.errors import DivergenceError
+from romga.genetic import HISTORY_COLUMNS
 
 PLUME_ARGS = [
     "--family", "plume",
@@ -273,6 +274,12 @@ def test_config_file_can_name_the_preset_and_flags_still_win(tmp_path):
 
 def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
     rom = str(pipeline / "db.rom1")
+    history = tmp_path / "history.csv"
+    history.write_text(",".join(HISTORY_COLUMNS) + "\n1,0.4,3,2,5,0.25,1.5\n", encoding="utf-8")
+    blocked_report = tmp_path / "blocked_report"
+    (blocked_report / "avg_cost.csv").mkdir(parents=True)
+    blocked_datagen = tmp_path / "blocked_datagen"
+    (blocked_datagen / "manifest.txt").mkdir(parents=True)
     cases = [
         # missing output directory
         ["datagen", *PLUME_ARGS, "--out", str(tmp_path / "missing")],
@@ -301,6 +308,10 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
         # missing rom file
         ["predict", "--rom", str(tmp_path / "ghost.rom1"), "--delta", "0.4",
          "--out", str(tmp_path / "p.snp1")],
+        # a directory sits where report writes avg_cost.csv
+        ["report", "--history", str(history), "--out", str(blocked_report)],
+        # a directory sits where datagen writes manifest.txt
+        ["datagen", *PLUME_ARGS, "--out", str(blocked_datagen)],
     ]
     for argv in cases:
         assert cli.main(argv) == 2, argv

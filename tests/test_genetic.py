@@ -32,7 +32,6 @@ from romga.genetic import (
     HISTORY_COLUMNS,
     PENALTY_COST,
     GenerationRecord,
-    _population_digest,
     crossover,
     evaluate_population,
     init_population,
@@ -312,10 +311,10 @@ def test_cost_landscape_bottoms_out_at_the_true_parameter(plume_db, plume_projec
     assert at_truth < min(others)
 
 
-def _lifted_cost(db, c: Chromosome, target: Target, cfg: GaConfig) -> float:
+def _lifted_cost(db, c: Chromosome, target: Target) -> float:
     """The masked cost of a chromosome's prediction, lifted onto the mask."""
     request = InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
-    result = interpolate_reduced(db, request, cfg.fixed_point)
+    result = interpolate_reduced(db, request)
     return cost(reconstruct_field(db, result.reduced, rows=target.mask.indices), target)
 
 
@@ -337,7 +336,7 @@ def test_reduced_cost_matches_the_lifted_cost(plume_db, plume_grid, plume_times,
     costs, _ = evaluate_population(population, plume_db, projection, cfg)
     assert np.all(projection.residual / plume_times.n_steps > 1e-6 * costs)
     for c, value in zip(population, costs):
-        assert value == pytest.approx(_lifted_cost(plume_db, c, target, cfg), rel=1e-10)
+        assert value == pytest.approx(_lifted_cost(plume_db, c, target), rel=1e-10)
 
 
 def test_reduced_cost_rejects_mismatched_factors(plume_projection):
@@ -352,7 +351,7 @@ def test_history_costs_are_the_lifted_costs_of_the_leaders(plume_db, plume_targe
     cfg = GaConfig(SPACE, population_size=8, generations=4, rng_seed=7)
     _, history = run(cfg, plume_db, plume_target)
     for rec in history.records:
-        lifted = _lifted_cost(plume_db, rec.best, plume_target, cfg)
+        lifted = _lifted_cost(plume_db, rec.best, plume_target)
         assert rec.best_cost == pytest.approx(lifted, rel=1e-10)
 
 
@@ -430,8 +429,8 @@ def test_run_with_zero_generations_scores_the_initial_population(
 
 def _history():
     records = (
-        GenerationRecord(1, Chromosome(0.4, 3, 2, 5), 0.25, 1.5, "aa"),
-        GenerationRecord(2, Chromosome(0.41, 2, 2, 6), 0.125, 0.75, "bb"),
+        GenerationRecord(1, Chromosome(0.4, 3, 2, 5), 0.25, 1.5),
+        GenerationRecord(2, Chromosome(0.41, 2, 2, 6), 0.125, 0.75),
     )
     return GaHistory(records)
 
@@ -481,13 +480,3 @@ def test_history_reader_rejects_foreign_files(tmp_path):
         read_history_csv(tmp_path / "absent.csv")
     with pytest.raises(PersistenceError):
         _history().write_csv(tmp_path / "no_dir" / "history.csv")
-
-
-def test_population_digest_tracks_content():
-    pop_a = [Chromosome(0.4, 3, 2, 5), Chromosome(0.41, 2, 2, 6)]
-    pop_b = [Chromosome(0.4, 3, 2, 5), Chromosome(0.41, 2, 2, 7)]
-    digest_a = _population_digest(pop_a)
-    assert len(digest_a) == 16
-    assert int(digest_a, 16) >= 0  # hex
-    assert digest_a == _population_digest(list(pop_a))
-    assert digest_a != _population_digest(pop_b)
