@@ -52,7 +52,8 @@ def main() -> None:
         result = interpolate_reduced(
             db, InterpolationRequest(held, 4, 4, args.q), FixedPointConfig()
         )
-        err = relative_error(reconstruct_field(db, result.reduced), family[held].values)
+        predicted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
+        err = relative_error(predicted, family[held].values)
         flag = "" if result.converged else "  (hit the sweep cap)"
         print(f"  delta {held:.2f}: {100 * err:6.3f}%  iters {result.iterations}{flag}")
 
@@ -61,7 +62,8 @@ def main() -> None:
     for delta in np.linspace(deltas[0], deltas[-1], args.sweep + 2)[1:-1]:
         truth = analytic_plume(PlumeParams(float(delta), sigma=args.sigma), grid, times)
         result = interpolate_reduced(db, InterpolationRequest(float(delta), 3, 3, args.q))
-        err = relative_error(reconstruct_field(db, result.reduced), truth.values)
+        predicted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
+        err = relative_error(predicted, truth.values)
         print(f"  delta {delta:.3f}: {100 * err:6.3f}%  iters {result.iterations}")
 
 

@@ -7,7 +7,6 @@ from .barycentric import (
     interpolate_reduced,
     lagrange_weights,
     procrustes_align,
-    reconstruct_field,
     select_neighbors,
 )
 from .dataset import (
@@ -38,6 +37,7 @@ from .pod import (
     default_rank,
     pod_factorize,
     read_rom,
+    reconstruct_field,
     reconstruct_sample,
     truncate_blocks,
     two_level_compress,

@@ -35,10 +35,6 @@ import numpy as np
 from .dataset import _frozen_array
 from .pod import RomDatabase, truncate_blocks
 
-# The interpolated reduced matrix (r x s); multiply by the database bases
-# to get back to fields.
-ReducedMatrix = np.ndarray
-
 
 @dataclass(frozen=True)
 class FixedPointConfig:
@@ -77,9 +73,11 @@ class InterpolationRequest:
 
 @dataclass(frozen=True, eq=False)
 class BarycentricResult:
-    """Outcome of one interpolation query."""
+    """Outcome of one interpolation query.
 
-    reduced: ReducedMatrix       # (r, s) interpolated reduced matrix
+    The prediction is the factor pair; pod.reconstruct_field lifts it to a field.
+    """
+
     spatial_factor: np.ndarray   # (r, m) final spatial iterate
     temporal_factor: np.ndarray  # (s, m) final temporal iterate
     iterations: int
@@ -87,7 +85,6 @@ class BarycentricResult:
     converged: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "reduced", _frozen_array(self.reduced))
         object.__setattr__(self, "spatial_factor", _frozen_array(self.spatial_factor))
         object.__setattr__(self, "temporal_factor", _frozen_array(self.temporal_factor))
 
@@ -161,7 +158,7 @@ def interpolate_reduced(
     request: InterpolationRequest,
     config: FixedPointConfig = FixedPointConfig(),
 ) -> BarycentricResult:
-    """Predict the reduced matrix of an unseen parameter value.
+    """Predict the factor pair of an unseen parameter value.
 
     Runs the joint alignment fixed point over the request's spatial and
     temporal neighbor sets (Lagrange weights on the neighbor parameter
@@ -172,8 +169,7 @@ def interpolate_reduced(
         sum over (k, h) of || Q_k @ K_h.T - previous Q_k @ K_h.T ||_F
 
     is compared against config.epsilon; it is first available after the
-    second sweep. The returned reduced matrix is the product
-    spatial_factor @ temporal_factor.T of the final iterates.
+    second sweep. The final iterates are the returned factor pair.
 
     Raises ValueError when the request does not fit the database: neighbor
     counts outside [2, n_params], m outside [1, q], or a query outside the
@@ -228,36 +224,5 @@ def interpolate_reduced(
                 break
         previous = products
 
-    return BarycentricResult(
-        spatial @ temporal.T, spatial, temporal, iterations, final_error, converged
-    )
+    return BarycentricResult(spatial, temporal, iterations, final_error, converged)
 
-
-def reconstruct_field(
-    db: RomDatabase,
-    reduced: ReducedMatrix,
-    rows: np.ndarray | None = None,
-    cols: np.ndarray | None = None,
-) -> np.ndarray:
-    """Lift a reduced matrix back to field values.
-
-    ``rows`` selects cell indices, ``cols`` time indices; None means all.
-    Restricting rows avoids ever forming the full field when only an
-    observation window is needed.
-    """
-    reduced = np.asarray(reduced, dtype=np.float64)
-    if reduced.shape != (db.r, db.s):
-        raise ValueError(f"reduced matrix must be {(db.r, db.s)}, got {reduced.shape}")
-    spatial = db.spatial_basis
-    temporal = db.temporal_basis
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= spatial.shape[0]):
-            raise ValueError("row indices out of range")
-        spatial = spatial[rows]
-    if cols is not None:
-        cols = np.asarray(cols, dtype=np.int64)
-        if cols.size and (cols.min() < 0 or cols.max() >= temporal.shape[0]):
-            raise ValueError("column indices out of range")
-        temporal = temporal[cols]
-    return spatial @ reduced @ temporal.T

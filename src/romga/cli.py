@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,12 +22,13 @@ from typing import Callable
 import numpy as np
 
 from . import genetic
-from .barycentric import InterpolationRequest, interpolate_reduced, reconstruct_field
+from .barycentric import InterpolationRequest, interpolate_reduced
 from .dataset import (
     Grid,
     ParamKind,
     SnapshotMatrix,
     TimeAxis,
+    _write_file,
     build_mask,
     read_snapshots,
     write_snapshots,
@@ -40,7 +42,7 @@ from .errors import (
     StabilityError,
 )
 from .objective import Target, l2_error_series
-from .pod import compress_ensemble, read_rom, write_rom
+from .pod import compress_ensemble, read_rom, reconstruct_field, write_rom
 from .surrogate import CavityParams, PlumeParams, SolverConfig, analytic_plume, solve_cavity
 
 MANIFEST_NAME = "manifest.txt"
@@ -148,14 +150,12 @@ def _out_dir(ns: SimpleNamespace) -> Path:
 
 
 def _write_csv_pairs(path: Path, rows) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("index", "value"))
-            for index, value in rows:
-                writer.writerow((index, repr(float(value))))
-    except OSError as exc:
-        raise PersistenceError(path, f"cannot write CSV ({exc})") from exc
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(("index", "value"))
+    for index, value in rows:
+        writer.writerow((index, repr(float(value))))
+    _write_file(path, text.getvalue().encode("utf-8"), "CSV")
 
 
 # ---------------------------------------------------------------- datagen
@@ -227,20 +227,27 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
     if len(set(train_values)) != len(train_values):
         raise ValueError("training parameter values must be pairwise distinct")
 
-    manifest_lines = []
-    for i, value in enumerate(train_values):
-        name = f"train_{i:02d}_{value:g}.snp1"
-        write_snapshots(make(value), out / name)
-        manifest_lines.append(f"{ParamKind(kind).name.lower()},{value!r},{name}")
-    manifest = out / MANIFEST_NAME
-    try:
-        manifest.write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise PersistenceError(manifest, f"cannot write manifest ({exc})") from exc
-
     targets = ns.target or ()
-    for value in targets:
-        write_snapshots(make(value), out / f"target_{value:g}.snp1")
+    manifest_lines = []
+    written: list[Path] = []
+    try:
+        for i, value in enumerate(train_values):
+            name = f"train_{i:02d}_{value:g}.snp1"
+            write_snapshots(make(value), out / name)
+            written.append(out / name)
+            manifest_lines.append(f"{ParamKind(kind).name.lower()},{value!r},{name}")
+        manifest = out / MANIFEST_NAME
+        _write_file(manifest, ("\n".join(manifest_lines) + "\n").encode("utf-8"), "manifest")
+        written.append(manifest)
+        for value in targets:
+            path = out / f"target_{value:g}.snp1"
+            write_snapshots(make(value), path)
+            written.append(path)
+    except BaseException:
+        # a failed run leaves none of the files it wrote behind
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
     print(
         f"wrote {len(train_values)} training runs and {len(targets)} target runs to {out}"
@@ -324,7 +331,7 @@ def _cmd_predict(ns: SimpleNamespace) -> int:
         delta, ne_x=ns.ne_x, ne_t=ns.ne_t, m=db.q if ns.m is None else ns.m
     )
     result = interpolate_reduced(db, request)
-    field = reconstruct_field(db, result.reduced)
+    field = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
     write_snapshots(SnapshotMatrix(db.grid, db.times, db.param_kind, delta, field), out)
     print(
         f"iterations={result.iterations} final_error={result.final_error!r}"

@@ -11,6 +11,8 @@ by the payload as float64 in column-major order.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -104,6 +106,24 @@ def _frozen_array(values, shape=None, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _write_file(path, data: bytes, what: str) -> None:
+    """Write ``data`` to ``path`` atomically, or raise PersistenceError naming ``what``.
+
+    The bytes go to a temporary file in the same directory, which os.replace
+    then moves onto ``path``. A failed write removes the temporary file and
+    leaves any existing file at ``path`` as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise PersistenceError(path, f"cannot write {what} ({exc})") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class SnapshotMatrix:
     """One parametrized field history: values[j, l] at cell j and instant l."""
@@ -151,10 +171,7 @@ def write_snapshots(matrix: SnapshotMatrix, path) -> None:
         matrix.param_value,
     )
     payload = matrix.values.astype("<f8", copy=False).tobytes(order="F")
-    try:
-        Path(path).write_bytes(header + payload)
-    except OSError as exc:
-        raise PersistenceError(path, f"cannot write snapshot file ({exc})") from exc
+    _write_file(path, header + payload, "snapshot file")
 
 
 def read_snapshots(path) -> SnapshotMatrix:

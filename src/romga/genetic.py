@@ -14,15 +14,13 @@ outcome.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .barycentric import (
-    InterpolationRequest,
-    interpolate_reduced,
-    reconstruct_field,  # noqa: F401  unused here; perfbench/layers.py traces it by this name
-)
+from .barycentric import InterpolationRequest, interpolate_reduced
+from .dataset import _write_file
 from .errors import PersistenceError
 from .objective import (
     ProjectedTarget,
@@ -31,10 +29,10 @@ from .objective import (
     project_target,
     reduced_cost as cost_of,
 )
-from .pod import RomDatabase
-
-# Cost assigned to chromosomes whose interpolation request is rejected.
-PENALTY_COST = float(np.finfo(np.float64).max)
+from .pod import (
+    RomDatabase,
+    reconstruct_field,  # noqa: F401  unused here; perfbench/layers.py traces it by this name
+)
 
 HISTORY_COLUMNS = (
     "generation",
@@ -141,24 +139,22 @@ class GaHistory:
         return len(self.records)
 
     def write_csv(self, path) -> None:
-        try:
-            with open(path, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(HISTORY_COLUMNS)
-                for rec in self.records:
-                    writer.writerow(
-                        [
-                            rec.generation,
-                            repr(float(rec.best.delta)),
-                            rec.best.ne_t,
-                            rec.best.ne_x,
-                            rec.best.m,
-                            repr(float(rec.best_cost)),
-                            repr(float(rec.avg_cost)),
-                        ]
-                    )
-        except OSError as exc:
-            raise PersistenceError(path, f"cannot write history ({exc})") from exc
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(HISTORY_COLUMNS)
+        for rec in self.records:
+            writer.writerow(
+                [
+                    rec.generation,
+                    repr(float(rec.best.delta)),
+                    rec.best.ne_t,
+                    rec.best.ne_x,
+                    rec.best.m,
+                    repr(float(rec.best_cost)),
+                    repr(float(rec.avg_cost)),
+                ]
+            )
+        _write_file(path, text.getvalue().encode("utf-8"), "history")
 
 
 def init_population(cfg: GaConfig, rng: np.random.Generator | None = None) -> list[Chromosome]:
@@ -181,17 +177,16 @@ def evaluate_population(
     population,
     db: RomDatabase,
     projection: ProjectedTarget,
-    cfg: GaConfig,
     cache: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cost and fitness per chromosome.
 
     Each chromosome is scored in the reduced space against ``projection``,
-    the target as project_target prepared it for ``db``. A chromosome whose
-    interpolation request the database rejects is kept in the population but
-    charged the largest finite cost; a numerical failure
-    (np.linalg.LinAlgError) propagates. Identical chromosomes always score
-    identically; the optional cache exploits that across generations.
+    the target as project_target prepared it for ``db``. A request the
+    database rejects raises ValueError naming the offending gene; run's
+    bound checks keep every chromosome it breeds inside the database's
+    limits. Identical chromosomes always score identically; the optional
+    cache exploits that across generations.
     """
     costs = np.empty(len(population))
     for i, c in enumerate(population):
@@ -199,15 +194,10 @@ def evaluate_population(
         if cache is not None and key in cache:
             costs[i] = cache[key]
             continue
-        try:
-            result = interpolate_reduced(
-                db, InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
-            )
-            value = cost_of(result.spatial_factor, result.temporal_factor, projection)
-        except np.linalg.LinAlgError:
-            raise
-        except ValueError:
-            value = PENALTY_COST
+        result = interpolate_reduced(
+            db, InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
+        )
+        value = cost_of(result.spatial_factor, result.temporal_factor, projection)
         costs[i] = value
         if cache is not None:
             cache[key] = value
@@ -329,7 +319,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
     best_cost = float("inf")
     total = max(cfg.generations, 1)
     for generation in range(1, total + 1):
-        costs, fitnesses = evaluate_population(population, db, projection, cfg, cache)
+        costs, fitnesses = evaluate_population(population, db, projection, cache=cache)
         leader = int(np.argmin(costs))
         if costs[leader] < best_cost:
             best = population[leader]

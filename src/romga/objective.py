@@ -107,8 +107,8 @@ def reduced_cost(
 ) -> float:
     """The masked cost of the prediction B @ spatial_factor @ temporal_factor.T @ T.T.
 
-    Equal to cost(reconstruct_field(...), target) without lifting the
-    prediction: with orthonormal Q and T the lifted misfit splits into
+    Equal to cost(reconstruct_field(db, ...)[mask.indices], target) without
+    lifting the prediction: with orthonormal Q and T the lifted misfit splits into
     ||factor @ spatial_factor @ temporal_factor.T - projected||_F**2 plus
     the residual, two sums of squares.
     """

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Grid, ParamKind, SnapshotMatrix, TimeAxis, _frozen_array
+from .dataset import Grid, ParamKind, SnapshotMatrix, TimeAxis, _frozen_array, _write_file
 from .errors import CorruptionError, FormatError, PersistenceError
 
 _MAGIC = b"ROM1"
@@ -271,12 +271,27 @@ def truncate_blocks(db: RomDatabase, m: int) -> list[tuple[np.ndarray, np.ndarra
     ]
 
 
+def reconstruct_field(db: RomDatabase, spatial: np.ndarray, temporal: np.ndarray) -> np.ndarray:
+    """Lift a factor pair to field values: (spatial_basis @ S) @ (temporal_basis @ K).T.
+
+    ``spatial`` is (r, m) and ``temporal`` (s, m): an interpolated
+    prediction's factors or a training sample's truncated block pair.
+    """
+    spatial = np.asarray(spatial, dtype=np.float64)
+    temporal = np.asarray(temporal, dtype=np.float64)
+    if spatial.ndim != 2 or spatial.shape[0] != db.r or temporal.shape != (db.s, spatial.shape[1]):
+        raise ValueError(
+            f"factor pair must be (r, m) and (s, m) with r={db.r}, s={db.s},"
+            f" got {spatial.shape} and {temporal.shape}"
+        )
+    return (db.spatial_basis @ spatial) @ (db.temporal_basis @ temporal).T
+
+
 def reconstruct_sample(db: RomDatabase, k: int, m: int) -> SnapshotMatrix:
     """Rebuild training sample ``k`` from its blocks truncated to order ``m``."""
     if not 0 <= k < db.n_params:
         raise ValueError(f"sample index {k} out of range [0, {db.n_params})")
-    sb, tb = truncate_blocks(db, m)[k]
-    values = db.spatial_basis @ sb @ tb.T @ db.temporal_basis.T
+    values = reconstruct_field(db, *truncate_blocks(db, m)[k])
     return SnapshotMatrix(db.grid, db.times, db.param_kind, float(db.params[k]), values)
 
 
@@ -307,10 +322,7 @@ def write_rom(db: RomDatabase, path) -> None:
     for sb, tb in zip(db.spatial_blocks, db.temporal_blocks):
         chunks.append(_matrix_bytes(sb))
         chunks.append(_matrix_bytes(tb))
-    try:
-        Path(path).write_bytes(b"".join(chunks))
-    except OSError as exc:
-        raise PersistenceError(path, f"cannot write ROM file ({exc})") from exc
+    _write_file(path, b"".join(chunks), "ROM file")
 
 
 def read_rom(path) -> RomDatabase:

@@ -231,7 +231,7 @@ def test_criterion_4_leave_one_out_stays_under_five_percent(plume_assets):
     for held in deltas[1:-1]:
         db = compress_ensemble([matrices[d] for d in deltas if d != held], q=10)
         result = interpolate_reduced(db, InterpolationRequest(held, 4, 4, 10))
-        predicted = reconstruct_field(db, result.reduced)
+        predicted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
         truth = matrices[held].values
         errors[held] = float(np.linalg.norm(predicted - truth) / np.linalg.norm(truth))
     elapsed = time.perf_counter() - start

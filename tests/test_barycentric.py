@@ -33,6 +33,11 @@ def random_orthogonal(rng, n):
     return q
 
 
+def reduced_matrix(result):
+    """The (r, s) product of an interpolated factor pair."""
+    return result.spatial_factor @ result.temporal_factor.T
+
+
 # ---------------------------------------------------------------- neighbors
 
 
@@ -122,7 +127,7 @@ def test_procrustes_rotation_is_always_orthogonal(rng):
 def test_query_on_a_training_node_reproduces_its_blocks(plume_db):
     node = plume_db.spatial_blocks[2] @ plume_db.temporal_blocks[2].T
     result = interpolate_reduced(plume_db, InterpolationRequest(0.40, 3, 3, 10))
-    rel = np.linalg.norm(result.reduced - node) / np.linalg.norm(node)
+    rel = np.linalg.norm(reduced_matrix(result) - node) / np.linalg.norm(node)
     assert rel <= 1e-8
     assert result.converged
     # the error first exists after the second sweep, and a node query has
@@ -133,7 +138,7 @@ def test_query_on_a_training_node_reproduces_its_blocks(plume_db):
 def test_midway_query_tracks_the_generating_family(plume_db, plume_grid, plume_times):
     result = interpolate_reduced(plume_db, InterpolationRequest(0.375, 3, 3, 10))
     assert result.converged
-    predicted = reconstruct_field(plume_db, result.reduced)
+    predicted = reconstruct_field(plume_db, result.spatial_factor, result.temporal_factor)
     truth = analytic_plume(PlumeParams(0.375, sigma=0.3), plume_grid, plume_times).values
     rel = np.linalg.norm(predicted - truth) / np.linalg.norm(truth)
     assert rel <= 0.05
@@ -153,8 +158,8 @@ def test_query_ignores_the_rotation_of_each_stored_block_pair(plume_db):
     )
     for delta, ne in ((0.34, 3), (0.42, 4), (0.475, 2)):
         request = InterpolationRequest(delta, ne, ne, plume_db.q)
-        plain = interpolate_reduced(plume_db, request).reduced
-        spun = interpolate_reduced(spun_db, request).reduced
+        plain = reduced_matrix(interpolate_reduced(plume_db, request))
+        spun = reduced_matrix(interpolate_reduced(spun_db, request))
         assert np.linalg.norm(spun - plain) <= 1e-8 * np.linalg.norm(plain), delta
 
 
@@ -162,19 +167,15 @@ def test_query_results_are_deterministic(plume_db):
     request = InterpolationRequest(0.42, 4, 3, 8)
     a = interpolate_reduced(plume_db, request)
     b = interpolate_reduced(plume_db, request)
-    assert np.array_equal(a.reduced, b.reduced)
+    assert np.array_equal(a.spatial_factor, b.spatial_factor)
+    assert np.array_equal(a.temporal_factor, b.temporal_factor)
+    assert a.spatial_factor.shape == (plume_db.r, 8)
+    assert a.temporal_factor.shape == (plume_db.s, 8)
     assert (a.iterations, a.final_error, a.converged) == (
         b.iterations,
         b.final_error,
         b.converged,
     )
-
-
-def test_reduced_matrix_is_the_factor_product(plume_db):
-    result = interpolate_reduced(plume_db, InterpolationRequest(0.33, 2, 2, 6))
-    assert np.array_equal(result.reduced, result.spatial_factor @ result.temporal_factor.T)
-    assert result.spatial_factor.shape == (plume_db.r, 6)
-    assert result.temporal_factor.shape == (plume_db.s, 6)
 
 
 def _random_db(seed=7):
@@ -230,29 +231,24 @@ def test_reconstruction_matches_the_level_one_product(rng):
         grid, times, ParamKind.SYNTHETIC, 0.5, rng.normal(size=(24, 9))
     )
     db = compress_ensemble([matrix], q=9)
-    reduced = db.spatial_blocks[0] @ db.temporal_blocks[0].T
     u, sv, vt = np.linalg.svd(matrix.values, full_matrices=False)
     rank_q = (u[:, :9] * sv[:9]) @ vt[:9]
-    lifted = reconstruct_field(db, reduced)
+    lifted = reconstruct_field(db, db.spatial_blocks[0], db.temporal_blocks[0])
     assert np.linalg.norm(lifted - rank_q) <= 1e-10 * np.linalg.norm(matrix.values)
 
 
-def test_reconstruction_slicing_matches_the_full_field(plume_db):
-    result = interpolate_reduced(plume_db, InterpolationRequest(0.41, 3, 3, 10))
-    full = reconstruct_field(plume_db, result.reduced)
-    rows = np.array([0, 5, 1599, 800])
-    cols = np.array([0, 59, 30])
-    window = reconstruct_field(plume_db, result.reduced, rows=rows, cols=cols)
-    # sliced operands take a different BLAS path than slicing the product,
-    # so agreement is to rounding, not bitwise
-    assert np.allclose(window, full[np.ix_(rows, cols)], rtol=1e-12, atol=1e-12)
-
-
 def test_reconstruction_validates_inputs(plume_db):
-    with pytest.raises(ValueError):
-        reconstruct_field(plume_db, np.zeros((3, 3)))
-    reduced = np.zeros((plume_db.r, plume_db.s))
-    with pytest.raises(ValueError):
-        reconstruct_field(plume_db, reduced, rows=np.array([1600]))
-    with pytest.raises(ValueError):
-        reconstruct_field(plume_db, reduced, cols=np.array([-1]))
+    r, s, m = plume_db.r, plume_db.s, 4
+    assert reconstruct_field(plume_db, np.zeros((r, m)), np.zeros((s, m))).shape == (
+        plume_db.grid.n_cells,
+        plume_db.times.n_steps,
+    )
+    bad_pairs = (
+        (np.zeros((r - 1, m)), np.zeros((s, m))),  # spatial rows are not r
+        (np.zeros((r, m)), np.zeros((s + 1, m))),  # temporal rows are not s
+        (np.zeros((r, m)), np.zeros((s, m - 1))),  # the factors disagree on m
+        (np.zeros(r), np.zeros((s, 1))),           # a vector is not a factor
+    )
+    for spatial, temporal in bad_pairs:
+        with pytest.raises(ValueError):
+            reconstruct_field(plume_db, spatial, temporal)

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from romga import cli, read_history_csv, read_rom, read_snapshots
+from romga import (
+    Chromosome,
+    GaHistory,
+    PersistenceError,
+    cli,
+    read_history_csv,
+    read_rom,
+    read_snapshots,
+    write_rom,
+    write_snapshots,
+)
 from romga.errors import DivergenceError
-from romga.genetic import HISTORY_COLUMNS
+from romga.genetic import HISTORY_COLUMNS, GenerationRecord
 
 PLUME_ARGS = [
     "--family", "plume",
@@ -316,6 +328,8 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
     for argv in cases:
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.strip() != ""
+    # the blocked manifest fails the run, which takes its snapshot files with it
+    assert [p.name for p in blocked_datagen.iterdir()] == ["manifest.txt"]
 
 
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):
@@ -387,6 +401,53 @@ def test_nan_in_a_stored_block_exits_with_three(pipeline, tmp_path, capsys):
     assert cli.main(optimize) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "h.csv").exists()
+
+
+def test_failed_writes_keep_the_old_file_and_leave_no_temp(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    db = read_rom(pipeline / "db.rom1")
+    matrix = read_snapshots(pipeline / "target_0.375.snp1")
+    history = GaHistory([GenerationRecord(1, Chromosome(0.4, 3, 2, 5), 0.25, 1.5)])
+    writers = {
+        "snapshots.snp1": lambda path: write_snapshots(matrix, path),
+        "db.rom1": lambda path: write_rom(db, path),
+        "history.csv": history.write_csv,
+        "pairs.csv": lambda path: cli._write_csv_pairs(path, [(0, 1.5)]),
+    }
+    datagen_dir = tmp_path / "datagen"
+    datagen_dir.mkdir()
+    datagen = ["datagen", *PLUME_ARGS, "--out", str(datagen_dir)]
+    old = {tmp_path / name: f"old {name}\n".encode() for name in writers}
+    old[datagen_dir / "manifest.txt"] = b"old manifest\n"
+    for path, data in old.items():
+        path.write_bytes(data)
+
+    real_replace = os.replace
+
+    def replace_all_but_training_runs(src, dst):
+        if Path(dst).name.startswith("train_"):
+            return real_replace(src, dst)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("romga.dataset.os.replace", replace_all_but_training_runs)
+    for name, write in writers.items():
+        with pytest.raises(PersistenceError, match="No space left"):
+            write(tmp_path / name)
+    assert cli.main(datagen) == 2
+    assert "cannot write manifest" in capsys.readouterr().err
+    for path, data in old.items():
+        assert path.read_bytes() == data, path.name
+    # no temp file, and datagen removed the training runs it had written
+    assert {p for p in tmp_path.rglob("*") if p.is_file()} == set(old)
+
+    monkeypatch.undo()
+    for name, write in writers.items():
+        write(tmp_path / name)
+    assert cli.main(datagen) == 0
+    for path, data in old.items():
+        assert path.read_bytes() != data, path.name
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_argparse_surface(capsys):

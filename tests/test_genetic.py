@@ -30,7 +30,6 @@ from romga import (
 )
 from romga.genetic import (
     HISTORY_COLUMNS,
-    PENALTY_COST,
     GenerationRecord,
     crossover,
     evaluate_population,
@@ -258,9 +257,8 @@ def test_node_chromosome_scores_like_the_trained_sample(
 ):
     # delta 0.35 is training sample 1; at full order the prediction is the
     # sample itself, so the cost must agree with scoring it directly.
-    cfg = GaConfig(SPACE)
     costs, _ = evaluate_population(
-        [Chromosome(0.35, 2, 2, 10)], plume_db, plume_projection, cfg
+        [Chromosome(0.35, 2, 2, 10)], plume_db, plume_projection
     )
     sample = reconstruct_sample(plume_db, 1, m=10)
     direct = cost(sample.values[plume_target.mask.indices], plume_target)
@@ -268,43 +266,44 @@ def test_node_chromosome_scores_like_the_trained_sample(
 
 
 def test_identical_chromosomes_score_identically(plume_db, plume_projection):
-    cfg = GaConfig(SPACE)
     twins = [Chromosome(0.37, 3, 3, 8)] * 3
-    costs, fitnesses = evaluate_population(twins, plume_db, plume_projection, cfg)
+    costs, fitnesses = evaluate_population(twins, plume_db, plume_projection)
     assert costs[0] == costs[1] == costs[2]
     assert np.all(fitnesses == 1.0 / (costs + 1e-12))
 
 
 def test_evaluation_cache_short_circuits(plume_db, plume_projection):
-    cfg = GaConfig(SPACE)
     pop = [Chromosome(0.37, 3, 3, 8), Chromosome(0.44, 2, 4, 6)]
     cache: dict = {}
-    costs, _ = evaluate_population(pop, plume_db, plume_projection, cfg, cache)
+    costs, _ = evaluate_population(pop, plume_db, plume_projection, cache)
     assert len(cache) == 2
     poisoned = {key: 123.5 for key in cache}
-    again, _ = evaluate_population(pop, plume_db, plume_projection, cfg, poisoned)
+    again, _ = evaluate_population(pop, plume_db, plume_projection, poisoned)
     assert again.tolist() == [123.5, 123.5]  # proves values came from the cache
-    fresh, _ = evaluate_population(pop, plume_db, plume_projection, cfg, {})
+    fresh, _ = evaluate_population(pop, plume_db, plume_projection, {})
     assert np.array_equal(fresh, costs)
 
 
-def test_rejected_requests_cost_the_penalty(plume_db, plume_projection):
-    cfg = GaConfig(SPACE)
-    pop = [
-        Chromosome(0.4, 9, 3, 8),   # ne_t beyond the sample count
-        Chromosome(0.4, 3, 3, 8),
-    ]
-    costs, fitnesses = evaluate_population(pop, plume_db, plume_projection, cfg)
-    assert costs[0] == PENALTY_COST
-    assert costs[1] < PENALTY_COST
-    assert 0.0 < fitnesses[0] < fitnesses[1]
+def test_rejected_requests_raise_and_name_the_gene(plume_db, plume_projection):
+    # run's bound checks keep bred chromosomes inside the database's limits,
+    # so a request the database rejects is an error, not a poor score
+    for bad, named in (
+        (Chromosome(0.4, 9, 3, 8), r"\bne_t\b"),       # beyond the sample count
+        (Chromosome(0.4, 3, 1, 8), r"\bne_x\b"),       # too few to interpolate
+        (Chromosome(0.4, 3, 3, 11), r"\bm\b"),         # beyond the order q
+        (Chromosome(0.6, 3, 3, 8), r"query 0\.6 outside the training hull"),
+    ):
+        cache: dict = {}
+        population = [Chromosome(0.4, 3, 3, 8), bad]
+        with pytest.raises(ValueError, match=named):
+            evaluate_population(population, plume_db, plume_projection, cache)
+        assert len(cache) == 1, named
 
 
 def test_cost_landscape_bottoms_out_at_the_true_parameter(plume_db, plume_projection):
-    cfg = GaConfig(SPACE)
     deltas = np.linspace(0.30, 0.50, 21)
     pop = [Chromosome(d, 3, 3, 10) for d in deltas]
-    costs, _ = evaluate_population(pop, plume_db, plume_projection, cfg)
+    costs, _ = evaluate_population(pop, plume_db, plume_projection)
     at_truth = costs[10]  # deltas[10] == 0.40
     assert deltas[10] == pytest.approx(0.40, abs=1e-12)
     others = [c for i, c in enumerate(costs) if abs(deltas[i] - 0.40) >= 0.0099]
@@ -315,7 +314,8 @@ def _lifted_cost(db, c: Chromosome, target: Target) -> float:
     """The masked cost of a chromosome's prediction, lifted onto the mask."""
     request = InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
     result = interpolate_reduced(db, request)
-    return cost(reconstruct_field(db, result.reduced, rows=target.mask.indices), target)
+    lifted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
+    return cost(lifted[target.mask.indices], target)
 
 
 # the default window has more cells than r = 50 basis columns, the small one
@@ -333,7 +333,7 @@ def test_reduced_cost_matches_the_lifted_cost(plume_db, plume_grid, plume_times,
     cfg = GaConfig(SearchSpace((0.30, 0.50), (2, 5), (1, 10)), population_size=30)
     population = init_population(cfg, rng)
     assert len({c.m for c in population}) > 5
-    costs, _ = evaluate_population(population, plume_db, projection, cfg)
+    costs, _ = evaluate_population(population, plume_db, projection)
     assert np.all(projection.residual / plume_times.n_steps > 1e-6 * costs)
     for c, value in zip(population, costs):
         assert value == pytest.approx(_lifted_cost(plume_db, c, target), rel=1e-10)
