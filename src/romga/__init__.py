@@ -2,7 +2,6 @@
 
 from .barycentric import (
     BarycentricResult,
-    FixedPointConfig,
     InterpolationRequest,
     interpolate_reduced,
     lagrange_weights,

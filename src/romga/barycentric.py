@@ -5,25 +5,18 @@ block (s x q); truncated to m columns these span m-dimensional subspaces
 that rotate as the parameter moves. A plain weighted sum of the blocks is
 meaningless because each block is only defined up to an orthogonal change of
 columns, so the interpolation works on aligned representatives instead:
+every neighbor block is aligned once, by an orthogonal Procrustes rotation,
+to the block of the training sample nearest to the query, and the
+prediction is the Lagrange-weighted sum of the aligned blocks. The spatial
+and temporal factors are interpolated this way independently.
 
-    repeat
-        align every neighbor block to the current iterate
-        (orthogonal Procrustes: the rotation comes from the SVD of the
-        cross-product between iterate and block)
-        replace the iterate by the Lagrange-weighted sum of the aligned
-        blocks
-    until the alignment rotations stop moving.
-
-The spatial and temporal iterates advance jointly; the shared stopping
-quantity sums, over every (spatial neighbor, temporal neighbor) pair, the
-Frobenius distance between the rotation products of consecutive sweeps.
-Both iterates start from the blocks of the training sample nearest to the
-query, which makes queries placed exactly at a training node reproduce that
-node's blocks: all Lagrange weights collapse onto it and its self-alignment
-is the identity.
-
-No re-orthonormalization happens between sweeps; the iterate is whatever
-the weighted sums produce.
+This is reference-point interpolation (Amsallem & Farhat, AIAA J. 46(7),
+2008), and it is the first sweep of the Riemannian barycentric fixed point
+that realigns the blocks to each new weighted sum until the rotations settle.
+A query placed exactly at a training node reproduces that node's blocks: all
+Lagrange weights collapse onto it and its self-alignment is the identity.
+No re-orthonormalization happens; the factors are the weighted sums as they
+come.
 """
 
 from __future__ import annotations
@@ -36,18 +29,8 @@ from .dataset import _frozen_array
 from .pod import RomDatabase, truncate_blocks
 
 
-@dataclass(frozen=True)
 class FixedPointConfig:
-    """Stopping controls for the alignment fixed point."""
-
-    epsilon: float = 1.0e-8
-    max_iters: int = 100
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+    """No settings: perfbench/layers.py::_interp builds one as a default argument."""
 
 
 @dataclass(frozen=True)
@@ -78,11 +61,11 @@ class BarycentricResult:
     The prediction is the factor pair; pod.reconstruct_field lifts it to a field.
     """
 
-    spatial_factor: np.ndarray   # (r, m) final spatial iterate
-    temporal_factor: np.ndarray  # (s, m) final temporal iterate
-    iterations: int
-    final_error: float
-    converged: bool
+    spatial_factor: np.ndarray   # (r, m) weighted sum of the aligned spatial blocks
+    temporal_factor: np.ndarray  # (s, m) weighted sum of the aligned temporal blocks
+    # constants, not fields: perfbench/layers.py::_interp reads them
+    iterations = 1
+    converged = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spatial_factor", _frozen_array(self.spatial_factor))
@@ -143,33 +126,18 @@ def procrustes_align(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
     return right_t.T @ left.T
 
 
-def _align_and_average(iterate: np.ndarray, blocks, weights) -> tuple[np.ndarray, list]:
-    """One sweep for one factor: the weighted sum of the blocks aligned to ``iterate``.
-
-    Returns the new iterate, sum_k weights[k] * blocks[k] @ Q_k, and the
-    rotations Q_k (the Procrustes alignment of blocks[k] onto ``iterate``).
-    """
-    rotations = [procrustes_align(iterate, b) for b in blocks]
-    return sum(w * b @ q for w, b, q in zip(weights, blocks, rotations)), rotations
+def _align_and_average(reference: np.ndarray, blocks, weights) -> np.ndarray:
+    """sum_k weights[k] * blocks[k] @ Q_k, with Q_k aligning blocks[k] onto ``reference``."""
+    return sum(w * b @ procrustes_align(reference, b) for w, b in zip(weights, blocks))
 
 
-def interpolate_reduced(
-    db: RomDatabase,
-    request: InterpolationRequest,
-    config: FixedPointConfig = FixedPointConfig(),
-) -> BarycentricResult:
+def interpolate_reduced(db: RomDatabase, request: InterpolationRequest) -> BarycentricResult:
     """Predict the factor pair of an unseen parameter value.
 
-    Runs the joint alignment fixed point over the request's spatial and
-    temporal neighbor sets (Lagrange weights on the neighbor parameter
-    values, blocks truncated to the request's m columns, both iterates
-    seeded from the nearest training sample). After each sweep the stopping
-    quantity
-
-        sum over (k, h) of || Q_k @ K_h.T - previous Q_k @ K_h.T ||_F
-
-    is compared against config.epsilon; it is first available after the
-    second sweep. The final iterates are the returned factor pair.
+    Aligns the request's spatial and temporal neighbor blocks (truncated to
+    the request's m columns) to the truncated block pair of the training
+    sample nearest to the query, and returns their sums weighted by the
+    Lagrange weights on the neighbor parameter values.
 
     Raises ValueError when the request does not fit the database: neighbor
     counts outside [2, n_params], m outside [1, q], or a query outside the
@@ -189,40 +157,17 @@ def interpolate_reduced(
         )
 
     truncated = truncate_blocks(db, request.m)
+    nearest = truncated[int(select_neighbors(params, request.delta_new, 1)[0])]
     spatial_idx = select_neighbors(params, request.delta_new, request.ne_x)
     temporal_idx = select_neighbors(params, request.delta_new, request.ne_t)
-    spatial_w = lagrange_weights(params[spatial_idx], request.delta_new)
-    temporal_w = lagrange_weights(params[temporal_idx], request.delta_new)
-    spatial_blocks = [truncated[k][0] for k in spatial_idx]
-    temporal_blocks = [truncated[h][1] for h in temporal_idx]
-
-    nearest = int(select_neighbors(params, request.delta_new, 1)[0])
-    spatial = np.array(truncated[nearest][0])
-    temporal = np.array(truncated[nearest][1])
-
-    previous = None
-    final_error = float("inf")
-    converged = False
-    iterations = 0
-    for sweep in range(1, config.max_iters + 1):
-        # each factor aligns to its own previous iterate, so the two
-        # updates are independent and may run one after the other
-        spatial, rotations = _align_and_average(spatial, spatial_blocks, spatial_w)
-        temporal, corotations = _align_and_average(temporal, temporal_blocks, temporal_w)
-        products = [[q @ k.T for k in corotations] for q in rotations]
-        iterations = sweep
-        if previous is not None:
-            final_error = float(
-                sum(
-                    np.linalg.norm(p - pp)
-                    for row, prow in zip(products, previous)
-                    for p, pp in zip(row, prow)
-                )
-            )
-            if final_error <= config.epsilon:
-                converged = True
-                break
-        previous = products
-
-    return BarycentricResult(spatial, temporal, iterations, final_error, converged)
-
+    spatial = _align_and_average(
+        nearest[0],
+        [truncated[k][0] for k in spatial_idx],
+        lagrange_weights(params[spatial_idx], request.delta_new),
+    )
+    temporal = _align_and_average(
+        nearest[1],
+        [truncated[h][1] for h in temporal_idx],
+        lagrange_weights(params[temporal_idx], request.delta_new),
+    )
+    return BarycentricResult(spatial, temporal)

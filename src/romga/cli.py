@@ -334,8 +334,8 @@ def _cmd_predict(ns: SimpleNamespace) -> int:
     field = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
     write_snapshots(SnapshotMatrix(db.grid, db.times, db.param_kind, delta, field), out)
     print(
-        f"iterations={result.iterations} final_error={result.final_error!r}"
-        f" converged={result.converged}"
+        f"predicted delta={delta!r} ne_x={request.ne_x} ne_t={request.ne_t}"
+        f" m={request.m} -> {out}"
     )
     return 0
 

@@ -163,17 +163,15 @@ class RomDatabase:
         return float(self.params[0]), float(self.params[-1])
 
 
-def two_level_compress(pairs, params, r: int, s: int) -> RomDatabase:
+def two_level_compress(pairs, r: int, s: int) -> RomDatabase:
     """Compress an ensemble of per-sample factorizations into a RomDatabase.
 
     Parameters
     ----------
     pairs : sequence of PodPair
         One factorization per sample, all with identical grid, time axis,
-        parameter kind and order q, listed in increasing parameter order.
-    params : sequence of float
-        Parameter value per sample, strictly increasing and matching the
-        values stored on the pairs.
+        parameter kind and order q, listed in strictly increasing order of
+        their parameter values.
     r, s : int
         Ranks of the global spatial and temporal bases,
         1 <= r <= min(q * n_params, n_cells) and
@@ -191,16 +189,9 @@ def two_level_compress(pairs, params, r: int, s: int) -> RomDatabase:
             raise ValueError("all samples must share grid and time axis")
         if p.param_kind != first.param_kind:
             raise ValueError("all samples must share the parameter kind")
-    params = np.asarray(params, dtype=np.float64)
-    if params.shape != (len(pairs),):
-        raise ValueError("params must list one value per sample")
+    params = np.array([p.param_value for p in pairs])
     if np.any(np.diff(params) <= 0.0):
-        raise ValueError("params must be strictly increasing")
-    for value, pair in zip(params, pairs):
-        if value != pair.param_value:
-            raise ValueError(
-                f"params entry {value!r} does not match sample value {pair.param_value!r}"
-            )
+        raise ValueError("sample parameter values must be strictly increasing")
     n_cells = first.grid.n_cells
     n_steps = first.times.n_steps
     if not 1 <= r <= min(q * len(pairs), n_cells):
@@ -251,11 +242,10 @@ def compress_ensemble(matrices, q: int, r: int | None = None, s: int | None = No
     if not matrices:
         raise ValueError("need at least one snapshot matrix")
     pairs = [pod_factorize(m, q) for m in matrices]
-    params = [m.param_value for m in matrices]
     dr, ds = default_rank(
         q, len(matrices), matrices[0].grid.n_cells, matrices[0].times.n_steps
     )
-    return two_level_compress(pairs, params, dr if r is None else r, ds if s is None else s)
+    return two_level_compress(pairs, dr if r is None else r, ds if s is None else s)
 
 
 def truncate_blocks(db: RomDatabase, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -326,7 +316,10 @@ def write_rom(db: RomDatabase, path) -> None:
 
 
 def read_rom(path) -> RomDatabase:
-    """Load a RomDatabase from a ROM1 file, validating header consistency."""
+    """Load a RomDatabase from a ROM1 file, validating header consistency.
+
+    A payload holding a NaN or an infinity raises CorruptionError.
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -351,6 +344,8 @@ def read_rom(path) -> RomDatabase:
         )
 
     data = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(data).all():
+        raise CorruptionError(f"{path}: payload holds a non-finite value")
     pos = 0
 
     def take(rows: int, cols: int) -> np.ndarray:

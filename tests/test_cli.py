@@ -11,6 +11,7 @@ import pytest
 
 from romga import (
     Chromosome,
+    CorruptionError,
     GaHistory,
     PersistenceError,
     cli,
@@ -73,7 +74,7 @@ def test_compress_output_reloads(pipeline):
     assert db.params.tolist() == [0.3, 0.35, 0.4, 0.45, 0.5]
 
 
-def test_predict_reports_convergence_and_hits_the_target(pipeline, tmp_path, capsys):
+def test_predict_hits_the_target(pipeline, tmp_path):
     out = tmp_path / "pred.snp1"
     code = cli.main(
         [
@@ -85,12 +86,6 @@ def test_predict_reports_convergence_and_hits_the_target(pipeline, tmp_path, cap
         ]
     )
     assert code == 0
-    line = capsys.readouterr().out.strip()
-    fields = dict(token.split("=") for token in line.split())
-    assert fields["converged"] == "True"
-    assert int(fields["iterations"]) >= 2
-    assert float(fields["final_error"]) <= 1e-8
-
     predicted = read_snapshots(out)
     truth = read_snapshots(pipeline / "target_0.375.snp1")
     rel = np.linalg.norm(predicted.values - truth.values) / np.linalg.norm(truth.values)
@@ -372,13 +367,12 @@ def test_numerical_failures_exit_with_three(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_nan_in_a_stored_block_exits_with_three(pipeline, tmp_path, capsys):
+def test_nan_in_a_stored_block_is_rejected_at_load(pipeline, tmp_path, capsys):
     source = pipeline / "db.rom1"
     db = read_rom(source)
     # ROM1 layout: 65-byte header, params, both bases, then per sample the
     # spatial block (r x q) and the temporal block (s x q). Poison the first
-    # entry of sample 2's spatial block (delta 0.4): column 0 survives every
-    # truncation, so every query with that sample among its neighbors meets it.
+    # entry of sample 2's spatial block (delta 0.4).
     offset = 65 + 8 * (
         db.n_params
         + db.grid.n_cells * db.r
@@ -389,17 +383,24 @@ def test_nan_in_a_stored_block_exits_with_three(pipeline, tmp_path, capsys):
     blob[offset : offset + 8] = struct.pack("<d", float("nan"))
     rom = tmp_path / "nan.rom1"
     rom.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match="non-finite"):
+        read_rom(rom)
+    blob[offset : offset + 8] = struct.pack("<d", float("-inf"))
+    (tmp_path / "inf.rom1").write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match="non-finite"):
+        read_rom(tmp_path / "inf.rom1")
     predict = ["predict", "--rom", str(rom), "--delta", "0.42", "--out", str(tmp_path / "p.snp1")]
-    assert cli.main(predict) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert cli.main(predict) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "p.snp1").exists()
     optimize = [
         "optimize", "--rom", str(rom),
         "--target", str(pipeline / "target_0.375.snp1"),
         "--pop", "6", "--gens", "2", "--seed", "3",
         "--out", str(tmp_path / "h.csv"),
     ]
-    assert cli.main(optimize) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert cli.main(optimize) == 2
+    assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "h.csv").exists()
 
 

@@ -169,18 +169,17 @@ def test_reconstruct_sample_index_bounds(plume_db):
 def test_two_level_compress_validation(rng):
     mats = [random_matrix(rng, value=v) for v in (0.1, 0.4)]
     pairs = [pod_factorize(m, 4) for m in mats]
+    assert two_level_compress(pairs, 4, 4).params.tolist() == [0.1, 0.4]
     with pytest.raises(ValueError):
-        two_level_compress(pairs, [0.4, 0.1], 4, 4)  # not increasing
+        two_level_compress(pairs[::-1], 4, 4)  # not increasing
     with pytest.raises(ValueError):
-        two_level_compress(pairs, [0.1, 0.5], 4, 4)  # value mismatch
+        two_level_compress([pairs[0], pod_factorize(mats[1], 3)], 3, 3)
     with pytest.raises(ValueError):
-        two_level_compress([pairs[0], pod_factorize(mats[1], 3)], [0.1, 0.4], 3, 3)
+        two_level_compress(pairs, 0, 4)
     with pytest.raises(ValueError):
-        two_level_compress(pairs, [0.1, 0.4], 0, 4)
+        two_level_compress(pairs, 4, 9)  # s > q * n_params
     with pytest.raises(ValueError):
-        two_level_compress(pairs, [0.1, 0.4], 4, 9)  # s > q * n_params
-    with pytest.raises(ValueError):
-        two_level_compress([], [], 1, 1)
+        two_level_compress([], 1, 1)
 
 
 @settings(max_examples=25, deadline=None)
