@@ -83,10 +83,13 @@ def select_neighbors(params, delta_new: float, ne: int) -> np.ndarray:
         raise ValueError("params must be a nonempty 1D array")
     if not 1 <= ne <= params.size:
         raise ValueError(f"ne must lie in [1, {params.size}], got {ne}")
+    return np.sort(_nearest_first(params, delta_new)[:ne])
+
+
+def _nearest_first(params: np.ndarray, delta_new: float) -> np.ndarray:
+    """All indices of ``params``, nearest to ``delta_new`` first, ties to the smaller value."""
     # lexsort keys: primary |distance|, secondary the value itself for ties
-    order = np.lexsort((params, np.abs(params - delta_new)))
-    chosen = order[:ne]
-    return np.sort(chosen)
+    return np.lexsort((params, np.abs(params - delta_new)))
 
 
 def lagrange_weights(nodes, delta_new: float) -> np.ndarray:
@@ -99,14 +102,15 @@ def lagrange_weights(nodes, delta_new: float) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=np.float64)
     if nodes.ndim != 1 or nodes.size == 0:
         raise ValueError("nodes must be a nonempty 1D array")
-    if np.unique(nodes).size != nodes.size:
+    ordered = np.sort(nodes)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("nodes must be pairwise distinct")
     n = nodes.size
-    weights = np.empty(n)
-    for k in range(n):
-        others = np.delete(nodes, k)
-        weights[k] = np.prod((delta_new - others) / (nodes[k] - others))
-    return weights
+    others = ~np.eye(n, dtype=bool)
+    # row k holds the factors (delta_new - node_i) / (node_k - node_i), i != k, in order
+    numerators = np.broadcast_to(delta_new - nodes, (n, n))[others]
+    denominators = (nodes[:, None] - nodes)[others]
+    return np.prod((numerators / denominators).reshape(n, n - 1), axis=1)
 
 
 def procrustes_align(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -157,9 +161,10 @@ def interpolate_reduced(db: RomDatabase, request: InterpolationRequest) -> Baryc
         )
 
     truncated = truncate_blocks(db, request.m)
-    nearest = truncated[int(select_neighbors(params, request.delta_new, 1)[0])]
-    spatial_idx = select_neighbors(params, request.delta_new, request.ne_x)
-    temporal_idx = select_neighbors(params, request.delta_new, request.ne_t)
+    order = _nearest_first(params, request.delta_new)
+    nearest = truncated[int(order[0])]
+    spatial_idx = np.sort(order[: request.ne_x])
+    temporal_idx = np.sort(order[: request.ne_t])
     spatial = _align_and_average(
         nearest[0],
         [truncated[k][0] for k in spatial_idx],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from dataclasses import dataclass
@@ -155,7 +156,7 @@ def _write_csv_pairs(path: Path, rows) -> None:
     writer.writerow(("index", "value"))
     for index, value in rows:
         writer.writerow((index, repr(float(value))))
-    _write_file(path, text.getvalue().encode("utf-8"), "CSV")
+    _write_file(path, "CSV", text.getvalue().encode("utf-8"))
 
 
 # ---------------------------------------------------------------- datagen
@@ -237,7 +238,7 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
             written.append(out / name)
             manifest_lines.append(f"{ParamKind(kind).name.lower()},{value!r},{name}")
         manifest = out / MANIFEST_NAME
-        _write_file(manifest, ("\n".join(manifest_lines) + "\n").encode("utf-8"), "manifest")
+        _write_file(manifest, "manifest", ("\n".join(manifest_lines) + "\n").encode("utf-8"))
         written.append(manifest)
         for value in targets:
             path = out / f"target_{value:g}.snp1"
@@ -448,7 +449,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by the later ones."""
     parser = argparse.ArgumentParser(
         prog="romga",
         description="reduced-order compression, interpolation and inverse search",

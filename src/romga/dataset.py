@@ -97,18 +97,23 @@ class TimeAxis:
         return np.linspace(0.0, self.t_final, self.n_steps)
 
 
-def _frozen_array(values, shape=None, dtype=np.float64) -> np.ndarray:
-    """Owned, read-only float64 copy; optionally checked against a shape."""
-    arr = np.array(values, dtype=dtype, order="C", copy=True)
+def _frozen_array(values, shape=None, dtype=np.float64, order="C") -> np.ndarray:
+    """Owned, read-only float64 copy; optionally checked against a shape.
+
+    ``order`` is numpy's copy order: "C" by default, "K" to keep the layout of
+    ``values``.
+    """
+    arr = np.array(values, dtype=dtype, order=order, copy=True)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     arr.flags.writeable = False
     return arr
 
 
-def _write_file(path, data: bytes, what: str) -> None:
-    """Write ``data`` to ``path`` atomically, or raise PersistenceError naming ``what``.
+def _write_file(path, what: str, *chunks) -> None:
+    """Write ``chunks`` to ``path`` atomically, or raise PersistenceError naming ``what``.
 
+    Each chunk is a bytes-like object, written in turn without joining them.
     The bytes go to a temporary file in the same directory, which os.replace
     then moves onto ``path``. A failed write removes the temporary file and
     leaves any existing file at ``path`` as it was.
@@ -116,7 +121,9 @@ def _write_file(path, data: bytes, what: str) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -135,7 +142,8 @@ class SnapshotMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = _frozen_array(self.values, (self.grid.n_cells, self.times.n_steps))
+        # keep the layout: a column-major field is written out without a copy
+        vals = _frozen_array(self.values, (self.grid.n_cells, self.times.n_steps), order="K")
         if not np.isfinite(vals).all():
             raise ValueError("snapshot values must all be finite")
         object.__setattr__(self, "values", vals)
@@ -170,8 +178,9 @@ def write_snapshots(matrix: SnapshotMatrix, path) -> None:
         int(matrix.param_kind),
         matrix.param_value,
     )
-    payload = matrix.values.astype("<f8", copy=False).tobytes(order="F")
-    _write_file(path, header + payload, "snapshot file")
+    # a view when the values are column-major already, a copy otherwise
+    payload = matrix.values.astype("<f8", copy=False).ravel(order="F")
+    _write_file(path, "snapshot file", header, memoryview(payload))
 
 
 def read_snapshots(path) -> SnapshotMatrix:
@@ -196,15 +205,17 @@ def read_snapshots(path) -> SnapshotMatrix:
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported SNP1 version {version}")
     expected = nx * ny * n_steps * 8
-    payload = blob[_HEADER.size :]
-    if len(payload) != expected:
+    if len(blob) - _HEADER.size != expected:
         raise CorruptionError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
+            f"{path}: payload holds {len(blob) - _HEADER.size} bytes, header implies {expected}"
         )
     try:
         grid = Grid(nx, ny, lx, ly)
         times = TimeAxis(n_steps, t_final)
-        values = np.frombuffer(payload, dtype="<f8").reshape((nx * ny, n_steps), order="F")
+        # a view of the file's bytes; SnapshotMatrix takes the one copy
+        values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(
+            (nx * ny, n_steps), order="F"
+        )
         return SnapshotMatrix(grid, times, ParamKind(kind), value, values)
     except ValueError as exc:
         raise CorruptionError(f"{path}: inconsistent header or payload ({exc})") from exc

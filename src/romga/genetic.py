@@ -154,7 +154,7 @@ class GaHistory:
                     repr(float(rec.avg_cost)),
                 ]
             )
-        _write_file(path, text.getvalue().encode("utf-8"), "history")
+        _write_file(path, "history", text.getvalue().encode("utf-8"))
 
 
 def init_population(cfg: GaConfig, rng: np.random.Generator | None = None) -> list[Chromosome]:

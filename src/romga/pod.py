@@ -265,7 +265,9 @@ def reconstruct_field(db: RomDatabase, spatial: np.ndarray, temporal: np.ndarray
     """Lift a factor pair to field values: (spatial_basis @ S) @ (temporal_basis @ K).T.
 
     ``spatial`` is (r, m) and ``temporal`` (s, m): an interpolated
-    prediction's factors or a training sample's truncated block pair.
+    prediction's factors or a training sample's truncated block pair. The
+    (n_cells, n_steps) result is column-major, the order SNP1 files store,
+    so writing it out needs no copy.
     """
     spatial = np.asarray(spatial, dtype=np.float64)
     temporal = np.asarray(temporal, dtype=np.float64)
@@ -274,7 +276,7 @@ def reconstruct_field(db: RomDatabase, spatial: np.ndarray, temporal: np.ndarray
             f"factor pair must be (r, m) and (s, m) with r={db.r}, s={db.s},"
             f" got {spatial.shape} and {temporal.shape}"
         )
-    return (db.spatial_basis @ spatial) @ (db.temporal_basis @ temporal).T
+    return ((db.temporal_basis @ temporal) @ (db.spatial_basis @ spatial).T).T
 
 
 def reconstruct_sample(db: RomDatabase, k: int, m: int) -> SnapshotMatrix:
@@ -312,7 +314,7 @@ def write_rom(db: RomDatabase, path) -> None:
     for sb, tb in zip(db.spatial_blocks, db.temporal_blocks):
         chunks.append(_matrix_bytes(sb))
         chunks.append(_matrix_bytes(tb))
-    _write_file(path, b"".join(chunks), "ROM file")
+    _write_file(path, "ROM file", *chunks)
 
 
 def read_rom(path) -> RomDatabase:
@@ -337,13 +339,13 @@ def read_rom(path) -> RomDatabase:
         raise FormatError(f"{path}: unsupported ROM1 version {version}")
     n_cells = nx * ny
     expected = 8 * (n_params + n_cells * r + n_steps * s + n_params * q * (r + s))
-    payload = blob[_HEADER.size :]
-    if len(payload) != expected:
+    if len(blob) - _HEADER.size != expected:
         raise CorruptionError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
+            f"{path}: payload holds {len(blob) - _HEADER.size} bytes, header implies {expected}"
         )
 
-    data = np.frombuffer(payload, dtype="<f8")
+    # a view of the file's bytes; RomDatabase takes aligned copies of its pieces
+    data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     if not np.isfinite(data).all():
         raise CorruptionError(f"{path}: payload holds a non-finite value")
     pos = 0

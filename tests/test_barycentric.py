@@ -84,7 +84,27 @@ def test_lagrange_weights_reject_duplicates():
     with pytest.raises(ValueError):
         lagrange_weights([0.3, 0.3, 0.5], 0.4)
     with pytest.raises(ValueError):
+        lagrange_weights([0.5, 0.3, 0.5], 0.4)  # duplicates need not be adjacent
+    with pytest.raises(ValueError):
         lagrange_weights([], 0.4)
+
+
+@given(
+    nodes=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=8, unique=True),
+    position=st.floats(-0.5, 1.5),
+)
+def test_lagrange_weights_equal_the_product_loop(nodes, position):
+    # same factors in the same order: the weights agree bit for bit, also
+    # where nearly equal nodes overflow them to inf or nan
+    nodes = np.array(nodes)
+    delta = nodes.min() + position * (nodes.max() - nodes.min())
+    want = np.empty(nodes.size)
+    with np.errstate(all="ignore"):
+        for k in range(nodes.size):
+            others = np.delete(nodes, k)
+            want[k] = np.prod((delta - others) / (nodes[k] - others))
+        got = lagrange_weights(nodes, delta)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 @given(
@@ -250,6 +270,16 @@ def test_reconstruction_matches_the_level_one_product(rng):
     rank_q = (u[:, :9] * sv[:9]) @ vt[:9]
     lifted = reconstruct_field(db, db.spatial_blocks[0], db.temporal_blocks[0])
     assert np.linalg.norm(lifted - rank_q) <= 1e-10 * np.linalg.norm(matrix.values)
+
+
+def test_reconstruction_is_the_product_of_the_lifted_factors(plume_db, rng):
+    m = 6
+    spatial = rng.normal(size=(plume_db.r, m))
+    temporal = rng.normal(size=(plume_db.s, m))
+    want = (plume_db.spatial_basis @ spatial) @ (plume_db.temporal_basis @ temporal).T
+    got = reconstruct_field(plume_db, spatial, temporal)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_reconstruction_validates_inputs(plume_db):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,18 @@ from romga import (
     Chromosome,
     CorruptionError,
     GaHistory,
+    Grid,
+    InterpolationRequest,
+    ParamKind,
     PersistenceError,
+    RomDatabase,
+    TimeAxis,
     cli,
+    interpolate_reduced,
     read_history_csv,
     read_rom,
     read_snapshots,
+    reconstruct_field,
     write_rom,
     write_snapshots,
 )
@@ -99,6 +107,48 @@ def test_predict_truncation_defaults_to_full_order(pipeline, tmp_path):
     assert cli.main([*base, "--out", str(full)]) == 0
     assert cli.main([*base, "--m", "8", "--out", str(explicit)]) == 0
     assert full.read_bytes() == explicit.read_bytes()
+
+
+def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
+    # a synthetic ROM shaped like the series-2 preset: 48x48 cells, 150
+    # instants, q = 30, five samples, r = s = 150; it holds 3.3 MB of floats
+    # and the predicted field 2.76 MB
+    rng = np.random.default_rng(2)
+    q, n = 30, 5
+    r = s = q * n
+    db = RomDatabase(
+        np.linalg.qr(rng.standard_normal((48 * 48, r)))[0],
+        np.linalg.qr(rng.standard_normal((150, s)))[0],
+        tuple(rng.standard_normal((r, q)) for _ in range(n)),
+        tuple(rng.standard_normal((s, q)) for _ in range(n)),
+        np.array([5.0, 10.0, 15.0, 20.0, 25.0]),
+        q, r, s,
+        Grid(48, 48, 1.04, 1.04),
+        TimeAxis(150, 60.0),
+        ParamKind.TEMPERATURE,
+    )
+    write_rom(db, tmp_path / "db.rom1")
+    predict = [
+        "predict", "--rom", str(tmp_path / "db.rom1"), "--delta", "17.3",
+        "--ne-x", "3", "--ne-t", "4", "--m", "20", "--out", str(tmp_path / "p.snp1"),
+    ]
+    assert cli.main(predict) == 0  # the first call builds the parser
+    tracemalloc.start()
+    try:
+        assert cli.main(predict) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # the file's bytes and the database's copy of them while the ROM loads,
+    # then the database, the lifted field and the prediction's one copy of
+    # it: about 9.2 MB. A call that also slices the payload out of the
+    # file's bytes and serializes the field through tobytes and a header
+    # concatenation peaks at 14.5 MB.
+    assert peak < 11.0e6, peak
+    result = interpolate_reduced(db, InterpolationRequest(17.3, 3, 4, 20))
+    lifted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
+    assert np.array_equal(read_snapshots(tmp_path / "p.snp1").values, lifted)
 
 
 def test_optimize_recovers_the_target_parameter(pipeline, tmp_path, capsys):

@@ -107,6 +107,22 @@ def test_snp1_round_trip_property(tmp_path_factory, nx, ny, n_steps, seed, kind,
     assert read_snapshots(path).equals(matrix)
 
 
+def test_snp1_bytes_do_not_depend_on_the_memory_layout(tmp_path):
+    matrix = make_matrix(nx=5, ny=4, n_steps=7, value=0.3)
+    c_order = np.ascontiguousarray(matrix.values)
+    f_order = np.asfortranarray(matrix.values)
+    assert c_order.flags.c_contiguous and f_order.flags.f_contiguous
+    blobs = []
+    for values in (c_order, f_order):
+        copy = SnapshotMatrix(matrix.grid, matrix.times, matrix.param_kind, 0.3, values)
+        assert copy.values.flags.f_contiguous == values.flags.f_contiguous  # layout kept
+        path = tmp_path / "m.snp1"
+        write_snapshots(copy, path)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert read_snapshots(tmp_path / "m.snp1").equals(matrix)
+
+
 def test_snp1_header_layout_is_frozen(tmp_path):
     matrix = make_matrix(nx=4, ny=3, n_steps=5, value=0.7)
     path = tmp_path / "m.snp1"
