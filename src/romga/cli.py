@@ -195,10 +195,11 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
     if family == "plume":
         train_values = _require(ns, "deltas")
 
-        def make(value: float) -> SnapshotMatrix:
-            return analytic_plume(
-                PlumeParams(value, ns.theta_cold, ns.theta_hot, ns.sigma), grid, times
-            )
+        def make(values) -> list[SnapshotMatrix]:
+            return [
+                analytic_plume(PlumeParams(v, ns.theta_cold, ns.theta_hot, ns.sigma), grid, times)
+                for v in values
+            ]
 
         kind = ParamKind.SYNTHETIC
     elif family == "cavity":
@@ -211,15 +212,19 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
             train_values, kind, varied = ns.temperatures, ParamKind.TEMPERATURE, "inlet_temperature"
         inlet = {"inlet_velocity": ns.velocity, "inlet_temperature": ns.inlet_temp}
 
-        def make(value: float) -> SnapshotMatrix:
-            params = CavityParams(
-                **{**inlet, varied: value},
-                theta_hot=ns.theta_hot,
-                theta_cold=ns.theta_cold,
-                theta_initial=ns.theta_init,
-                kappa=ns.kappa,
-            )
-            return solve_cavity(params, grid, times, solver, vary=kind)
+        def make(values) -> list[SnapshotMatrix]:
+            # one solver call advances every run of the group together
+            members = [
+                CavityParams(
+                    **{**inlet, varied: value},
+                    theta_hot=ns.theta_hot,
+                    theta_cold=ns.theta_cold,
+                    theta_initial=ns.theta_init,
+                    kappa=ns.kappa,
+                )
+                for value in values
+            ]
+            return solve_cavity(members, grid, times, solver, vary=kind)
 
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -232,17 +237,17 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
     manifest_lines = []
     written: list[Path] = []
     try:
-        for i, value in enumerate(train_values):
+        for i, (value, matrix) in enumerate(zip(train_values, make(train_values))):
             name = f"train_{i:02d}_{value:g}.snp1"
-            write_snapshots(make(value), out / name)
+            write_snapshots(matrix, out / name)
             written.append(out / name)
             manifest_lines.append(f"{ParamKind(kind).name.lower()},{value!r},{name}")
         manifest = out / MANIFEST_NAME
         _write_file(manifest, "manifest", ("\n".join(manifest_lines) + "\n").encode("utf-8"))
         written.append(manifest)
-        for value in targets:
+        for value, matrix in zip(targets, make(targets) if targets else ()):
             path = out / f"target_{value:g}.snp1"
-            write_snapshots(make(value), path)
+            write_snapshots(matrix, path)
             written.append(path)
     except BaseException:
         # a failed run leaves none of the files it wrote behind

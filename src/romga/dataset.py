@@ -12,6 +12,7 @@ by the payload as float64 in column-major order.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -53,6 +54,9 @@ class Grid:
     def __post_init__(self) -> None:
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
+        for name in ("lx", "ly"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.lx > 0.0 and self.ly > 0.0):
             raise ValueError("domain extents must be positive")
 
@@ -90,6 +94,8 @@ class TimeAxis:
     def __post_init__(self) -> None:
         if self.n_steps < 2:
             raise ValueError("need at least two sampling instants")
+        if not math.isfinite(self.t_final):
+            raise ValueError(f"t_final must be finite, got {self.t_final!r}")
         if not self.t_final > 0.0:
             raise ValueError("t_final must be positive")
 

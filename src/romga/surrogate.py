@@ -12,7 +12,8 @@ same two physical knobs (recirculation speed, inlet temperature).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,6 +93,9 @@ class CavityParams:
     kappa: float = 2.0e-3
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.inlet_velocity < 0.0:
             raise ValueError("inlet_velocity must be nonnegative")
         if not self.kappa > 0.0:
@@ -110,13 +114,13 @@ class SolverConfig:
 
 
 def solve_cavity(
-    params: CavityParams,
+    members: Sequence[CavityParams],
     grid: Grid,
     times: TimeAxis,
     config: SolverConfig = SolverConfig(),
     vary: ParamKind = ParamKind.VELOCITY,
-) -> SnapshotMatrix:
-    """Integrate the passive temperature equation on the cavity.
+) -> list[SnapshotMatrix]:
+    """Integrate the passive temperature equation on the cavity for every member.
 
     Solves dT/dt + u . grad T = kappa * lap T with the prescribed
     recirculating velocity, first-order upwind advection and centered
@@ -125,18 +129,32 @@ def solve_cavity(
     which keeps every update a convex combination of neighbor values, so the
     discrete maximum principle holds by construction.
 
+    All members advance together in one padded ``(k, ny + 2, nx + 2)``
+    buffer, so each operation of a substep is one contiguous pass over every
+    member. Each member keeps its own velocity, time step and substep count:
+    in an interval where a member needs fewer substeps than another, it sits
+    out the extra ones. Every operation keeps the operands and the order of
+    evaluation of a member solved alone, so a member's snapshots do not
+    depend on which other members share the call.
+
     Parameters
     ----------
-    params : CavityParams
-        Physical configuration (velocity scale, boundary temperatures, kappa).
+    members : sequence of CavityParams
+        Physical configuration of each run (velocity scale, boundary
+        temperatures, kappa); at least one.
     grid, times : Grid, TimeAxis
-        Output sampling. Internal substeps are sized from the stability bound
-        and land exactly on each sampling instant.
+        Output sampling. Internal substeps are sized from each member's
+        stability bound and land exactly on each sampling instant.
     config : SolverConfig
         CFL safety factor.
     vary : ParamKind
         Which knob the enclosing ensemble varies; decides the parameter value
-        stored in the returned SnapshotMatrix.
+        stored in each returned SnapshotMatrix.
+
+    Returns
+    -------
+    list of SnapshotMatrix
+        One per member, in the order of ``members``.
 
     Raises
     ------
@@ -145,69 +163,145 @@ def solve_cavity(
     DivergenceError
         If any recorded snapshot contains non-finite values.
     """
+    members = tuple(members)
+    if not members:
+        raise ValueError("solve_cavity needs at least one member")
     if vary == ParamKind.VELOCITY:
-        param_value = params.inlet_velocity
+        param_values = [p.inlet_velocity for p in members]
     elif vary == ParamKind.TEMPERATURE:
-        param_value = params.inlet_temperature
+        param_values = [p.inlet_temperature for p in members]
     else:
         raise ValueError("cavity runs vary either velocity or temperature")
 
+    records = _advance(members, grid, times, config)
+    # each record is freed as soon as its SnapshotMatrix holds a copy
+    return [
+        SnapshotMatrix(
+            grid, times, vary, value, records.pop(0).reshape(times.n_steps, grid.n_cells).T
+        )
+        for value in param_values
+    ]
+
+
+def _advance(
+    members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis, config: SolverConfig
+) -> list[np.ndarray]:
+    """The batched kernel of ``solve_cavity``: one (n_steps, ny, nx) record per member."""
+    k = len(members)
     nx, ny = grid.nx, grid.ny
     dx, dy = grid.dx, grid.dy
-    u_flat, v_flat = recirculating_velocity(params.inlet_velocity, grid)
-    u = u_flat.reshape(ny, nx)
-    v = v_flat.reshape(ny, nx)
-    u_pos, u_neg = np.maximum(u, 0.0), np.minimum(u, 0.0)
-    v_pos, v_neg = np.maximum(v, 0.0), np.minimum(v, 0.0)
+    row = nx + 2                  # flat offset of the north and south neighbors
+    plane = (ny + 2) * row        # one padded member field
+    size = k * plane              # every member field, back to back
 
-    # Convex-combination stability: dt * (|u|/dx + |v|/dy + 2k/dx^2 + 2k/dy^2) <= 1.
-    rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * params.kappa * (1.0 / dx**2 + 1.0 / dy**2)
-    dt_stable = 1.0 / float(rate.max())
-    dt_target = config.cfl * dt_stable
+    # One spare row before the first and after the last member keeps every
+    # neighbor slice in bounds. Each pass also updates the ghost cells; the
+    # wall reset overwrites what they get, and their zero upwind
+    # coefficients keep it finite.
+    buffer = np.zeros(size + 2 * row)
+    padded = buffer[row : row + size].reshape(k, ny + 2, row)
+    flat = (k, plane)
+    center = buffer[row : row + size].reshape(flat)
+    west_n = buffer[row - 1 : row - 1 + size].reshape(flat)
+    east_n = buffer[row + 1 : row + 1 + size].reshape(flat)
+    south_n = buffer[:size].reshape(flat)
+    north_n = buffer[2 * row : 2 * row + size].reshape(flat)
 
-    # West ghost column: inlet patch on the top 10% of the left wall.
+    # Upwind coefficients, zero on the ghost cells.
+    u_pos, u_neg, v_pos, v_neg = np.zeros((4, k, ny + 2, row))
+    kappa = np.array([[p.kappa] for p in members])
+    dt_stable, dt_target = [], []
     _, cy = grid.cell_centers()
-    y_col = cy.reshape(ny, nx)[:, 0]
-    west = np.where(y_col > 0.9 * grid.ly, params.inlet_temperature, params.theta_cold)
+    inlet_rows = cy.reshape(ny, nx)[:, 0] > 0.9 * grid.ly
+    west = np.empty((k, ny))
+    hot = np.array([[p.theta_hot] for p in members])
+    cold = np.array([[p.theta_cold] for p in members])
+    for i, p in enumerate(members):
+        u_flat, v_flat = recirculating_velocity(p.inlet_velocity, grid)
+        u = u_flat.reshape(ny, nx)
+        v = v_flat.reshape(ny, nx)
+        u_pos[i, 1:-1, 1:-1] = np.maximum(u, 0.0)
+        u_neg[i, 1:-1, 1:-1] = np.minimum(u, 0.0)
+        v_pos[i, 1:-1, 1:-1] = np.maximum(v, 0.0)
+        v_neg[i, 1:-1, 1:-1] = np.minimum(v, 0.0)
+        # Convex-combination stability: dt * (|u|/dx + |v|/dy + 2k/dx^2 + 2k/dy^2) <= 1.
+        rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * p.kappa * (1.0 / dx**2 + 1.0 / dy**2)
+        dt_stable.append(1.0 / float(rate.max()))
+        dt_target.append(config.cfl * dt_stable[-1])
+        # West ghost column: inlet patch on the top 10% of the left wall.
+        west[i] = np.where(inlet_rows, p.inlet_temperature, p.theta_cold)
+        padded[i, 1:-1, 1:-1] = p.theta_initial
+    u_pos, u_neg, v_pos, v_neg = (c.reshape(flat) for c in (u_pos, u_neg, v_pos, v_neg))
 
-    field = np.full((ny, nx), params.theta_initial)
-    padded = np.empty((ny + 2, nx + 2))
-    out = np.empty((grid.n_cells, times.n_steps))
-    out[:, 0] = field.ravel()
+    def reset_walls() -> None:
+        padded[:, 1:-1, 0] = west            # left wall / inlet patch
+        padded[:, 1:-1, -1] = cold
+        padded[:, 0, :] = hot                # heated floor at y = 0
+        padded[:, -1, :] = cold
+
+    # One-sided differences shared by the upwind terms: (center - west) and
+    # (east - center) are the same differences one cell apart, and likewise
+    # (center - south) and (north - center) one row apart.
+    x_hi, x_lo = buffer[row : row + size + 1], buffer[row - 1 : row + size]
+    y_hi, y_lo = buffer[row : 2 * row + size], buffer[: row + size]
+    step_x = np.empty(size + 1)
+    step_y = np.empty(size + row)
+    c_minus_w = step_x[:size].reshape(flat)
+    e_minus_c = step_x[1:].reshape(flat)
+    c_minus_s = step_y[:size].reshape(flat)
+    n_minus_c = step_y[row:].reshape(flat)
+    adv, lap, term, twice = np.empty((4, *flat))
+    dt = np.empty((k, 1))
 
     instants = times.instants()
+    records = [np.empty((times.n_steps, ny, nx)) for _ in members]
+    for i, record in enumerate(records):
+        record[0] = padded[i, 1:-1, 1:-1]
+    reset_walls()
     for l in range(1, times.n_steps):
         span = instants[l] - instants[l - 1]
-        n_sub = max(1, math.ceil(span / dt_target))
-        dt = span / n_sub
-        if dt > dt_stable * (1.0 + 1e-12):
-            raise StabilityError(
-                f"substep {dt:.3e}s exceeds stability bound {dt_stable:.3e}s"
-            )
-        for _ in range(n_sub):
-            padded[1:-1, 1:-1] = field
-            padded[1:-1, 0] = west            # left wall / inlet patch
-            padded[1:-1, -1] = params.theta_cold
-            padded[0, 1:-1] = params.theta_hot  # heated floor at y = 0
-            padded[-1, 1:-1] = params.theta_cold
-            center = padded[1:-1, 1:-1]
-            west_n = padded[1:-1, :-2]
-            east_n = padded[1:-1, 2:]
-            south_n = padded[:-2, 1:-1]
-            north_n = padded[2:, 1:-1]
-            adv = (
-                u_pos * (center - west_n) / dx
-                + u_neg * (east_n - center) / dx
-                + v_pos * (center - south_n) / dy
-                + v_neg * (north_n - center) / dy
-            )
-            diff = params.kappa * (
-                (east_n - 2.0 * center + west_n) / dx**2
-                + (north_n - 2.0 * center + south_n) / dy**2
-            )
-            field = field + dt * (diff - adv)
-        if not np.isfinite(field).all():
+        n_sub = [max(1, math.ceil(span / target)) for target in dt_target]
+        for i, n in enumerate(n_sub):
+            dt[i, 0] = span / n
+            if dt[i, 0] > dt_stable[i] * (1.0 + 1e-12):
+                raise StabilityError(
+                    f"substep {dt[i, 0]:.3e}s exceeds stability bound {dt_stable[i]:.3e}s"
+                )
+        counts, fewest = np.array(n_sub)[:, None], min(n_sub)
+        for j in range(max(n_sub)):
+            active = True if j < fewest else counts > j
+            np.subtract(x_hi, x_lo, out=step_x)
+            np.subtract(y_hi, y_lo, out=step_y)
+            # adv = u_pos*(c - w)/dx + u_neg*(e - c)/dx + v_pos*(c - s)/dy + v_neg*(n - c)/dy
+            np.multiply(u_pos, c_minus_w, out=adv)
+            np.divide(adv, dx, out=adv)
+            np.multiply(u_neg, e_minus_c, out=term)
+            np.divide(term, dx, out=term)
+            np.add(adv, term, out=adv)
+            np.multiply(v_pos, c_minus_s, out=term)
+            np.divide(term, dy, out=term)
+            np.add(adv, term, out=adv)
+            np.multiply(v_neg, n_minus_c, out=term)
+            np.divide(term, dy, out=term)
+            np.add(adv, term, out=adv)
+            # diff = kappa * ((e - 2c + w)/dx^2 + (n - 2c + s)/dy^2)
+            np.multiply(2.0, center, out=twice)
+            np.subtract(east_n, twice, out=lap)
+            np.add(lap, west_n, out=lap)
+            np.divide(lap, dx**2, out=lap)
+            np.subtract(north_n, twice, out=term)
+            np.add(term, south_n, out=term)
+            np.divide(term, dy**2, out=term)
+            np.add(lap, term, out=lap)
+            np.multiply(kappa, lap, out=lap)
+            # field = field + dt * (diff - adv)
+            np.subtract(lap, adv, out=lap)
+            np.multiply(dt, lap, out=lap)
+            np.add(center, lap, out=center, where=active)
+            reset_walls()
+        interior = padded[:, 1:-1, 1:-1]
+        if not np.isfinite(interior).all():
             raise DivergenceError(f"non-finite values at t = {instants[l]:.6g}s")
-        out[:, l] = field.ravel()
-
-    return SnapshotMatrix(grid, times, vary, param_value, out)
+        for i, record in enumerate(records):
+            record[l] = interior[i]
+    return records

@@ -340,8 +340,8 @@ def test_criterion_9_solver_respects_temperature_bounds(series1, series2):
 
     grid = Grid(16, 16, 1.04, 1.04)
     times = TimeAxis(8, 4.0)
-    uniform = solve_cavity(
-        CavityParams(0.0, 15.0, theta_hot=15.0, theta_cold=15.0, theta_initial=15.0),
+    (uniform,) = solve_cavity(
+        [CavityParams(0.0, 15.0, theta_hot=15.0, theta_cold=15.0, theta_initial=15.0)],
         grid, times,
     )
     constant = bool(np.all(uniform.values == 15.0))

@@ -151,6 +151,28 @@ def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
     assert np.array_equal(read_snapshots(tmp_path / "p.snp1").values, lifted)
 
 
+def test_datagen_holds_at_most_two_fields_beyond_its_runs(tmp_path, capsys):
+    # the series-2 preset solves its k = 5 training runs in one batch: 48x48
+    # cells and 150 instants, 2.76 MB per run. The solver records every run,
+    # then hands each record to its SnapshotMatrix and frees it, so about
+    # k + 1 fields are alive at the peak; the target batch follows once the
+    # training runs are written and dropped.
+    out = tmp_path / "series2"
+    out.mkdir()
+    datagen = ["datagen", "--preset", "series2-temperature", "--target", "17.5", "--out", str(out)]
+    assert cli.main(["datagen", "--help"]) == 0  # the first call builds the parser
+    tracemalloc.start()
+    try:
+        assert cli.main(datagen) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    k, n_cells, n_steps = 5, 48 * 48, 150
+    assert len(list(out.glob("*.snp1"))) == k + 1
+    assert peak <= (k + 2) * n_cells * n_steps * 8, peak
+
+
 def test_optimize_recovers_the_target_parameter(pipeline, tmp_path, capsys):
     history_path = tmp_path / "history.csv"
     code = cli.main(
@@ -375,6 +397,25 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
         assert capsys.readouterr().err.strip() != ""
     # the blocked manifest fails the run, which takes its snapshot files with it
     assert [p.name for p in blocked_datagen.iterdir()] == ["manifest.txt"]
+
+    # a non-finite physical input is rejected by name before any solve
+    cavity = [
+        "datagen", "--family", "cavity", "--nx", "8", "--ny", "8", "--snapshots", "4",
+        "--out", str(tmp_path),
+    ]
+    nonfinite = [
+        (["--velocities", "inf"], "inlet_velocity"),
+        (["--velocities", "0.5", "--kappa", "inf"], "kappa"),
+        (["--temperatures", "nan"], "inlet_temperature"),
+        (["--velocities", "0.5", "--inlet-temp", "nan"], "inlet_temperature"),
+        (["--velocities", "0.5", "--theta-hot", "nan"], "theta_hot"),
+        (["--velocities", "0.5", "--tfinal", "inf"], "t_final"),
+        (["--velocities", "0.5", "--lx", "inf"], "lx"),
+    ]
+    for flags, field in nonfinite:
+        assert cli.main([*cavity, *flags]) == 2, flags
+        assert f"{field} must be finite" in capsys.readouterr().err, flags
+    assert list(tmp_path.glob("*.snp1")) == []
 
 
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):

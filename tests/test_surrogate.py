@@ -133,7 +133,7 @@ def test_cavity_snapshots_obey_the_maximum_principle():
     grid = _grid()
     times = TimeAxis(12, 6.0)
     params = CavityParams(0.6, 30.0, theta_hot=35.0, theta_cold=15.0, theta_initial=18.0)
-    matrix = solve_cavity(params, grid, times)
+    (matrix,) = solve_cavity([params], grid, times)
     lo = min(15.0, 30.0, 18.0, 35.0)
     hi = max(15.0, 30.0, 18.0, 35.0)
     assert matrix.values.min() >= lo - 1e-9
@@ -146,14 +146,14 @@ def test_cavity_uniform_case_stays_exactly_constant():
     params = CavityParams(
         0.0, 15.0, theta_hot=15.0, theta_cold=15.0, theta_initial=15.0
     )
-    matrix = solve_cavity(params, grid, times)
+    (matrix,) = solve_cavity([params], grid, times)
     assert np.all(matrix.values == 15.0)
 
 
 def test_cavity_first_snapshot_is_the_initial_field():
     grid = _grid(16, 16)
     times = TimeAxis(6, 3.0)
-    matrix = solve_cavity(CavityParams(0.5, 20.0, theta_initial=17.0), grid, times)
+    (matrix,) = solve_cavity([CavityParams(0.5, 20.0, theta_initial=17.0)], grid, times)
     assert np.all(matrix.values[:, 0] == 17.0)
     assert matrix.values.shape == (16 * 16, 6)
 
@@ -161,9 +161,9 @@ def test_cavity_first_snapshot_is_the_initial_field():
 def test_cavity_fields_vary_smoothly_with_velocity():
     grid = _grid(20, 20)
     times = TimeAxis(10, 8.0)
-    final = {}
-    for u in (0.51, 0.52, 0.798):
-        final[u] = solve_cavity(CavityParams(u, 15.0), grid, times).values[:, -1]
+    velocities = (0.51, 0.52, 0.798)
+    runs = solve_cavity([CavityParams(u, 15.0) for u in velocities], grid, times)
+    final = {u: run.values[:, -1] for u, run in zip(velocities, runs)}
     near = np.linalg.norm(final[0.51] - final[0.52]) / np.linalg.norm(final[0.51])
     far = np.linalg.norm(final[0.51] - final[0.798]) / np.linalg.norm(final[0.51])
     assert near < far
@@ -174,27 +174,97 @@ def test_cavity_inlet_temperature_enters_affinely():
     # theta = 15 must equal the average of the theta = 5 and theta = 25 runs
     grid = _grid(16, 16)
     times = TimeAxis(8, 5.0)
-
-    def run(theta):
-        return solve_cavity(
-            CavityParams(0.57, theta), grid, times, vary=ParamKind.TEMPERATURE
-        ).values
-
-    mid = run(15.0)
-    blend = 0.5 * (run(5.0) + run(25.0))
+    low, mid, high = (
+        run.values
+        for run in solve_cavity(
+            [CavityParams(0.57, theta) for theta in (5.0, 15.0, 25.0)],
+            grid, times, vary=ParamKind.TEMPERATURE,
+        )
+    )
+    blend = 0.5 * (low + high)
     assert np.abs(mid - blend).max() < 1e-10
+
+
+def _reference_cavity(params, grid, times, cfl=0.9):
+    """The cavity scheme for one member as a plain loop over padded copies."""
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    u_flat, v_flat = recirculating_velocity(params.inlet_velocity, grid)
+    u, v = u_flat.reshape(ny, nx), v_flat.reshape(ny, nx)
+    u_pos, u_neg = np.maximum(u, 0.0), np.minimum(u, 0.0)
+    v_pos, v_neg = np.maximum(v, 0.0), np.minimum(v, 0.0)
+    rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * params.kappa * (1.0 / dx**2 + 1.0 / dy**2)
+    dt_target = cfl / float(rate.max())
+    y_col = grid.cell_centers()[1].reshape(ny, nx)[:, 0]
+    west = np.where(y_col > 0.9 * grid.ly, params.inlet_temperature, params.theta_cold)
+    field = np.full((ny, nx), params.theta_initial)
+    padded = np.empty((ny + 2, nx + 2))
+    out = np.empty((grid.n_cells, times.n_steps))
+    out[:, 0] = field.ravel()
+    instants = times.instants()
+    for l in range(1, times.n_steps):
+        span = instants[l] - instants[l - 1]
+        n_sub = max(1, math.ceil(span / dt_target))
+        for _ in range(n_sub):
+            padded[1:-1, 1:-1] = field
+            padded[1:-1, 0] = west
+            padded[1:-1, -1] = params.theta_cold
+            padded[0, 1:-1] = params.theta_hot
+            padded[-1, 1:-1] = params.theta_cold
+            c, w, e = padded[1:-1, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]
+            s, n = padded[:-2, 1:-1], padded[2:, 1:-1]
+            adv = (
+                u_pos * (c - w) / dx + u_neg * (e - c) / dx
+                + v_pos * (c - s) / dy + v_neg * (n - c) / dy
+            )
+            diff = params.kappa * ((e - 2.0 * c + w) / dx**2 + (n - 2.0 * c + s) / dy**2)
+            field = field + span / n_sub * (diff - adv)
+        out[:, l] = field.ravel()
+    return out
+
+
+# three velocities, so the members take different substep counts, with
+# differing inlet, initial and wall temperatures and two diffusivities
+MIXED_ENSEMBLE = (
+    CavityParams(0.51, 15.0),
+    CavityParams(0.798, 30.0, theta_hot=40.0, theta_cold=10.0, theta_initial=12.0, kappa=3e-3),
+    CavityParams(0.627, 5.0, theta_initial=20.0),
+    CavityParams(0.0, 25.0, theta_cold=18.0, kappa=3e-3),
+    CavityParams(0.57, 22.0, theta_hot=30.0, theta_initial=25.0),
+)
+
+
+def test_batched_members_equal_each_member_solved_alone():
+    grid = Grid(14, 12, 1.04, 0.9)
+    times = TimeAxis(7, 4.0)
+    batched = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
+    assert len(batched) == len(MIXED_ENSEMBLE)
+    for params, run in zip(MIXED_ENSEMBLE, batched):
+        (alone,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
+        assert run.equals(alone)
+        assert run.param_value == params.inlet_temperature
+        assert np.array_equal(alone.values, _reference_cavity(params, grid, times))
+
+    order = (3, 0, 4, 2, 1)
+    permuted = solve_cavity(
+        [MIXED_ENSEMBLE[i] for i in order], grid, times, vary=ParamKind.TEMPERATURE
+    )
+    for i, run in zip(order, permuted):
+        assert run.equals(batched[i])
+
+    with pytest.raises(ValueError, match="at least one member"):
+        solve_cavity([], grid, times)
 
 
 def test_cavity_parameter_tagging_follows_vary():
     grid = _grid(16, 16)
     times = TimeAxis(4, 2.0)
     params = CavityParams(0.6, 22.0)
-    a = solve_cavity(params, grid, times, vary=ParamKind.VELOCITY)
+    (a,) = solve_cavity([params], grid, times, vary=ParamKind.VELOCITY)
     assert (a.param_kind, a.param_value) == (ParamKind.VELOCITY, 0.6)
-    b = solve_cavity(params, grid, times, vary=ParamKind.TEMPERATURE)
+    (b,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
     assert (b.param_kind, b.param_value) == (ParamKind.TEMPERATURE, 22.0)
     with pytest.raises(ValueError):
-        solve_cavity(params, grid, times, vary=ParamKind.SYNTHETIC)
+        solve_cavity([params], grid, times, vary=ParamKind.SYNTHETIC)
 
 
 def test_cavity_validation():
@@ -202,6 +272,12 @@ def test_cavity_validation():
         CavityParams(-0.1, 15.0)
     with pytest.raises(ValueError):
         CavityParams(0.5, 15.0, kappa=0.0)
+    for name in (
+        "inlet_velocity", "inlet_temperature", "theta_hot", "theta_cold", "theta_initial", "kappa"
+    ):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                CavityParams(**{"inlet_velocity": 0.5, "inlet_temperature": 15.0, name: bad})
     with pytest.raises(ValueError):
         SolverConfig(cfl=0.0)
     with pytest.raises(ValueError):
