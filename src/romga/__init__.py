@@ -6,7 +6,6 @@ from .barycentric import (
     interpolate_reduced,
     lagrange_weights,
     procrustes_align,
-    select_neighbors,
 )
 from .dataset import (
     Grid,

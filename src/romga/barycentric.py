@@ -17,6 +17,14 @@ A query placed exactly at a training node reproduces that node's blocks: all
 Lagrange weights collapse onto it and its self-alignment is the identity.
 No re-orthonormalization happens; the factors are the weighted sums as they
 come.
+
+Because every block is aligned to the nearest sample's block and not to a
+weighted sum, a rotation depends only on which factor it aligns, the nearest
+sample j, the neighbor k and the truncation order m; the query's parameter
+value enters the prediction through the Lagrange weights alone. Queries that
+share a rotation dict therefore compute each (side, j, k, m) rotation once:
+a genetic search keeps one dict for its whole run and scores most
+chromosomes without an SVD.
 """
 
 from __future__ import annotations
@@ -72,20 +80,6 @@ class BarycentricResult:
         object.__setattr__(self, "temporal_factor", _frozen_array(self.temporal_factor))
 
 
-def select_neighbors(params, delta_new: float, ne: int) -> np.ndarray:
-    """Indices of the ``ne`` training parameters nearest to ``delta_new``.
-
-    Distance is the absolute difference; ties prefer the smaller parameter
-    value. The returned indices are sorted so the parameter values ascend.
-    """
-    params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1 or params.size == 0:
-        raise ValueError("params must be a nonempty 1D array")
-    if not 1 <= ne <= params.size:
-        raise ValueError(f"ne must lie in [1, {params.size}], got {ne}")
-    return np.sort(_nearest_first(params, delta_new)[:ne])
-
-
 def _nearest_first(params: np.ndarray, delta_new: float) -> np.ndarray:
     """All indices of ``params``, nearest to ``delta_new`` first, ties to the smaller value."""
     # lexsort keys: primary |distance|, secondary the value itself for ties
@@ -130,18 +124,37 @@ def procrustes_align(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
     return right_t.T @ left.T
 
 
-def _align_and_average(reference: np.ndarray, blocks, weights) -> np.ndarray:
-    """sum_k weights[k] * blocks[k] @ Q_k, with Q_k aligning blocks[k] onto ``reference``."""
-    return sum(w * b @ procrustes_align(reference, b) for w, b in zip(weights, blocks))
+def _align_and_average(reference: np.ndarray, blocks, weights, keys, rotations: dict) -> np.ndarray:
+    """sum_k weights[k] * blocks[k] @ Q_k, with Q_k aligning blocks[k] onto ``reference``.
+
+    ``rotations`` maps keys[k] to Q_k; a rotation missing from it is computed
+    and stored there. Q_k itself is cached, not the aligned block, so the
+    sum is evaluated the same way whether or not Q_k was served.
+    """
+
+    def rotation(key, block):
+        if key not in rotations:
+            rotations[key] = procrustes_align(reference, block)
+        return rotations[key]
+
+    return sum(w * b @ rotation(key, b) for w, b, key in zip(weights, blocks, keys))
 
 
-def interpolate_reduced(db: RomDatabase, request: InterpolationRequest) -> BarycentricResult:
+def interpolate_reduced(
+    db: RomDatabase, request: InterpolationRequest, rotations: dict | None = None
+) -> BarycentricResult:
     """Predict the factor pair of an unseen parameter value.
 
     Aligns the request's spatial and temporal neighbor blocks (truncated to
     the request's m columns) to the truncated block pair of the training
     sample nearest to the query, and returns their sums weighted by the
     Lagrange weights on the neighbor parameter values.
+
+    ``rotations`` holds the alignment rotations of earlier queries on the
+    same database, keyed ``(side, nearest, neighbor, m)`` with side ``"x"``
+    (spatial) or ``"t"`` (temporal); rotations this query needs and does not
+    find there are computed and added. A query served from it returns the
+    same bits as one that computes every rotation. None starts an empty dict.
 
     Raises ValueError when the request does not fit the database: neighbor
     counts outside [2, n_params], m outside [1, q], or a query outside the
@@ -160,19 +173,25 @@ def interpolate_reduced(db: RomDatabase, request: InterpolationRequest) -> Baryc
             f"query {request.delta_new!r} outside the training hull [{lo!r}, {hi!r}]"
         )
 
-    truncated = truncate_blocks(db, request.m)
+    rotations = {} if rotations is None else rotations
+    m = request.m
+    truncated = truncate_blocks(db, m)
     order = _nearest_first(params, request.delta_new)
-    nearest = truncated[int(order[0])]
+    j = int(order[0])
     spatial_idx = np.sort(order[: request.ne_x])
     temporal_idx = np.sort(order[: request.ne_t])
     spatial = _align_and_average(
-        nearest[0],
+        truncated[j][0],
         [truncated[k][0] for k in spatial_idx],
         lagrange_weights(params[spatial_idx], request.delta_new),
+        [("x", j, int(k), m) for k in spatial_idx],
+        rotations,
     )
     temporal = _align_and_average(
-        nearest[1],
+        truncated[j][1],
         [truncated[h][1] for h in temporal_idx],
         lagrange_weights(params[temporal_idx], request.delta_new),
+        [("t", j, int(h), m) for h in temporal_idx],
+        rotations,
     )
     return BarycentricResult(spatial, temporal)

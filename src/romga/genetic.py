@@ -178,6 +178,7 @@ def evaluate_population(
     db: RomDatabase,
     projection: ProjectedTarget,
     cache: dict | None = None,
+    rotations: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cost and fitness per chromosome.
 
@@ -186,7 +187,9 @@ def evaluate_population(
     database rejects raises ValueError naming the offending gene; run's
     bound checks keep every chromosome it breeds inside the database's
     limits. Identical chromosomes always score identically; the optional
-    cache exploits that across generations.
+    cache exploits that across generations. ``rotations`` is handed to
+    interpolate_reduced, so alignment rotations computed for one chromosome
+    serve every later one on the same database.
     """
     costs = np.empty(len(population))
     for i, c in enumerate(population):
@@ -194,9 +197,8 @@ def evaluate_population(
         if cache is not None and key in cache:
             costs[i] = cache[key]
             continue
-        result = interpolate_reduced(
-            db, InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
-        )
+        request = InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
+        result = interpolate_reduced(db, request, rotations=rotations)
         value = cost_of(result.spatial_factor, result.temporal_factor, projection)
         costs[i] = value
         if cache is not None:
@@ -297,6 +299,8 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
     ``generations`` of 0 degenerates to evaluating the initial population
     only. The target is projected onto the database's bases once, before
     the first generation, and every chromosome is scored against that.
+    The cost cache and the alignment rotations live for this call only, so
+    nothing carries over from one search or database to the next.
     """
     d_lo, d_hi = cfg.space.delta_bounds
     hull_lo, hull_hi = db.hull
@@ -313,13 +317,16 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
 
     rng = np.random.default_rng(cfg.rng_seed)
     cache: dict = {}
+    rotations: dict = {}
     population = init_population(cfg, rng)
     records = []
     best: Chromosome | None = None
     best_cost = float("inf")
     total = max(cfg.generations, 1)
     for generation in range(1, total + 1):
-        costs, fitnesses = evaluate_population(population, db, projection, cache=cache)
+        costs, fitnesses = evaluate_population(
+            population, db, projection, cache=cache, rotations=rotations
+        )
         leader = int(np.argmin(costs))
         if costs[leader] < best_cost:
             best = population[leader]

@@ -31,6 +31,9 @@ class PlumeParams:
     sigma: float = 0.25
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
         if not self.theta_hot > self.theta_cold:

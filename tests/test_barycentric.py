@@ -21,8 +21,8 @@ from romga import (
     lagrange_weights,
     procrustes_align,
     reconstruct_field,
-    select_neighbors,
 )
+from romga.barycentric import _nearest_first
 
 PARAMS = np.array([0.2, 0.3, 0.4, 0.5, 0.6])
 
@@ -40,28 +40,48 @@ def reduced_matrix(result):
 # ---------------------------------------------------------------- neighbors
 
 
+def _neighbor_choice(db, delta, ne_x, ne_t, m=2):
+    """(nearest sample, spatial neighbors, temporal neighbors) a query aligned.
+
+    Read from the keys (side, nearest, neighbor, m) of the rotations the
+    query computed.
+    """
+    rotations: dict = {}
+    interpolate_reduced(db, InterpolationRequest(delta, ne_x, ne_t, m), rotations=rotations)
+    (nearest,) = {j for _, j, _, _ in rotations}
+    side = {name: sorted(k for s, _, k, _ in rotations if s == name) for name in ("x", "t")}
+    return nearest, side["x"], side["t"]
+
+
 def test_neighbor_selection_frozen_cases():
-    assert select_neighbors(PARAMS, 0.44, 2).tolist() == [2, 3]
+    assert _nearest_first(PARAMS, 0.44).tolist() == [2, 3, 1, 4, 0]
+    assert _nearest_first(PARAMS, 0.21).tolist() == [0, 1, 2, 3, 4]
+    assert _nearest_first(PARAMS, 0.4)[0] == 2
+    db = _random_db(params=PARAMS)
+    assert _neighbor_choice(db, 0.44, 2, 2) == (2, [2, 3], [2, 3])
     # 0.3 is 0.14 away, closer than 0.6 at 0.16
-    assert select_neighbors(PARAMS, 0.44, 3).tolist() == [1, 2, 3]
-    assert select_neighbors(PARAMS, 0.21, 2).tolist() == [0, 1]
-    assert select_neighbors(PARAMS, 0.4, 1).tolist() == [2]
-    assert select_neighbors(PARAMS, 0.4, 5).tolist() == [0, 1, 2, 3, 4]
+    assert _neighbor_choice(db, 0.44, 3, 2) == (2, [1, 2, 3], [2, 3])
+    assert _neighbor_choice(db, 0.21, 2, 3) == (0, [0, 1], [0, 1, 2])
+    # in binary floating point 0.5 lies nearer to 0.4 than 0.3 does
+    assert _neighbor_choice(db, 0.4, 5, 2) == (2, [0, 1, 2, 3, 4], [2, 3])
 
 
 def test_neighbor_ties_prefer_the_smaller_value():
     # 0.375 sits exactly between 0.25 and 0.5 in binary floating point
-    assert select_neighbors([0.25, 0.5, 0.75], 0.375, 1).tolist() == [0]
-    assert select_neighbors([0.25, 0.5, 0.75], 0.375, 2).tolist() == [0, 1]
+    assert _nearest_first(np.array([0.25, 0.5, 0.75]), 0.375).tolist() == [0, 1, 2]
+    db = _random_db(params=(0.25, 0.5, 0.75))
+    assert _neighbor_choice(db, 0.375, 2, 2) == (0, [0, 1], [0, 1])
+    assert _neighbor_choice(db, 0.625, 2, 3) == (1, [1, 2], [0, 1, 2])
 
 
 def test_neighbor_selection_validation():
-    with pytest.raises(ValueError):
-        select_neighbors(PARAMS, 0.4, 0)
-    with pytest.raises(ValueError):
-        select_neighbors(PARAMS, 0.4, 6)
-    with pytest.raises(ValueError):
-        select_neighbors([], 0.4, 1)
+    db = _random_db(params=PARAMS)
+    rotations: dict = {}
+    for ne_x, ne_t, named in ((1, 3, "ne_x"), (6, 3, "ne_x"), (3, 1, "ne_t"), (3, 6, "ne_t")):
+        request = InterpolationRequest(0.4, ne_x, ne_t, 2)
+        with pytest.raises(ValueError, match=rf"\b{named}\b"):
+            interpolate_reduced(db, request, rotations=rotations)
+    assert rotations == {}  # a rejected query computes no rotation
 
 
 # ---------------------------------------------------------------- weights
@@ -187,13 +207,52 @@ def test_query_results_are_deterministic(plume_db):
     assert a.temporal_factor.shape == (plume_db.s, 8)
 
 
-def _random_db(seed=7):
+def _aligned_sum(db, blocks, delta, ne, m):
+    """sum_k w_k * B_k @ Q_k in neighbor order, each Q_k computed on the spot."""
+    order = _nearest_first(db.params, delta)
+    chosen = np.sort(order[:ne])
+    reference = blocks[order[0]][:, :m]
+    weights = lagrange_weights(db.params[chosen], delta)
+    return sum(w * blocks[k][:, :m] @ procrustes_align(reference, blocks[k][:, :m])
+               for w, k in zip(weights, chosen))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.30, 0.50), st.sampled_from((0.30, 0.35, 0.375, 0.40, 0.50))),
+            st.integers(2, 5),
+            st.integers(2, 5),
+            st.integers(1, 10),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_shared_rotations_change_no_bit(plume_db, stream):
+    # one dict serves the whole stream, as it serves a whole search: a query
+    # whose rotations an earlier query computed must still return the bits
+    # of a query that computes them all itself, and those are the bits of
+    # the weighted sum written out with (w * B) @ Q evaluated left to right
+    rotations: dict = {}
+    for delta, ne_x, ne_t, m in stream:
+        request = InterpolationRequest(delta, ne_x, ne_t, m)
+        shared = interpolate_reduced(plume_db, request, rotations=rotations)
+        alone = interpolate_reduced(plume_db, request)
+        spatial = _aligned_sum(plume_db, plume_db.spatial_blocks, delta, ne_x, m)
+        temporal = _aligned_sum(plume_db, plume_db.temporal_blocks, delta, ne_t, m)
+        for result in (shared, alone):
+            assert np.array_equal(result.spatial_factor, spatial), request
+            assert np.array_equal(result.temporal_factor, temporal), request
+
+
+def _random_db(seed=7, params=(0.0, 0.5, 1.0)):
     rng = np.random.default_rng(seed)
     grid = Grid(6, 5, 1.0, 1.0)
     times = TimeAxis(8, 1.0)
     mats = [
         SnapshotMatrix(grid, times, ParamKind.SYNTHETIC, v, rng.normal(size=(30, 8)))
-        for v in (0.0, 0.5, 1.0)
+        for v in params
     ]
     return compress_ensemble(mats, q=5)
 

@@ -399,21 +399,22 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
     assert [p.name for p in blocked_datagen.iterdir()] == ["manifest.txt"]
 
     # a non-finite physical input is rejected by name before any solve
-    cavity = [
-        "datagen", "--family", "cavity", "--nx", "8", "--ny", "8", "--snapshots", "4",
-        "--out", str(tmp_path),
-    ]
+    sizes = ["--nx", "8", "--ny", "8", "--snapshots", "4", "--out", str(tmp_path)]
+    cavity = ["datagen", "--family", "cavity", *sizes]
+    plume = ["datagen", "--family", "plume", *sizes]
     nonfinite = [
-        (["--velocities", "inf"], "inlet_velocity"),
-        (["--velocities", "0.5", "--kappa", "inf"], "kappa"),
-        (["--temperatures", "nan"], "inlet_temperature"),
-        (["--velocities", "0.5", "--inlet-temp", "nan"], "inlet_temperature"),
-        (["--velocities", "0.5", "--theta-hot", "nan"], "theta_hot"),
-        (["--velocities", "0.5", "--tfinal", "inf"], "t_final"),
-        (["--velocities", "0.5", "--lx", "inf"], "lx"),
+        (cavity, ["--velocities", "inf"], "inlet_velocity"),
+        (cavity, ["--velocities", "0.5", "--kappa", "inf"], "kappa"),
+        (cavity, ["--temperatures", "nan"], "inlet_temperature"),
+        (cavity, ["--velocities", "0.5", "--inlet-temp", "nan"], "inlet_temperature"),
+        (cavity, ["--velocities", "0.5", "--theta-hot", "nan"], "theta_hot"),
+        (cavity, ["--velocities", "0.5", "--tfinal", "inf"], "t_final"),
+        (cavity, ["--velocities", "0.5", "--lx", "inf"], "lx"),
+        (plume, ["--deltas", "0.3,0.4", "--sigma", "inf"], "sigma"),
+        (plume, ["--deltas", "0.3,nan"], "delta"),
     ]
-    for flags, field in nonfinite:
-        assert cli.main([*cavity, *flags]) == 2, flags
+    for base, flags, field in nonfinite:
+        assert cli.main([*base, *flags]) == 2, flags
         assert f"{field} must be finite" in capsys.readouterr().err, flags
     assert list(tmp_path.glob("*.snp1")) == []
 

@@ -28,6 +28,8 @@ from romga import (
     reduced_cost,
     run,
 )
+from romga import barycentric, genetic
+from romga.barycentric import _nearest_first
 from romga.genetic import (
     HISTORY_COLUMNS,
     GenerationRecord,
@@ -282,6 +284,59 @@ def test_evaluation_cache_short_circuits(plume_db, plume_projection):
     assert again.tolist() == [123.5, 123.5]  # proves values came from the cache
     fresh, _ = evaluate_population(pop, plume_db, plume_projection, {})
     assert np.array_equal(fresh, costs)
+
+
+def test_shared_rotations_change_no_cost(plume_db, plume_target, plume_projection, monkeypatch):
+    populations = []
+    real = genetic.evaluate_population
+
+    def record(population, *args, **kwargs):
+        populations.append(list(population))
+        return real(population, *args, **kwargs)
+
+    monkeypatch.setattr(genetic, "evaluate_population", record)
+    run(GaConfig(SPACE, population_size=10, generations=6, rng_seed=3), plume_db, plume_target)
+    rotations: dict = {}
+    for population in populations:
+        alone, _ = real(population, plume_db, plume_projection)
+        shared, _ = real(population, plume_db, plume_projection, rotations=rotations)
+        assert np.array_equal(shared, alone)
+
+
+def _rotation_keys(db, request):
+    """The (side, nearest, neighbor, m) keys of the rotations a query aligns with."""
+    order = _nearest_first(db.params, request.delta_new)
+    j, m = int(order[0]), request.m
+    return [("x", j, int(k), m) for k in order[: request.ne_x]] + [
+        ("t", j, int(k), m) for k in order[: request.ne_t]
+    ]
+
+
+def test_run_computes_each_rotation_once(plume_db, plume_target, monkeypatch):
+    calls = []
+    real_align = barycentric.procrustes_align
+    monkeypatch.setattr(
+        barycentric, "procrustes_align", lambda a, b: calls.append(1) or real_align(a, b)
+    )
+    seen = []
+    real_interp = genetic.interpolate_reduced
+
+    def interp(db, request, rotations=None):
+        seen.append((request, rotations))
+        return real_interp(db, request, rotations=rotations)
+
+    monkeypatch.setattr(genetic, "interpolate_reduced", interp)
+    cfg = GaConfig(SPACE, population_size=10, generations=6, rng_seed=3)
+    for search in (1, 2):
+        seen.clear()
+        run(cfg, plume_db, plume_target)
+        (rotations,) = {id(d): d for _, d in seen}.values()  # one dict serves the search
+        used = [key for request, _ in seen for key in _rotation_keys(plume_db, request)]
+        assert set(rotations) == set(used)
+        assert len(set(used)) < len(used)  # some chromosomes were served rotations
+        # each search computes its distinct rotations once; the second one
+        # starts empty, so nothing carried over from the first
+        assert len(calls) == search * len(set(used))
 
 
 def test_rejected_requests_raise_and_name_the_gene(plume_db, plume_projection):

@@ -84,6 +84,10 @@ def test_plume_params_validation():
         PlumeParams(0.4, sigma=0.0)
     with pytest.raises(ValueError):
         PlumeParams(0.4, theta_cold=30.0, theta_hot=20.0)
+    for name in ("delta", "theta_cold", "theta_hot", "sigma"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                PlumeParams(**{"delta": 0.4, name: bad})
 
 
 # ---------------------------------------------------------------- velocity
