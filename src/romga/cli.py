@@ -29,6 +29,7 @@ from .dataset import (
     ParamKind,
     SnapshotMatrix,
     TimeAxis,
+    _adopt,
     _write_file,
     build_mask,
     read_snapshots,
@@ -296,11 +297,8 @@ _COMPRESS_OPTS = (
 )
 
 
-def _cmd_compress(ns: SimpleNamespace) -> int:
-    manifest = Path(_require(ns, "snapshots"))
-    out = _require(ns, "out")
-    entries = _read_manifest(manifest)
-    matrices = []
+def _manifest_samples(entries):
+    """Each manifest entry's snapshot matrix, read and checked when it is asked for."""
     for kind, value, path in entries:
         matrix = read_snapshots(path)
         if matrix.param_kind != kind or matrix.param_value != value:
@@ -308,8 +306,15 @@ def _cmd_compress(ns: SimpleNamespace) -> int:
                 f"{path}: manifest says ({kind.name.lower()}, {value!r}), file holds"
                 f" ({matrix.param_kind.name.lower()}, {matrix.param_value!r})"
             )
-        matrices.append(matrix)
-    db = compress_ensemble(matrices, q=ns.q, r=ns.r, s=ns.s)
+        yield matrix
+
+
+def _cmd_compress(ns: SimpleNamespace) -> int:
+    manifest = Path(_require(ns, "snapshots"))
+    out = _require(ns, "out")
+    entries = _read_manifest(manifest)
+    # the samples stream from disk: compress holds one of them at a time
+    db = compress_ensemble(_manifest_samples(entries), q=ns.q, r=ns.r, s=ns.s)
     write_rom(db, out)
     print(
         f"compressed {db.n_params} samples at q={db.q}, r={db.r}, s={db.s} -> {out}"
@@ -338,7 +343,8 @@ def _cmd_predict(ns: SimpleNamespace) -> int:
     )
     result = interpolate_reduced(db, request)
     field = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
-    write_snapshots(SnapshotMatrix(db.grid, db.times, db.param_kind, delta, field), out)
+    # the lifted field is this call's own, so the matrix keeps it without a copy
+    write_snapshots(_adopt(db.grid, db.times, db.param_kind, delta, field), out)
     print(
         f"predicted delta={delta!r} ne_x={request.ne_x} ne_t={request.ne_t}"
         f" m={request.m} -> {out}"

@@ -137,9 +137,32 @@ def _write_file(path, what: str, *chunks) -> None:
         raise PersistenceError(path, f"cannot write {what} ({exc})") from exc
 
 
+class _Handover:
+    """A float64 array handed to SnapshotMatrix by its only holder.
+
+    SnapshotMatrix keeps the array itself, frozen, instead of a copy. Only
+    this package's loaders and producers use it, for arrays they built and
+    drop once the matrix holds them.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
+def _adopt(grid: Grid, times: TimeAxis, kind, value: float, values: np.ndarray) -> "SnapshotMatrix":
+    """SnapshotMatrix holding ``values`` without a copy; the caller must not keep it."""
+    return SnapshotMatrix(grid, times, kind, value, _Handover(values))
+
+
 @dataclass(frozen=True, eq=False)
 class SnapshotMatrix:
-    """One parametrized field history: values[j, l] at cell j and instant l."""
+    """One parametrized field history: values[j, l] at cell j and instant l.
+
+    The constructor keeps an owned copy of ``values`` in its own layout, so a
+    column-major field is written out without a further copy.
+    """
 
     grid: Grid
     times: TimeAxis
@@ -148,8 +171,15 @@ class SnapshotMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        # keep the layout: a column-major field is written out without a copy
-        vals = _frozen_array(self.values, (self.grid.n_cells, self.times.n_steps), order="K")
+        shape = (self.grid.n_cells, self.times.n_steps)
+        if isinstance(self.values, _Handover):
+            # no copy unless the array is not native float64
+            vals = self.values.array.astype(np.float64, copy=False)
+            if vals.shape != shape:
+                raise ValueError(f"expected array of shape {shape}, got {vals.shape}")
+            vals.flags.writeable = False
+        else:
+            vals = _frozen_array(self.values, shape, order="K")
         if not np.isfinite(vals).all():
             raise ValueError("snapshot values must all be finite")
         object.__setattr__(self, "values", vals)
@@ -192,37 +222,42 @@ def write_snapshots(matrix: SnapshotMatrix, path) -> None:
 def read_snapshots(path) -> SnapshotMatrix:
     """Load a SnapshotMatrix from an SNP1 file, validating all invariants.
 
+    The payload is read once, into the array the matrix keeps. Its size is
+    checked against the header before anything is allocated, so a header
+    that claims a huge grid is rejected as corrupt.
+
     Raises FormatError on a bad magic/version, CorruptionError when header
     and payload disagree, PersistenceError when the file cannot be read.
     """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            head = handle.read(_HEADER.size)
+            if len(head) < 4:
+                raise CorruptionError(f"{path}: file shorter than its magic tag")
+            if head[:4] != _MAGIC:
+                raise FormatError(f"{path}: not an SNP1 file")
+            if len(head) < _HEADER.size:
+                raise CorruptionError(f"{path}: truncated header")
+            (_, version, nx, ny, n_steps, lx, ly, t_final, kind, value) = _HEADER.unpack(head)
+            if version != _VERSION:
+                raise FormatError(f"{path}: unsupported SNP1 version {version}")
+            expected = nx * ny * n_steps * 8
+            if size - _HEADER.size != expected:
+                raise CorruptionError(
+                    f"{path}: payload holds {size - _HEADER.size} bytes, header implies {expected}"
+                )
+            payload = np.empty(nx * ny * n_steps, dtype="<f8")
+            got = handle.readinto(payload)
+            if got != expected:
+                raise CorruptionError(f"{path}: read {got} payload bytes, header implies {expected}")
     except OSError as exc:
         raise PersistenceError(path, f"cannot read snapshot file ({exc})") from exc
-    if len(blob) < 4:
-        raise CorruptionError(f"{path}: file shorter than its magic tag")
-    if blob[:4] != _MAGIC:
-        raise FormatError(f"{path}: not an SNP1 file")
-    if len(blob) < _HEADER.size:
-        raise CorruptionError(f"{path}: truncated header")
-    (_, version, nx, ny, n_steps, lx, ly, t_final, kind, value) = _HEADER.unpack(
-        blob[: _HEADER.size]
-    )
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported SNP1 version {version}")
-    expected = nx * ny * n_steps * 8
-    if len(blob) - _HEADER.size != expected:
-        raise CorruptionError(
-            f"{path}: payload holds {len(blob) - _HEADER.size} bytes, header implies {expected}"
-        )
     try:
         grid = Grid(nx, ny, lx, ly)
         times = TimeAxis(n_steps, t_final)
-        # a view of the file's bytes; SnapshotMatrix takes the one copy
-        values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(
-            (nx * ny, n_steps), order="F"
-        )
-        return SnapshotMatrix(grid, times, ParamKind(kind), value, values)
+        values = payload.reshape((nx * ny, n_steps), order="F")
+        return _adopt(grid, times, ParamKind(kind), value, values)
     except ValueError as exc:
         raise CorruptionError(f"{path}: inconsistent header or payload ({exc})") from exc
 

@@ -232,19 +232,19 @@ def default_rank(q: int, n_params: int, n_cells: int, n_steps: int) -> tuple[int
 
 
 def compress_ensemble(matrices, q: int, r: int | None = None, s: int | None = None) -> RomDatabase:
-    """Factorize and compress a list of SnapshotMatrix in one call.
+    """Factorize and compress an ensemble of SnapshotMatrix in one call.
 
-    Samples are sorted by parameter value; ranks default to
+    ``matrices`` may be any iterable, a generator included: each matrix is
+    factorized as it arrives and dropped, so only its PodPair stays alive
+    and a generator that reads samples from disk holds one at a time. The
+    pairs are sorted by parameter value; ranks default to
     min(q * n_params, matrix dimension), which keeps the stacked column
     spaces exactly.
     """
-    matrices = sorted(matrices, key=lambda m: m.param_value)
-    if not matrices:
+    pairs = sorted((pod_factorize(m, q) for m in matrices), key=lambda p: p.param_value)
+    if not pairs:
         raise ValueError("need at least one snapshot matrix")
-    pairs = [pod_factorize(m, q) for m in matrices]
-    dr, ds = default_rank(
-        q, len(matrices), matrices[0].grid.n_cells, matrices[0].times.n_steps
-    )
+    dr, ds = default_rank(q, len(pairs), pairs[0].grid.n_cells, pairs[0].times.n_steps)
     return two_level_compress(pairs, dr if r is None else r, ds if s is None else s)
 
 

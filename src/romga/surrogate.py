@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import Grid, ParamKind, SnapshotMatrix, TimeAxis
+from .dataset import Grid, ParamKind, SnapshotMatrix, TimeAxis, _adopt
 from .errors import DivergenceError, StabilityError
 
 
@@ -177,12 +177,10 @@ def solve_cavity(
         raise ValueError("cavity runs vary either velocity or temperature")
 
     records = _advance(members, grid, times, config)
-    # each record is freed as soon as its SnapshotMatrix holds a copy
+    # each SnapshotMatrix keeps its member's record, as a column-major view
     return [
-        SnapshotMatrix(
-            grid, times, vary, value, records.pop(0).reshape(times.n_steps, grid.n_cells).T
-        )
-        for value in param_values
+        _adopt(grid, times, vary, value, record.reshape(times.n_steps, grid.n_cells).T)
+        for value, record in zip(param_values, records)
     ]
 
 

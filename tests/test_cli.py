@@ -21,6 +21,7 @@ from romga import (
     RomDatabase,
     TimeAxis,
     cli,
+    compress_ensemble,
     interpolate_reduced,
     read_history_csv,
     read_rom,
@@ -140,23 +141,26 @@ def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    # the file's bytes and the database's copy of them while the ROM loads,
-    # then the database, the lifted field and the prediction's one copy of
-    # it: about 9.2 MB. A call that also slices the payload out of the
-    # file's bytes and serializes the field through tobytes and a header
-    # concatenation peaks at 14.5 MB.
-    assert peak < 11.0e6, peak
+    # the file's bytes and the database's copy of them while the ROM loads
+    # (6.6 MB, the peak), then the database and the lifted field, which the
+    # prediction keeps without a copy (6.4 MB). The bound is that 6.6 MB plus
+    # 0.4 MB of slack, well under the 2.76 MB a copy of the field adds: a
+    # call that copies it peaks at 9.2 MB, and one that also slices the
+    # payload out of the file's bytes and serializes the field through
+    # tobytes and a header concatenation at 14.5 MB.
+    assert peak < 7.0e6, peak
     result = interpolate_reduced(db, InterpolationRequest(17.3, 3, 4, 20))
     lifted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
     assert np.array_equal(read_snapshots(tmp_path / "p.snp1").values, lifted)
 
 
-def test_datagen_holds_at_most_two_fields_beyond_its_runs(tmp_path, capsys):
+def test_datagen_holds_at_most_one_field_beyond_its_runs(tmp_path, capsys):
     # the series-2 preset solves its k = 5 training runs in one batch: 48x48
-    # cells and 150 instants, 2.76 MB per run. The solver records every run,
-    # then hands each record to its SnapshotMatrix and frees it, so about
-    # k + 1 fields are alive at the peak; the target batch follows once the
-    # training runs are written and dropped.
+    # cells and 150 instants, 2.76 MB per run. The solver records every run
+    # and each SnapshotMatrix keeps its record without a copy, so the k
+    # records and the solver's small work arrays are alive at the peak
+    # (measured 5.5 fields; 6.1 when each matrix took a copy); the target
+    # batch follows once the training runs are written and dropped.
     out = tmp_path / "series2"
     out.mkdir()
     datagen = ["datagen", "--preset", "series2-temperature", "--target", "17.5", "--out", str(out)]
@@ -170,7 +174,69 @@ def test_datagen_holds_at_most_two_fields_beyond_its_runs(tmp_path, capsys):
     capsys.readouterr()
     k, n_cells, n_steps = 5, 48 * 48, 150
     assert len(list(out.glob("*.snp1"))) == k + 1
-    assert peak <= (k + 2) * n_cells * n_steps * 8, peak
+    assert peak <= (k + 1) * n_cells * n_steps * 8, peak
+
+
+def _compress_peak(manifest: Path, q: int, out: Path) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(["compress", "--snapshots", str(manifest), "--q", str(q), "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compress_holds_one_sample_at_a_time(tmp_path, capsys):
+    # five series-2 runs of 2.76 MB each, against the first two of them: a
+    # compress that reads the samples one at a time peaks within one field of
+    # the two-sample run, one that holds them all 8.9 MB above it. q = 10 keeps
+    # the reduced ensemble small: its pairs and level-2 stacks grow by
+    # q * n_cells floats per sample, which at q = 30 alone adds 2.5 MB
+    # between two and five samples.
+    out = tmp_path / "series2"
+    out.mkdir()
+    assert cli.main(["datagen", "--preset", "series2-temperature", "--out", str(out)]) == 0
+    lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 5
+    (out / "two.txt").write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
+    assert cli.main(["compress", "--snapshots", str(out / "two.txt"), "--q", "10",
+                     "--out", str(out / "warm.rom1")]) == 0  # the first call builds the parser
+    two = _compress_peak(out / "two.txt", 10, out / "two.rom1")
+    five = _compress_peak(out / "manifest.txt", 10, out / "five.rom1")
+    capsys.readouterr()
+    assert five - two <= 48 * 48 * 150 * 8, (two, five)
+
+
+def test_compress_of_a_shuffled_manifest_equals_the_in_memory_rom(pipeline, tmp_path, capsys):
+    lines = (pipeline / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    order = [3, 0, 4, 2, 1]
+    shuffled = tmp_path / "shuffled.txt"
+    shuffled.write_text(
+        "".join(lines[i].replace(",train", f",{pipeline}/train") + "\n" for i in order),
+        encoding="utf-8",
+    )
+    rom = tmp_path / "shuffled.rom1"
+    assert cli.main(["compress", "--snapshots", str(shuffled), "--q", "8", "--out", str(rom)]) == 0
+    capsys.readouterr()
+    matrices = [read_snapshots(pipeline / line.split(",")[2]) for line in lines]
+    write_rom(compress_ensemble(matrices, q=8), tmp_path / "in_memory.rom1")
+    assert rom.read_bytes() == (tmp_path / "in_memory.rom1").read_bytes()
+    assert rom.read_bytes() == (pipeline / "db.rom1").read_bytes()
+
+
+def test_compress_stops_at_a_corrupt_sample_and_writes_nothing(pipeline, tmp_path, capsys):
+    for path in pipeline.glob("train_*.snp1"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "manifest.txt").write_bytes((pipeline / "manifest.txt").read_bytes())
+    third = sorted(tmp_path.glob("train_*.snp1"))[2]
+    third.write_bytes(third.read_bytes()[:-8])
+    before = set(tmp_path.iterdir())
+    rom = tmp_path / "db.rom1"
+    code = cli.main(["compress", "--snapshots", str(tmp_path / "manifest.txt"), "--q", "8",
+                     "--out", str(rom)])
+    assert code == 2
+    assert third.name in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before  # no ROM, no temporary file
 
 
 def test_optimize_recovers_the_target_parameter(pipeline, tmp_path, capsys):

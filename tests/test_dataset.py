@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,35 @@ def test_snapshot_matrix_is_immutable():
     matrix = make_matrix()
     with pytest.raises(ValueError):
         matrix.values[0, 0] = 1.0
+
+
+def test_snapshot_matrix_constructor_copies_the_callers_array():
+    grid, times = Grid(3, 2, 1.0, 1.0), TimeAxis(4, 1.0)
+    for values in (np.arange(24.0).reshape(6, 4), np.asfortranarray(np.arange(24.0).reshape(6, 4))):
+        matrix = SnapshotMatrix(grid, times, ParamKind.SYNTHETIC, 0.0, values)
+        values[0, 0] = 99.0
+        assert matrix.values[0, 0] == 0.0
+        assert not np.shares_memory(matrix.values, values)
+        assert values.flags.writeable  # the caller's array is left as it was
+
+
+def test_loading_reads_the_payload_once(tmp_path):
+    # a series-2 sized field: 48x48 cells, 150 instants, 2.76 MB
+    matrix = make_matrix(nx=48, ny=48, n_steps=150, seed=4)
+    path = tmp_path / "m.snp1"
+    write_snapshots(matrix, path)
+    payload = matrix.values.nbytes
+    tracemalloc.start()
+    try:
+        loaded = read_snapshots(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.equals(matrix)
+    assert not loaded.values.flags.writeable and loaded.values.flags.f_contiguous
+    # the payload's one buffer and the finiteness check's boolean mask (an
+    # eighth of it); a loader that copies the file's bytes needs twice the payload
+    assert peak < 1.25 * payload, peak
 
 
 def test_snp1_round_trip_is_bit_exact(tmp_path):

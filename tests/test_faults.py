@@ -9,6 +9,7 @@ parameter kind are not dimension fields, so they are left alone.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -24,6 +25,7 @@ from romga import (
     TimeAxis,
     cli,
     compress_ensemble,
+    dataset,
     read_rom,
     read_snapshots,
     write_rom,
@@ -122,3 +124,32 @@ def test_changed_snapshot_header_field_is_rejected(files, position, flip):
     blob = bytearray((files / "m.snp1").read_bytes())
     blob[position] ^= flip
     _rejected_snapshots(files, bytes(blob))
+
+
+def test_snapshot_header_claiming_a_huge_grid_is_rejected_before_allocating(files):
+    # 2**31 x 2**31 cells would need exabytes; the size check runs first
+    blob = (files / "m.snp1").read_bytes()
+    magic, version, _, _, n_steps = struct.unpack_from("<4sIIIQ", blob)
+    huge = struct.pack("<4sIIIQ", magic, version, 2**31, 2**31, n_steps) + blob[SNP_INT_FIELDS:]
+    _rejected_snapshots(files, huge, CorruptionError)
+    path, out = files / "damaged.snp1", files / "report"
+    out.mkdir(exist_ok=True)
+    report = ["report", "--predicted", str(path), "--target", str(path), "--out", str(out)]
+    assert cli.main(report) == 2
+    assert not any(out.iterdir())
+
+
+def test_snapshot_file_shorter_than_its_size_at_open_is_rejected(files, monkeypatch):
+    # the file loses its last float between fstat and the read
+    blob = (files / "m.snp1").read_bytes()
+    path = files / "shrunk.snp1"
+    path.write_bytes(blob[:-8])
+    fstat = os.fstat
+
+    def size_at_open(fd):
+        st = fstat(fd)
+        return os.stat_result((*st[:6], len(blob), *st[7:10]))
+
+    monkeypatch.setattr(dataset.os, "fstat", size_at_open)
+    with pytest.raises(CorruptionError, match=r"read \d+ payload bytes"):
+        read_snapshots(path)
