@@ -15,7 +15,6 @@ import numpy as np
 
 from romga import (
     Grid,
-    InterpolationRequest,
     PlumeParams,
     TimeAxis,
     analytic_plume,
@@ -48,7 +47,7 @@ def main() -> None:
     print("leave-one-out (interior nodes)")
     for held in deltas[1:-1]:
         db = compress_ensemble([family[d] for d in deltas if d != held], q=args.q)
-        result = interpolate_reduced(db, InterpolationRequest(held, 4, 4, args.q))
+        result = interpolate_reduced(db, held, ne_x=4, ne_t=4, m=args.q)
         predicted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
         err = relative_error(predicted, family[held].values)
         print(f"  delta {held:.2f}: {100 * err:6.3f}%")
@@ -57,7 +56,7 @@ def main() -> None:
     print(f"\nunseen sweep on the full {len(deltas)}-sample database")
     for delta in np.linspace(deltas[0], deltas[-1], args.sweep + 2)[1:-1]:
         truth = analytic_plume(PlumeParams(float(delta), sigma=args.sigma), grid, times)
-        result = interpolate_reduced(db, InterpolationRequest(float(delta), 3, 3, args.q))
+        result = interpolate_reduced(db, float(delta), ne_x=3, ne_t=3, m=args.q)
         predicted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
         err = relative_error(predicted, truth.values)
         print(f"  delta {delta:.3f}: {100 * err:6.3f}%")

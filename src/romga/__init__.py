@@ -2,7 +2,6 @@
 
 from .barycentric import (
     BarycentricResult,
-    InterpolationRequest,
     interpolate_reduced,
     lagrange_weights,
     procrustes_align,

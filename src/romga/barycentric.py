@@ -41,27 +41,6 @@ class FixedPointConfig:
     """No settings: perfbench/layers.py::_interp builds one as a default argument."""
 
 
-@dataclass(frozen=True)
-class InterpolationRequest:
-    """Query: parameter value plus the knobs of the interpolation itself.
-
-    ne_x and ne_t are the neighbor counts used for the spatial and temporal
-    blocks; m is the number of block columns kept. Validity against a
-    database (neighbor counts vs sample count, m vs q, query inside the
-    training hull) is checked by interpolate_reduced.
-    """
-
-    delta_new: float
-    ne_x: int
-    ne_t: int
-    m: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta_new", float(self.delta_new))
-        for name in ("ne_x", "ne_t", "m"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-
-
 @dataclass(frozen=True, eq=False)
 class BarycentricResult:
     """Outcome of one interpolation query.
@@ -141,14 +120,22 @@ def _align_and_average(reference: np.ndarray, blocks, weights, keys, rotations: 
 
 
 def interpolate_reduced(
-    db: RomDatabase, request: InterpolationRequest, rotations: dict | None = None
+    db: RomDatabase,
+    delta: float,
+    *,
+    ne_x: int,
+    ne_t: int,
+    m: int,
+    rotations: dict | None = None,
 ) -> BarycentricResult:
-    """Predict the factor pair of an unseen parameter value.
+    """Predict the factor pair at the unseen parameter value ``delta``.
 
-    Aligns the request's spatial and temporal neighbor blocks (truncated to
-    the request's m columns) to the truncated block pair of the training
-    sample nearest to the query, and returns their sums weighted by the
-    Lagrange weights on the neighbor parameter values.
+    Aligns the ne_x nearest spatial and the ne_t nearest temporal neighbor
+    blocks, truncated to their first m columns, to the truncated block pair
+    of the training sample nearest to the query, and returns their sums
+    weighted by the Lagrange weights on the neighbor parameter values. The
+    genes are keyword-only, so the two neighbor counts cannot be swapped by
+    position.
 
     ``rotations`` holds the alignment rotations of earlier queries on the
     same database, keyed ``(side, nearest, neighbor, m)`` with side ``"x"``
@@ -156,41 +143,38 @@ def interpolate_reduced(
     find there are computed and added. A query served from it returns the
     same bits as one that computes every rotation. None starts an empty dict.
 
-    Raises ValueError when the request does not fit the database: neighbor
-    counts outside [2, n_params], m outside [1, q], or a query outside the
-    training hull.
+    Raises ValueError naming the gene that does not fit the database:
+    neighbor counts outside [2, n_params], m outside [1, q], or a query
+    outside the training hull.
     """
     params = db.params
     lo, hi = db.hull
-    if not 2 <= request.ne_x <= db.n_params:
-        raise ValueError(f"ne_x must lie in [2, {db.n_params}], got {request.ne_x}")
-    if not 2 <= request.ne_t <= db.n_params:
-        raise ValueError(f"ne_t must lie in [2, {db.n_params}], got {request.ne_t}")
-    if not 1 <= request.m <= db.q:
-        raise ValueError(f"m must lie in [1, {db.q}], got {request.m}")
-    if not lo <= request.delta_new <= hi:
-        raise ValueError(
-            f"query {request.delta_new!r} outside the training hull [{lo!r}, {hi!r}]"
-        )
+    if not 2 <= ne_x <= db.n_params:
+        raise ValueError(f"ne_x must lie in [2, {db.n_params}], got {ne_x}")
+    if not 2 <= ne_t <= db.n_params:
+        raise ValueError(f"ne_t must lie in [2, {db.n_params}], got {ne_t}")
+    if not 1 <= m <= db.q:
+        raise ValueError(f"m must lie in [1, {db.q}], got {m}")
+    if not lo <= delta <= hi:
+        raise ValueError(f"query {delta!r} outside the training hull [{lo!r}, {hi!r}]")
 
     rotations = {} if rotations is None else rotations
-    m = request.m
     truncated = truncate_blocks(db, m)
-    order = _nearest_first(params, request.delta_new)
+    order = _nearest_first(params, delta)
     j = int(order[0])
-    spatial_idx = np.sort(order[: request.ne_x])
-    temporal_idx = np.sort(order[: request.ne_t])
+    spatial_idx = np.sort(order[:ne_x])
+    temporal_idx = np.sort(order[:ne_t])
     spatial = _align_and_average(
         truncated[j][0],
         [truncated[k][0] for k in spatial_idx],
-        lagrange_weights(params[spatial_idx], request.delta_new),
+        lagrange_weights(params[spatial_idx], delta),
         [("x", j, int(k), m) for k in spatial_idx],
         rotations,
     )
     temporal = _align_and_average(
         truncated[j][1],
         [truncated[h][1] for h in temporal_idx],
-        lagrange_weights(params[temporal_idx], request.delta_new),
+        lagrange_weights(params[temporal_idx], delta),
         [("t", j, int(h), m) for h in temporal_idx],
         rotations,
     )

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import genetic
-from .barycentric import InterpolationRequest, interpolate_reduced
+from .barycentric import interpolate_reduced
 from .dataset import (
     Grid,
     ParamKind,
@@ -338,17 +338,12 @@ def _cmd_predict(ns: SimpleNamespace) -> int:
     db = read_rom(_require(ns, "rom"))
     delta = _require(ns, "delta")
     out = _require(ns, "out")
-    request = InterpolationRequest(
-        delta, ne_x=ns.ne_x, ne_t=ns.ne_t, m=db.q if ns.m is None else ns.m
-    )
-    result = interpolate_reduced(db, request)
+    m = db.q if ns.m is None else ns.m
+    result = interpolate_reduced(db, delta, ne_x=ns.ne_x, ne_t=ns.ne_t, m=m)
     field = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
     # the lifted field is this call's own, so the matrix keeps it without a copy
     write_snapshots(_adopt(db.grid, db.times, db.param_kind, delta, field), out)
-    print(
-        f"predicted delta={delta!r} ne_x={request.ne_x} ne_t={request.ne_t}"
-        f" m={request.m} -> {out}"
-    )
+    print(f"predicted delta={delta!r} ne_x={ns.ne_x} ne_t={ns.ne_t} m={m} -> {out}")
     return 0
 
 

@@ -16,10 +16,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .barycentric import InterpolationRequest, interpolate_reduced
+from .barycentric import interpolate_reduced
 from .dataset import _write_file
 from .errors import PersistenceError
 from .objective import (
@@ -45,17 +47,13 @@ HISTORY_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class Chromosome:
+class Chromosome(NamedTuple):
+    """The four genes, in history-column order; producers hand in Python floats and ints."""
+
     delta: float
     ne_t: int
     ne_x: int
     m: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", float(self.delta))
-        for name in ("ne_t", "ne_x", "m"):
-            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -80,21 +78,23 @@ class SearchSpace:
         object.__setattr__(self, "ne_bounds", n)
         object.__setattr__(self, "m_bounds", m)
 
+    @cached_property
+    def bounds(self) -> tuple:
+        """(lo, hi) of every gene, in Chromosome order."""
+        return (self.delta_bounds, self.ne_bounds, self.ne_bounds, self.m_bounds)
+
+    def draw(self, gene: int, rng: np.random.Generator) -> float | int:
+        """Uniform draw of the gene at index ``gene``; a pinned delta takes no draw."""
+        lo, hi = self.bounds[gene]
+        if gene == 0:
+            return float(rng.uniform(lo, hi)) if lo < hi else lo
+        return int(rng.integers(lo, hi + 1))
+
     def contains(self, c: Chromosome) -> bool:
-        return (
-            self.delta_bounds[0] <= c.delta <= self.delta_bounds[1]
-            and self.ne_bounds[0] <= c.ne_t <= self.ne_bounds[1]
-            and self.ne_bounds[0] <= c.ne_x <= self.ne_bounds[1]
-            and self.m_bounds[0] <= c.m <= self.m_bounds[1]
-        )
+        return all(lo <= g <= hi for g, (lo, hi) in zip(c, self.bounds))
 
     def clamp(self, c: Chromosome) -> Chromosome:
-        return Chromosome(
-            min(max(c.delta, self.delta_bounds[0]), self.delta_bounds[1]),
-            min(max(c.ne_t, self.ne_bounds[0]), self.ne_bounds[1]),
-            min(max(c.ne_x, self.ne_bounds[0]), self.ne_bounds[1]),
-            min(max(c.m, self.m_bounds[0]), self.m_bounds[1]),
-        )
+        return Chromosome._make(min(max(g, lo), hi) for g, (lo, hi) in zip(c, self.bounds))
 
 
 @dataclass(frozen=True)
@@ -160,17 +160,10 @@ class GaHistory:
 def init_population(cfg: GaConfig, rng: np.random.Generator | None = None) -> list[Chromosome]:
     """Uniform random population inside the search space."""
     rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
-    d_lo, d_hi = cfg.space.delta_bounds
-    n_lo, n_hi = cfg.space.ne_bounds
-    m_lo, m_hi = cfg.space.m_bounds
-    population = []
-    for _ in range(cfg.population_size):
-        delta = float(rng.uniform(d_lo, d_hi)) if d_lo < d_hi else d_lo
-        ne_t = int(rng.integers(n_lo, n_hi + 1))
-        ne_x = int(rng.integers(n_lo, n_hi + 1))
-        m = int(rng.integers(m_lo, m_hi + 1))
-        population.append(Chromosome(delta, ne_t, ne_x, m))
-    return population
+    return [
+        Chromosome._make(cfg.space.draw(gene, rng) for gene in range(len(Chromosome._fields)))
+        for _ in range(cfg.population_size)
+    ]
 
 
 def evaluate_population(
@@ -186,23 +179,22 @@ def evaluate_population(
     the target as project_target prepared it for ``db``. A request the
     database rejects raises ValueError naming the offending gene; run's
     bound checks keep every chromosome it breeds inside the database's
-    limits. Identical chromosomes always score identically; the optional
-    cache exploits that across generations. ``rotations`` is handed to
-    interpolate_reduced, so alignment rotations computed for one chromosome
-    serve every later one on the same database.
+    limits. Identical chromosomes always score identically, so ``cache``
+    maps each chromosome scored so far to its cost and a repeat, within the
+    population or across generations, is served from it; None starts an
+    empty one. ``rotations`` is handed to interpolate_reduced, so alignment
+    rotations computed for one chromosome serve every later one on the same
+    database.
     """
+    cache = {} if cache is None else cache
     costs = np.empty(len(population))
     for i, c in enumerate(population):
-        key = (c.delta, c.ne_t, c.ne_x, c.m)
-        if cache is not None and key in cache:
-            costs[i] = cache[key]
-            continue
-        request = InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
-        result = interpolate_reduced(db, request, rotations=rotations)
-        value = cost_of(result.spatial_factor, result.temporal_factor, projection)
-        costs[i] = value
-        if cache is not None:
-            cache[key] = value
+        if c not in cache:
+            result = interpolate_reduced(
+                db, c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m, rotations=rotations
+            )
+            cache[c] = cost_of(result.spatial_factor, result.temporal_factor, projection)
+        costs[i] = cache[c]
     fitnesses = np.array([fitness_of(j) for j in costs])
     return costs, fitnesses
 
@@ -237,11 +229,9 @@ def crossover(
     beta = rng.random()
     delta_a = beta * parent_a.delta + (1.0 - beta) * parent_b.delta
     delta_b = (1.0 - beta) * parent_a.delta + beta * parent_b.delta
-    cut = int(rng.integers(1, 3))  # boundary after gene 1 or gene 2
-    ints_a = (parent_a.ne_t, parent_a.ne_x, parent_a.m)
-    ints_b = (parent_b.ne_t, parent_b.ne_x, parent_b.m)
-    child_a = Chromosome(delta_a, *(ints_a[:cut] + ints_b[cut:]))
-    child_b = Chromosome(delta_b, *(ints_b[:cut] + ints_a[cut:]))
+    cut = 1 + int(rng.integers(1, 3))  # tails start at ne_x or at m
+    child_a = Chromosome(delta_a, *parent_a[1:cut], *parent_b[cut:])
+    child_b = Chromosome(delta_b, *parent_b[1:cut], *parent_a[cut:])
     return cfg.space.clamp(child_a), cfg.space.clamp(child_b)
 
 
@@ -249,18 +239,8 @@ def mutate(c: Chromosome, rng: np.random.Generator, cfg: GaConfig) -> Chromosome
     """With probability mutation_prob resample one uniformly chosen gene."""
     if rng.random() >= cfg.mutation_prob:
         return c
-    gene = int(rng.integers(0, 4))
-    d_lo, d_hi = cfg.space.delta_bounds
-    n_lo, n_hi = cfg.space.ne_bounds
-    m_lo, m_hi = cfg.space.m_bounds
-    if gene == 0:
-        delta = float(rng.uniform(d_lo, d_hi)) if d_lo < d_hi else d_lo
-        return Chromosome(delta, c.ne_t, c.ne_x, c.m)
-    if gene == 1:
-        return Chromosome(c.delta, int(rng.integers(n_lo, n_hi + 1)), c.ne_x, c.m)
-    if gene == 2:
-        return Chromosome(c.delta, c.ne_t, int(rng.integers(n_lo, n_hi + 1)), c.m)
-    return Chromosome(c.delta, c.ne_t, c.ne_x, int(rng.integers(m_lo, m_hi + 1)))
+    gene = int(rng.integers(0, len(Chromosome._fields)))
+    return c._replace(**{Chromosome._fields[gene]: cfg.space.draw(gene, rng)})
 
 
 def step_generation(

@@ -38,11 +38,15 @@ _HEADER = struct.Struct("<4sIIIIIIIQdddB")
 
 
 def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> None:
-    """Make the largest-magnitude entry of each left singular vector >= 0."""
+    """Make the largest-magnitude entry of each left singular vector >= 0.
+
+    ``u`` and ``vt`` may be views of the kept columns and rows only: each
+    column flips on its own, by an in-place product with a +-1 vector.
+    """
     lead = np.abs(u).argmax(axis=0)
-    flip = u[lead, np.arange(u.shape[1])] < 0.0
-    u[:, flip] *= -1.0
-    vt[flip, :] *= -1.0
+    signs = np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    u *= signs
+    vt *= signs[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +109,9 @@ def pod_factorize(matrix: SnapshotMatrix, q: int) -> PodPair:
     if not 1 <= q <= limit:
         raise ValueError(f"q must lie in [1, {limit}], got {q}")
     u, sv, vt = np.linalg.svd(matrix.values, full_matrices=False)
-    _fix_svd_signs(u, vt)
-    spatial = u[:, :q]
-    temporal = vt[:q].T * sv[:q]
+    spatial, temporal = u[:, :q], vt[:q]
+    _fix_svd_signs(spatial, temporal)
+    temporal = temporal.T * sv[:q]
     return PodPair(
         spatial,
         temporal,
@@ -189,9 +193,7 @@ def two_level_compress(pairs, r: int, s: int) -> RomDatabase:
             raise ValueError("all samples must share grid and time axis")
         if p.param_kind != first.param_kind:
             raise ValueError("all samples must share the parameter kind")
-    params = np.array([p.param_value for p in pairs])
-    if np.any(np.diff(params) <= 0.0):
-        raise ValueError("sample parameter values must be strictly increasing")
+    params = np.array([p.param_value for p in pairs])  # RomDatabase checks the order
     n_cells = first.grid.n_cells
     n_steps = first.times.n_steps
     if not 1 <= r <= min(q * len(pairs), n_cells):
@@ -202,11 +204,10 @@ def two_level_compress(pairs, r: int, s: int) -> RomDatabase:
     stacked_spatial = np.hstack([p.spatial_modes for p in pairs])
     stacked_temporal = np.hstack([p.temporal_coeffs for p in pairs])
     us, _, vts = np.linalg.svd(stacked_spatial, full_matrices=False)
-    _fix_svd_signs(us, vts)
     ut, _, vtt = np.linalg.svd(stacked_temporal, full_matrices=False)
-    _fix_svd_signs(ut, vtt)
-    spatial_basis = us[:, :r]
-    temporal_basis = ut[:, :s]
+    spatial_basis, temporal_basis = us[:, :r], ut[:, :s]
+    _fix_svd_signs(spatial_basis, vts[:r])
+    _fix_svd_signs(temporal_basis, vtt[:s])
     spatial_blocks = tuple(spatial_basis.T @ p.spatial_modes for p in pairs)
     temporal_blocks = tuple(temporal_basis.T @ p.temporal_coeffs for p in pairs)
     return RomDatabase(

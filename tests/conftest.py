@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from romga import Grid, PlumeParams, TimeAxis, analytic_plume, compress_ensemble
+from romga import (
+    Grid,
+    PlumeParams,
+    Target,
+    TimeAxis,
+    analytic_plume,
+    build_mask,
+    compress_ensemble,
+    project_target,
+)
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -42,6 +51,19 @@ def plume_matrices(plume_grid, plume_times):
 @pytest.fixture(scope="session")
 def plume_db(plume_matrices):
     return compress_ensemble(plume_matrices, q=PLUME_Q)
+
+
+@pytest.fixture(scope="session")
+def plume_target(plume_grid, plume_times):
+    """The plume at 0.4 seen through the default observation window."""
+    mask = build_mask(plume_grid, (0.1, 0.9, 0.15, 0.7))
+    truth = analytic_plume(PlumeParams(0.4, sigma=0.3), plume_grid, plume_times)
+    return Target(truth.values[mask.indices], mask, plume_times)
+
+
+@pytest.fixture(scope="session")
+def plume_projection(plume_db, plume_target):
+    return project_target(plume_db, plume_target)
 
 
 @pytest.fixture()

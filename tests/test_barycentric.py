@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from romga import (
     Grid,
-    InterpolationRequest,
     ParamKind,
     PlumeParams,
     SnapshotMatrix,
@@ -47,7 +46,7 @@ def _neighbor_choice(db, delta, ne_x, ne_t, m=2):
     query computed.
     """
     rotations: dict = {}
-    interpolate_reduced(db, InterpolationRequest(delta, ne_x, ne_t, m), rotations=rotations)
+    interpolate_reduced(db, delta, ne_x=ne_x, ne_t=ne_t, m=m, rotations=rotations)
     (nearest,) = {j for _, j, _, _ in rotations}
     side = {name: sorted(k for s, _, k, _ in rotations if s == name) for name in ("x", "t")}
     return nearest, side["x"], side["t"]
@@ -78,9 +77,8 @@ def test_neighbor_selection_validation():
     db = _random_db(params=PARAMS)
     rotations: dict = {}
     for ne_x, ne_t, named in ((1, 3, "ne_x"), (6, 3, "ne_x"), (3, 1, "ne_t"), (3, 6, "ne_t")):
-        request = InterpolationRequest(0.4, ne_x, ne_t, 2)
         with pytest.raises(ValueError, match=rf"\b{named}\b"):
-            interpolate_reduced(db, request, rotations=rotations)
+            interpolate_reduced(db, 0.4, ne_x=ne_x, ne_t=ne_t, m=2, rotations=rotations)
     assert rotations == {}  # a rejected query computes no rotation
 
 
@@ -165,13 +163,13 @@ def test_procrustes_rotation_is_always_orthogonal(rng):
 
 def test_query_on_a_training_node_reproduces_its_blocks(plume_db):
     node = plume_db.spatial_blocks[2] @ plume_db.temporal_blocks[2].T
-    result = interpolate_reduced(plume_db, InterpolationRequest(0.40, 3, 3, 10))
+    result = interpolate_reduced(plume_db, 0.40, ne_x=3, ne_t=3, m=10)
     rel = np.linalg.norm(reduced_matrix(result) - node) / np.linalg.norm(node)
     assert rel <= 1e-8
 
 
 def test_midway_query_tracks_the_generating_family(plume_db, plume_grid, plume_times):
-    result = interpolate_reduced(plume_db, InterpolationRequest(0.375, 3, 3, 10))
+    result = interpolate_reduced(plume_db, 0.375, ne_x=3, ne_t=3, m=10)
     predicted = reconstruct_field(plume_db, result.spatial_factor, result.temporal_factor)
     truth = analytic_plume(PlumeParams(0.375, sigma=0.3), plume_grid, plume_times).values
     rel = np.linalg.norm(predicted - truth) / np.linalg.norm(truth)
@@ -191,16 +189,15 @@ def test_query_ignores_the_rotation_of_each_stored_block_pair(plume_db):
         temporal_blocks=[b @ g for b, g in zip(plume_db.temporal_blocks, spins)],
     )
     for delta, ne in ((0.34, 3), (0.42, 4), (0.475, 2)):
-        request = InterpolationRequest(delta, ne, ne, plume_db.q)
-        plain = reduced_matrix(interpolate_reduced(plume_db, request))
-        spun = reduced_matrix(interpolate_reduced(spun_db, request))
+        genes = dict(ne_x=ne, ne_t=ne, m=plume_db.q)
+        plain = reduced_matrix(interpolate_reduced(plume_db, delta, **genes))
+        spun = reduced_matrix(interpolate_reduced(spun_db, delta, **genes))
         assert np.linalg.norm(spun - plain) <= 1e-8 * np.linalg.norm(plain), delta
 
 
 def test_query_results_are_deterministic(plume_db):
-    request = InterpolationRequest(0.42, 4, 3, 8)
-    a = interpolate_reduced(plume_db, request)
-    b = interpolate_reduced(plume_db, request)
+    a = interpolate_reduced(plume_db, 0.42, ne_x=4, ne_t=3, m=8)
+    b = interpolate_reduced(plume_db, 0.42, ne_x=4, ne_t=3, m=8)
     assert np.array_equal(a.spatial_factor, b.spatial_factor)
     assert np.array_equal(a.temporal_factor, b.temporal_factor)
     assert a.spatial_factor.shape == (plume_db.r, 8)
@@ -236,14 +233,14 @@ def test_shared_rotations_change_no_bit(plume_db, stream):
     # the weighted sum written out with (w * B) @ Q evaluated left to right
     rotations: dict = {}
     for delta, ne_x, ne_t, m in stream:
-        request = InterpolationRequest(delta, ne_x, ne_t, m)
-        shared = interpolate_reduced(plume_db, request, rotations=rotations)
-        alone = interpolate_reduced(plume_db, request)
+        genes = dict(ne_x=ne_x, ne_t=ne_t, m=m)
+        shared = interpolate_reduced(plume_db, delta, **genes, rotations=rotations)
+        alone = interpolate_reduced(plume_db, delta, **genes)
         spatial = _aligned_sum(plume_db, plume_db.spatial_blocks, delta, ne_x, m)
         temporal = _aligned_sum(plume_db, plume_db.temporal_blocks, delta, ne_t, m)
         for result in (shared, alone):
-            assert np.array_equal(result.spatial_factor, spatial), request
-            assert np.array_equal(result.temporal_factor, temporal), request
+            assert np.array_equal(result.spatial_factor, spatial), (delta, genes)
+            assert np.array_equal(result.temporal_factor, temporal), (delta, genes)
 
 
 def _random_db(seed=7, params=(0.0, 0.5, 1.0)):
@@ -293,7 +290,7 @@ def test_query_matches_the_reference_point_interpolation():
         (0.9, 2, 2, 1),
         (0.75, 3, 3, 5),
     ):
-        result = interpolate_reduced(db, InterpolationRequest(delta, ne_x, ne_t, m))
+        result = interpolate_reduced(db, delta, ne_x=ne_x, ne_t=ne_t, m=m)
         spatial, temporal = _reference_query(db, delta, ne_x, ne_t, m)
         for got, want in ((result.spatial_factor, spatial), (result.temporal_factor, temporal)):
             assert got.shape == want.shape
@@ -302,17 +299,19 @@ def test_query_matches_the_reference_point_interpolation():
 
 def test_request_validation(plume_db):
     with pytest.raises(ValueError):
-        interpolate_reduced(plume_db, InterpolationRequest(0.4, 1, 3, 5))
+        interpolate_reduced(plume_db, 0.4, ne_x=1, ne_t=3, m=5)
     with pytest.raises(ValueError):
-        interpolate_reduced(plume_db, InterpolationRequest(0.4, 3, 6, 5))
+        interpolate_reduced(plume_db, 0.4, ne_x=3, ne_t=6, m=5)
     with pytest.raises(ValueError):
-        interpolate_reduced(plume_db, InterpolationRequest(0.4, 3, 3, 0))
+        interpolate_reduced(plume_db, 0.4, ne_x=3, ne_t=3, m=0)
     with pytest.raises(ValueError):
-        interpolate_reduced(plume_db, InterpolationRequest(0.4, 3, 3, 11))
+        interpolate_reduced(plume_db, 0.4, ne_x=3, ne_t=3, m=11)
     with pytest.raises(ValueError):
-        interpolate_reduced(plume_db, InterpolationRequest(0.29, 3, 3, 5))
+        interpolate_reduced(plume_db, 0.29, ne_x=3, ne_t=3, m=5)
     with pytest.raises(ValueError):
-        interpolate_reduced(plume_db, InterpolationRequest(0.51, 3, 3, 5))
+        interpolate_reduced(plume_db, 0.51, ne_x=3, ne_t=3, m=5)
+    with pytest.raises(TypeError):
+        interpolate_reduced(plume_db, 0.4, 3, 2, 5)  # the genes are keyword-only
 
 
 # ---------------------------------------------------------------- lifting

@@ -15,7 +15,6 @@ from romga import (
     CorruptionError,
     GaHistory,
     Grid,
-    InterpolationRequest,
     ParamKind,
     PersistenceError,
     RomDatabase,
@@ -149,7 +148,7 @@ def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
     # payload out of the file's bytes and serializes the field through
     # tobytes and a header concatenation at 14.5 MB.
     assert peak < 7.0e6, peak
-    result = interpolate_reduced(db, InterpolationRequest(17.3, 3, 4, 20))
+    result = interpolate_reduced(db, 17.3, ne_x=3, ne_t=4, m=20)
     lifted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
     assert np.array_equal(read_snapshots(tmp_path / "p.snp1").values, lifted)
 

@@ -12,7 +12,6 @@ from romga import (
     GaConfig,
     GaHistory,
     Grid,
-    InterpolationRequest,
     PersistenceError,
     PlumeParams,
     SearchSpace,
@@ -42,18 +41,6 @@ from romga.genetic import (
 )
 
 SPACE = SearchSpace((0.30, 0.50), (2, 5), (4, 10))
-
-
-@pytest.fixture(scope="module")
-def plume_target(plume_db, plume_grid, plume_times):
-    mask = build_mask(plume_grid, (0.1, 0.9, 0.15, 0.7))
-    truth = analytic_plume(PlumeParams(0.4, sigma=0.3), plume_grid, plume_times)
-    return Target(truth.values[mask.indices], mask, plume_times)
-
-
-@pytest.fixture(scope="module")
-def plume_projection(plume_db, plume_target):
-    return project_target(plume_db, plume_target)
 
 
 class ScriptedRng:
@@ -251,6 +238,107 @@ def test_step_handles_odd_offspring_counts(rng):
     assert len(nxt) == 6
 
 
+# ---------------------------------------------------------------- operator stream
+
+# Outputs of the operators for fixed seeds, recorded as literals: any change
+# in which draws an operator takes, or in their order, changes a search's
+# history, and fails here first. PINNED fixes delta and m; its delta must
+# take no draw. Each stream ends with the next draw of its generator, so an
+# operator that takes one draw too many or too few fails even when its
+# outputs happen to agree.
+PINNED = SearchSpace((0.4, 0.4), (2, 5), (4, 4))
+STREAMS = {
+    "free": {
+        "init": [
+            (0.42501909332093335, 4, 5, 8),
+            (0.34504143799811837, 5, 2, 6),
+            (0.4747106890792524, 5, 2, 7),
+            (0.45941388575040926, 5, 2, 7),
+            (0.3606064853638627, 3, 3, 9),
+        ],
+        "crossover": [
+            ((0.4001299847607793, 2, 5, 10), (0.3998700152392207, 5, 2, 4)),
+            ((0.4633733047760579, 2, 5, 10), (0.33662669522394206, 5, 2, 4)),
+            ((0.31, 2, 5, 4), (0.49, 5, 2, 10)),
+            ((0.46664068910812634, 2, 5, 10), (0.33335931089187365, 5, 2, 4)),
+        ],
+        "crossover_next": 2036519846,
+        "mutate": [
+            (0.31, 2, 5, 10),
+            (0.3699778481191915, 2, 5, 4),
+            (0.43408914855455694, 2, 5, 4),
+            (0.4716260978167818, 2, 5, 4),
+            (0.31, 2, 5, 7),
+            (0.31, 2, 4, 4),
+            (0.31, 3, 5, 4),
+            (0.31, 4, 5, 4),
+        ],
+        "mutate_next": 1991826948,
+        "step": [
+            (0.3782456380991324, 5, 4, 6),
+            (0.3782456380991324, 5, 4, 6),
+            (0.3782456380991324, 5, 4, 6),
+            (0.3782456380991324, 5, 4, 8),
+            (0.41643240721287356, 5, 2, 4),
+            (0.3466029481265324, 2, 4, 6),
+        ],
+        "step_next": 1143358677,
+    },
+    "pinned": {
+        "init": [(0.4, 5, 4, 4), (0.4, 4, 5, 4), (0.4, 4, 5, 4), (0.4, 5, 2, 4), (0.4, 2, 3, 4)],
+        "crossover": [((0.4, 2, 5, 4), (0.4, 5, 2, 4))] * 4,
+        "crossover_next": 2036519846,
+        "mutate": [
+            (0.4, 2, 5, 4),
+            (0.4, 2, 5, 4),
+            (0.4, 2, 3, 4),
+            (0.4, 2, 5, 4),
+            (0.4, 2, 2, 4),
+            (0.4, 2, 5, 4),
+            (0.4, 2, 5, 4),
+            (0.4, 2, 5, 4),
+        ],
+        "mutate_next": 1004803050,
+        "step": [(0.4, 2, 2, 4)] * 5 + [(0.4, 5, 2, 4)],
+        "step_next": 1831934465,
+    },
+}
+
+
+def _genes(c):
+    return (c.delta, c.ne_t, c.ne_x, c.m)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_operator_stream_is_pinned(name):
+    space, want = {"free": SPACE, "pinned": PINNED}[name], STREAMS[name]
+    if name == "free":
+        a, b = Chromosome(0.31, 2, 5, 4), Chromosome(0.49, 5, 2, 10)
+    else:
+        a, b = Chromosome(0.4, 2, 5, 4), Chromosome(0.4, 5, 2, 4)
+
+    pop = init_population(GaConfig(space, population_size=5, rng_seed=7))
+    assert [_genes(c) for c in pop] == want["init"]
+
+    rng = np.random.default_rng(11)
+    cfg = GaConfig(space, crossover_prob=0.8)
+    pairs = [crossover(a, b, rng, cfg) for _ in range(4)]
+    assert [(_genes(x), _genes(y)) for x, y in pairs] == want["crossover"]
+    assert int(rng.integers(0, 2**31)) == want["crossover_next"]
+
+    rng = np.random.default_rng(12)
+    cfg = GaConfig(space, mutation_prob=0.5)
+    assert [_genes(mutate(a, rng, cfg)) for _ in range(8)] == want["mutate"]
+    assert int(rng.integers(0, 2**31)) == want["mutate_next"]
+
+    cfg = GaConfig(space, population_size=6, elite_count=1, rng_seed=3)
+    costs = np.array([0.5, 0.25, 2.0, 1.0, 0.125, 4.0])
+    rng = np.random.default_rng(13)
+    nxt = step_generation(init_population(cfg), costs, 1.0 / costs, rng, cfg)
+    assert [_genes(c) for c in nxt] == want["step"]
+    assert int(rng.integers(0, 2**31)) == want["step_next"]
+
+
 # ---------------------------------------------------------------- evaluation
 
 
@@ -303,12 +391,12 @@ def test_shared_rotations_change_no_cost(plume_db, plume_target, plume_projectio
         assert np.array_equal(shared, alone)
 
 
-def _rotation_keys(db, request):
+def _rotation_keys(db, delta, ne_x, ne_t, m):
     """The (side, nearest, neighbor, m) keys of the rotations a query aligns with."""
-    order = _nearest_first(db.params, request.delta_new)
-    j, m = int(order[0]), request.m
-    return [("x", j, int(k), m) for k in order[: request.ne_x]] + [
-        ("t", j, int(k), m) for k in order[: request.ne_t]
+    order = _nearest_first(db.params, delta)
+    j = int(order[0])
+    return [("x", j, int(k), m) for k in order[:ne_x]] + [
+        ("t", j, int(k), m) for k in order[:ne_t]
     ]
 
 
@@ -321,9 +409,9 @@ def test_run_computes_each_rotation_once(plume_db, plume_target, monkeypatch):
     seen = []
     real_interp = genetic.interpolate_reduced
 
-    def interp(db, request, rotations=None):
-        seen.append((request, rotations))
-        return real_interp(db, request, rotations=rotations)
+    def interp(db, delta, *, rotations=None, **genes):
+        seen.append(((delta, genes), rotations))
+        return real_interp(db, delta, **genes, rotations=rotations)
 
     monkeypatch.setattr(genetic, "interpolate_reduced", interp)
     cfg = GaConfig(SPACE, population_size=10, generations=6, rng_seed=3)
@@ -331,7 +419,9 @@ def test_run_computes_each_rotation_once(plume_db, plume_target, monkeypatch):
         seen.clear()
         run(cfg, plume_db, plume_target)
         (rotations,) = {id(d): d for _, d in seen}.values()  # one dict serves the search
-        used = [key for request, _ in seen for key in _rotation_keys(plume_db, request)]
+        used = [
+            key for (delta, genes), _ in seen for key in _rotation_keys(plume_db, delta, **genes)
+        ]
         assert set(rotations) == set(used)
         assert len(set(used)) < len(used)  # some chromosomes were served rotations
         # each search computes its distinct rotations once; the second one
@@ -367,8 +457,7 @@ def test_cost_landscape_bottoms_out_at_the_true_parameter(plume_db, plume_projec
 
 def _lifted_cost(db, c: Chromosome, target: Target) -> float:
     """The masked cost of a chromosome's prediction, lifted onto the mask."""
-    request = InterpolationRequest(c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
-    result = interpolate_reduced(db, request)
+    result = interpolate_reduced(db, c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
     lifted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
     return cost(lifted[target.mask.indices], target)
 

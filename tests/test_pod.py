@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,36 @@ def test_sign_convention_and_determinism(rng):
     assert np.array_equal(a.temporal_coeffs, b.temporal_coeffs)
     lead = np.abs(a.spatial_modes).argmax(axis=0)
     assert np.all(a.spatial_modes[lead, np.arange(7)] >= 0.0)
+
+
+def test_factorization_fixes_signs_of_the_kept_columns_bit_for_bit(rng):
+    # reference: fix the signs of the whole SVD by fancy indexing, then truncate
+    for n_cells, n_steps, q in ((30, 12, 5), (40, 15, 15), (18, 8, 1)):
+        matrix = random_matrix(rng, n_cells=n_cells, n_steps=n_steps)
+        u, sv, vt = np.linalg.svd(matrix.values, full_matrices=False)
+        flip = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])] < 0.0
+        u[:, flip] *= -1.0
+        vt[flip, :] *= -1.0
+        pair = pod_factorize(matrix, q)
+        assert pair.spatial_modes.tobytes() == u[:, :q].tobytes()
+        assert pair.temporal_coeffs.tobytes() == (vt[:q].T * sv[:q]).tobytes()
+
+
+def test_factorization_holds_the_left_factor_once():
+    # a series-2-sized sample (2304 cells, 150 instants) at q = 30: the SVD's
+    # left factor is as large as the sample, and fixing signs on the q kept
+    # columns alone adds less than a quarter of it (1.47 samples measured;
+    # fixing all 150 columns peaked at 3.07)
+    values = np.random.default_rng(0).normal(size=(2304, 150))
+    grid, times = Grid(48, 48, 1.0, 1.0), TimeAxis(150, 60.0)
+    matrix = SnapshotMatrix(grid, times, ParamKind.SYNTHETIC, 0.5, values)
+    tracemalloc.start()
+    try:
+        pod_factorize(matrix, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * matrix.values.nbytes
 
 
 def test_factorization_rejects_bad_orders(rng):
