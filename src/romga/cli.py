@@ -157,7 +157,7 @@ def _write_csv_pairs(path: Path, rows) -> None:
     writer.writerow(("index", "value"))
     for index, value in rows:
         writer.writerow((index, repr(float(value))))
-    _write_file(path, "CSV", text.getvalue().encode("utf-8"))
+    _write_file(path, "CSV", [text.getvalue().encode("utf-8")])
 
 
 # ---------------------------------------------------------------- datagen
@@ -235,6 +235,10 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
         raise ValueError("training parameter values must be pairwise distinct")
 
     targets = ns.target or ()
+    target_names = [f"target_{value:g}.snp1" for value in targets]
+    clashes = [v for v, name in zip(targets, target_names) if target_names.count(name) > 1]
+    if clashes:
+        raise ValueError(f"target values {clashes} would overwrite each other's target file")
     manifest_lines = []
     written: list[Path] = []
     try:
@@ -244,10 +248,10 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
             written.append(out / name)
             manifest_lines.append(f"{ParamKind(kind).name.lower()},{value!r},{name}")
         manifest = out / MANIFEST_NAME
-        _write_file(manifest, "manifest", ("\n".join(manifest_lines) + "\n").encode("utf-8"))
+        _write_file(manifest, "manifest", [("\n".join(manifest_lines) + "\n").encode("utf-8")])
         written.append(manifest)
-        for value, matrix in zip(targets, make(targets) if targets else ()):
-            path = out / f"target_{value:g}.snp1"
+        for name, matrix in zip(target_names, make(targets) if targets else ()):
+            path = out / name
             write_snapshots(matrix, path)
             written.append(path)
     except BaseException:

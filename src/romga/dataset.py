@@ -116,10 +116,15 @@ def _frozen_array(values, shape=None, dtype=np.float64, order="C") -> np.ndarray
     return arr
 
 
-def _write_file(path, what: str, *chunks) -> None:
+def _column_major(a: np.ndarray) -> memoryview:
+    """``a`` as little-endian float64 bytes in column-major order; a view if it is so already."""
+    return memoryview(a.astype("<f8", copy=False).ravel(order="F"))
+
+
+def _write_file(path, what: str, chunks) -> None:
     """Write ``chunks`` to ``path`` atomically, or raise PersistenceError naming ``what``.
 
-    Each chunk is a bytes-like object, written in turn without joining them.
+    Each of the bytes-like ``chunks`` is written in turn without joining them.
     The bytes go to a temporary file in the same directory, which os.replace
     then moves onto ``path``. A failed write removes the temporary file and
     leaves any existing file at ``path`` as it was.
@@ -135,6 +140,43 @@ def _write_file(path, what: str, *chunks) -> None:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise PersistenceError(path, f"cannot write {what} ({exc})") from exc
+
+
+def _read_file(path, what: str, magic: bytes, version: int, header: struct.Struct, n_floats):
+    """Header fields after magic and version, and the float64 payload they size.
+
+    The payload of ``n_floats(*fields)`` floats is checked against the file
+    size before it is allocated, then read once. Raises FormatError on a bad
+    magic/version, CorruptionError on a size mismatch and PersistenceError
+    naming ``what`` when the file cannot be read.
+    """
+    tag = magic.decode("ascii")
+    try:
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            head = handle.read(header.size)
+            if len(head) < 4:
+                raise CorruptionError(f"{path}: file shorter than its magic tag")
+            if head[:4] != magic:
+                # "an SNP1 file" is read letter by letter, "a ROM1 file" as a word
+                raise FormatError(f"{path}: not {'an' if tag[0] == 'S' else 'a'} {tag} file")
+            if len(head) < header.size:
+                raise CorruptionError(f"{path}: truncated header")
+            _, found, *fields = header.unpack(head)
+            if found != version:
+                raise FormatError(f"{path}: unsupported {tag} version {found}")
+            expected = 8 * n_floats(*fields)
+            if size - header.size != expected:
+                raise CorruptionError(
+                    f"{path}: payload holds {size - header.size} bytes, header implies {expected}"
+                )
+            payload = np.empty(expected // 8, dtype="<f8")
+            got = handle.readinto(payload)
+            if got != expected:
+                raise CorruptionError(f"{path}: read {got} payload bytes, header implies {expected}")
+    except OSError as exc:
+        raise PersistenceError(path, f"cannot read {what} ({exc})") from exc
+    return fields, payload
 
 
 class _Handover:
@@ -214,45 +256,19 @@ def write_snapshots(matrix: SnapshotMatrix, path) -> None:
         int(matrix.param_kind),
         matrix.param_value,
     )
-    # a view when the values are column-major already, a copy otherwise
-    payload = matrix.values.astype("<f8", copy=False).ravel(order="F")
-    _write_file(path, "snapshot file", header, memoryview(payload))
+    _write_file(path, "snapshot file", (header, _column_major(matrix.values)))
 
 
 def read_snapshots(path) -> SnapshotMatrix:
     """Load a SnapshotMatrix from an SNP1 file, validating all invariants.
 
-    The payload is read once, into the array the matrix keeps. Its size is
-    checked against the header before anything is allocated, so a header
-    that claims a huge grid is rejected as corrupt.
-
+    The payload is read once by _read_file, into the array the matrix keeps.
     Raises FormatError on a bad magic/version, CorruptionError when header
     and payload disagree, PersistenceError when the file cannot be read.
     """
-    try:
-        with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            head = handle.read(_HEADER.size)
-            if len(head) < 4:
-                raise CorruptionError(f"{path}: file shorter than its magic tag")
-            if head[:4] != _MAGIC:
-                raise FormatError(f"{path}: not an SNP1 file")
-            if len(head) < _HEADER.size:
-                raise CorruptionError(f"{path}: truncated header")
-            (_, version, nx, ny, n_steps, lx, ly, t_final, kind, value) = _HEADER.unpack(head)
-            if version != _VERSION:
-                raise FormatError(f"{path}: unsupported SNP1 version {version}")
-            expected = nx * ny * n_steps * 8
-            if size - _HEADER.size != expected:
-                raise CorruptionError(
-                    f"{path}: payload holds {size - _HEADER.size} bytes, header implies {expected}"
-                )
-            payload = np.empty(nx * ny * n_steps, dtype="<f8")
-            got = handle.readinto(payload)
-            if got != expected:
-                raise CorruptionError(f"{path}: read {got} payload bytes, header implies {expected}")
-    except OSError as exc:
-        raise PersistenceError(path, f"cannot read snapshot file ({exc})") from exc
+    (nx, ny, n_steps, lx, ly, t_final, kind, value), payload = _read_file(
+        path, "snapshot file", _MAGIC, _VERSION, _HEADER, lambda nx, ny, n, *_: nx * ny * n
+    )
     try:
         grid = Grid(nx, ny, lx, ly)
         times = TimeAxis(n_steps, t_final)

@@ -68,6 +68,8 @@ class SearchSpace:
         d = (float(self.delta_bounds[0]), float(self.delta_bounds[1]))
         n = (int(self.ne_bounds[0]), int(self.ne_bounds[1]))
         m = (int(self.m_bounds[0]), int(self.m_bounds[1]))
+        if not np.isfinite(d).all():
+            raise ValueError(f"delta_bounds must be finite, got {self.delta_bounds!r}")
         if d[0] > d[1] or n[0] > n[1] or m[0] > m[1]:
             raise ValueError("each bounds pair must satisfy lo <= hi")
         if n[0] < 2:
@@ -154,7 +156,7 @@ class GaHistory:
                     repr(float(rec.avg_cost)),
                 ]
             )
-        _write_file(path, "history", text.getvalue().encode("utf-8"))
+        _write_file(path, "history", [text.getvalue().encode("utf-8")])
 
 
 def init_population(cfg: GaConfig, rng: np.random.Generator | None = None) -> list[Chromosome]:
@@ -333,14 +335,17 @@ def read_history_csv(path) -> GaHistory:
         raise ValueError(f"{path}: not a search history file")
     records = []
     try:
-        for row in rows[1:]:
+        for lineno, row in enumerate(rows[1:], 2):
             generation, delta, ne_t, ne_x, m, best_cost, avg_cost = row
+            delta, best_cost, avg_cost = float(delta), float(best_cost), float(avg_cost)
+            if not np.isfinite([delta, best_cost, avg_cost]).all():
+                raise ValueError(f"line {lineno} holds a non-finite value")
             records.append(
                 GenerationRecord(
                     int(generation),
-                    Chromosome(float(delta), int(ne_t), int(ne_x), int(m)),
-                    float(best_cost),
-                    float(avg_cost),
+                    Chromosome(delta, int(ne_t), int(ne_x), int(m)),
+                    best_cost,
+                    avg_cost,
                 )
             )
     except (ValueError, TypeError) as exc:

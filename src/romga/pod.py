@@ -22,14 +22,23 @@ the matching right singular vector flipped to preserve the product.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import Grid, ParamKind, SnapshotMatrix, TimeAxis, _frozen_array, _write_file
-from .errors import CorruptionError, FormatError, PersistenceError
+from .dataset import (
+    Grid,
+    ParamKind,
+    SnapshotMatrix,
+    TimeAxis,
+    _column_major,
+    _frozen_array,
+    _read_file,
+    _write_file,
+)
+from .errors import CorruptionError
 
 _MAGIC = b"ROM1"
 _VERSION = 1
@@ -288,10 +297,6 @@ def reconstruct_sample(db: RomDatabase, k: int, m: int) -> SnapshotMatrix:
     return SnapshotMatrix(db.grid, db.times, db.param_kind, float(db.params[k]), values)
 
 
-def _matrix_bytes(a: np.ndarray) -> bytes:
-    return a.astype("<f8", copy=False).tobytes(order="F")
-
-
 def write_rom(db: RomDatabase, path) -> None:
     """Serialize a RomDatabase to ``path`` in the ROM1 layout."""
     header = _HEADER.pack(
@@ -309,13 +314,10 @@ def write_rom(db: RomDatabase, path) -> None:
         db.times.t_final,
         int(db.param_kind),
     )
-    chunks = [header, db.params.astype("<f8", copy=False).tobytes()]
-    chunks.append(_matrix_bytes(db.spatial_basis))
-    chunks.append(_matrix_bytes(db.temporal_basis))
-    for sb, tb in zip(db.spatial_blocks, db.temporal_blocks):
-        chunks.append(_matrix_bytes(sb))
-        chunks.append(_matrix_bytes(tb))
-    _write_file(path, "ROM file", *chunks)
+    blocks = itertools.chain.from_iterable(zip(db.spatial_blocks, db.temporal_blocks))
+    pieces = itertools.chain((db.params, db.spatial_basis, db.temporal_basis), blocks)
+    # each piece is copied to file order only when it is written
+    _write_file(path, "ROM file", itertools.chain((header,), map(_column_major, pieces)))
 
 
 def read_rom(path) -> RomDatabase:
@@ -323,55 +325,24 @@ def read_rom(path) -> RomDatabase:
 
     A payload holding a NaN or an infinity raises CorruptionError.
     """
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise PersistenceError(path, f"cannot read ROM file ({exc})") from exc
-    if len(blob) < 4:
-        raise CorruptionError(f"{path}: file shorter than its magic tag")
-    if blob[:4] != _MAGIC:
-        raise FormatError(f"{path}: not a ROM1 file")
-    if len(blob) < _HEADER.size:
-        raise CorruptionError(f"{path}: truncated header")
-    (_, version, q, r, s, n_params, nx, ny, n_steps, lx, ly, t_final, kind) = _HEADER.unpack(
-        blob[: _HEADER.size]
+    (q, r, s, n_params, nx, ny, n_steps, lx, ly, t_final, kind), data = _read_file(
+        path, "ROM file", _MAGIC, _VERSION, _HEADER,
+        lambda q, r, s, n, nx, ny, nt, *_: n + nx * ny * r + nt * s + n * q * (r + s),
     )
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported ROM1 version {version}")
-    n_cells = nx * ny
-    expected = 8 * (n_params + n_cells * r + n_steps * s + n_params * q * (r + s))
-    if len(blob) - _HEADER.size != expected:
-        raise CorruptionError(
-            f"{path}: payload holds {len(blob) - _HEADER.size} bytes, header implies {expected}"
-        )
-
-    # a view of the file's bytes; RomDatabase takes aligned copies of its pieces
-    data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     if not np.isfinite(data).all():
         raise CorruptionError(f"{path}: payload holds a non-finite value")
-    pos = 0
-
-    def take(rows: int, cols: int) -> np.ndarray:
-        nonlocal pos
-        block = data[pos : pos + rows * cols].reshape((rows, cols), order="F")
-        pos += rows * cols
-        return block
-
+    # the pieces are views of the payload; RomDatabase takes C-order copies of them
+    shapes = [(nx * ny, r), (n_steps, s), *[(r, q), (s, q)] * n_params]
+    params, *flat = np.split(data, np.cumsum([n_params] + [a * b for a, b in shapes[:-1]]))
     try:
-        params = np.array(data[:n_params])
-        pos = n_params
-        spatial_basis = take(n_cells, r)
-        temporal_basis = take(n_steps, s)
-        spatial_blocks = []
-        temporal_blocks = []
-        for _ in range(n_params):
-            spatial_blocks.append(take(r, q))
-            temporal_blocks.append(take(s, q))
+        spatial_basis, temporal_basis, *blocks = (
+            piece.reshape(shape, order="F") for piece, shape in zip(flat, shapes)
+        )
         return RomDatabase(
             spatial_basis,
             temporal_basis,
-            tuple(spatial_blocks),
-            tuple(temporal_blocks),
+            tuple(blocks[0::2]),
+            tuple(blocks[1::2]),
             params,
             q,
             r,

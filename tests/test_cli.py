@@ -109,14 +109,16 @@ def test_predict_truncation_defaults_to_full_order(pipeline, tmp_path):
     assert full.read_bytes() == explicit.read_bytes()
 
 
-def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
-    # a synthetic ROM shaped like the series-2 preset: 48x48 cells, 150
-    # instants, q = 30, five samples, r = s = 150; it holds 3.3 MB of floats
-    # and the predicted field 2.76 MB
+def _series2_shaped_rom() -> RomDatabase:
+    """A synthetic ROM shaped like the series-2 preset's.
+
+    48x48 cells, 150 instants, q = 30, five samples, r = s = 150: it holds
+    3.3 MB of floats, and a field lifted from it 2.76 MB.
+    """
     rng = np.random.default_rng(2)
     q, n = 30, 5
     r = s = q * n
-    db = RomDatabase(
+    return RomDatabase(
         np.linalg.qr(rng.standard_normal((48 * 48, r)))[0],
         np.linalg.qr(rng.standard_normal((150, s)))[0],
         tuple(rng.standard_normal((r, q)) for _ in range(n)),
@@ -127,6 +129,28 @@ def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
         TimeAxis(150, 60.0),
         ParamKind.TEMPERATURE,
     )
+
+
+def test_write_rom_copies_one_piece_at_a_time(tmp_path):
+    # the spatial basis is the largest piece, 2.76 MB of the 3.15 MB file; a
+    # write that serializes every piece before writing holds the whole file
+    # (3.16 MB), one that copies each piece as it is written holds one piece
+    db = _series2_shaped_rom()
+    path = tmp_path / "db.rom1"
+    tracemalloc.start()
+    try:
+        write_rom(db, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.95 * path.stat().st_size, peak
+    back = read_rom(path)
+    assert np.array_equal(back.spatial_basis, db.spatial_basis)
+    assert all(np.array_equal(a, b) for a, b in zip(back.temporal_blocks, db.temporal_blocks))
+
+
+def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
+    db = _series2_shaped_rom()
     write_rom(db, tmp_path / "db.rom1")
     predict = [
         "predict", "--rom", str(tmp_path / "db.rom1"), "--delta", "17.3",
@@ -140,9 +164,9 @@ def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    # the file's bytes and the database's copy of them while the ROM loads
-    # (6.6 MB, the peak), then the database and the lifted field, which the
-    # prediction keeps without a copy (6.4 MB). The bound is that 6.6 MB plus
+    # the payload read from the file and the database's copy of it while the
+    # ROM loads (6.6 MB, the peak), then the database and the lifted field,
+    # which the prediction keeps without a copy (6.4 MB). The bound is that 6.6 MB plus
     # 0.4 MB of slack, well under the 2.76 MB a copy of the field adds: a
     # call that copies it peaks at 9.2 MB, and one that also slices the
     # payload out of the file's bytes and serializes the field through
@@ -424,6 +448,13 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
     (blocked_report / "avg_cost.csv").mkdir(parents=True)
     blocked_datagen = tmp_path / "blocked_datagen"
     (blocked_datagen / "manifest.txt").mkdir(parents=True)
+    non_finite = tmp_path / "non_finite.csv"
+    non_finite.write_text(
+        ",".join(HISTORY_COLUMNS) + "\n1,nan,3,2,5,0.25,1.5\n2,0.4,3,2,5,0.25,inf\n",
+        encoding="utf-8",
+    )
+    non_finite_report = tmp_path / "non_finite_report"
+    non_finite_report.mkdir()
     cases = [
         # missing output directory
         ["datagen", *PLUME_ARGS, "--out", str(tmp_path / "missing")],
@@ -456,10 +487,13 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
         ["report", "--history", str(history), "--out", str(blocked_report)],
         # a directory sits where datagen writes manifest.txt
         ["datagen", *PLUME_ARGS, "--out", str(blocked_datagen)],
+        # a history holding a NaN and an infinity
+        ["report", "--history", str(non_finite), "--out", str(non_finite_report)],
     ]
     for argv in cases:
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.strip() != ""
+    assert list(non_finite_report.iterdir()) == []
     # the blocked manifest fails the run, which takes its snapshot files with it
     assert [p.name for p in blocked_datagen.iterdir()] == ["manifest.txt"]
 
@@ -482,6 +516,29 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
         assert cli.main([*base, *flags]) == 2, flags
         assert f"{field} must be finite" in capsys.readouterr().err, flags
     assert list(tmp_path.glob("*.snp1")) == []
+
+    # a NaN search bound is rejected by name, not as a query outside the hull
+    target = str(pipeline / "target_0.375.snp1")
+    optimize = ["optimize", "--rom", rom, "--target", target, "--out", str(tmp_path / "h.csv")]
+    assert cli.main([*optimize, "--delta-min", "nan"]) == 2
+    assert "delta_bounds must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_datagen_rejects_targets_that_would_share_a_file(tmp_path, monkeypatch, capsys):
+    # target files are named by the value's %g form, so 0.4500001 and 0.45
+    # (or a repeated value) would overwrite each other
+    def no_solve(*args, **kwargs):
+        raise AssertionError("nothing may be solved before the targets are checked")
+
+    monkeypatch.setattr(cli, "analytic_plume", no_solve)
+    sizes = ["--nx", "8", "--ny", "8", "--snapshots", "4", "--out", str(tmp_path)]
+    clashing = {"0.4500001,0.45": "[0.4500001, 0.45]", "0.35,0.4,0.35": "[0.35, 0.35]"}
+    for targets, named in clashing.items():
+        argv = ["datagen", "--family", "plume", "--deltas", "0.3,0.5", "--target", targets, *sizes]
+        assert cli.main(argv) == 2, targets
+        assert f"target values {named} would overwrite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,11 +127,21 @@ def test_changed_snapshot_header_field_is_rejected(files, position, flip):
     _rejected_snapshots(files, bytes(blob))
 
 
-def test_snapshot_header_claiming_a_huge_grid_is_rejected_before_allocating(files):
+# each format's file in the fixture and its reader
+FORMATS = pytest.mark.parametrize(
+    "name, reader", [("m.snp1", read_snapshots), ("db.rom1", read_rom)], ids=["SNP1", "ROM1"]
+)
+
+
+@FORMATS
+def test_header_claiming_a_huge_grid_is_rejected_before_allocating(files, name, reader):
     # 2**31 x 2**31 cells would need exabytes; the size check runs first
-    blob = (files / "m.snp1").read_bytes()
-    magic, version, _, _, n_steps = struct.unpack_from("<4sIIIQ", blob)
-    huge = struct.pack("<4sIIIQ", magic, version, 2**31, 2**31, n_steps) + blob[SNP_INT_FIELDS:]
+    blob = (files / name).read_bytes()
+    nx_at = struct.calcsize("<4sI" if reader is read_snapshots else "<4sIIIII")
+    huge = blob[:nx_at] + struct.pack("<II", 2**31, 2**31) + blob[nx_at + 8 :]
+    if reader is read_rom:
+        _rejected_rom(files, huge, CorruptionError)
+        return
     _rejected_snapshots(files, huge, CorruptionError)
     path, out = files / "damaged.snp1", files / "report"
     out.mkdir(exist_ok=True)
@@ -139,10 +150,11 @@ def test_snapshot_header_claiming_a_huge_grid_is_rejected_before_allocating(file
     assert not any(out.iterdir())
 
 
-def test_snapshot_file_shorter_than_its_size_at_open_is_rejected(files, monkeypatch):
+@FORMATS
+def test_file_shorter_than_its_size_at_open_is_rejected(files, monkeypatch, name, reader):
     # the file loses its last float between fstat and the read
-    blob = (files / "m.snp1").read_bytes()
-    path = files / "shrunk.snp1"
+    blob = (files / name).read_bytes()
+    path = files / f"shrunk_{name}"
     path.write_bytes(blob[:-8])
     fstat = os.fstat
 
@@ -152,4 +164,24 @@ def test_snapshot_file_shorter_than_its_size_at_open_is_rejected(files, monkeypa
 
     monkeypatch.setattr(dataset.os, "fstat", size_at_open)
     with pytest.raises(CorruptionError, match=r"read \d+ payload bytes"):
-        read_snapshots(path)
+        reader(path)
+
+
+@FORMATS
+@pytest.mark.parametrize("damage", ["foreign", "padded"])
+def test_a_16_mb_file_of_the_wrong_size_is_rejected_before_allocating(
+    files, tmp_path, name, reader, damage
+):
+    # a 16 MB file of zeros is not of the format; a valid file padded to
+    # 16 MB has the wrong size for its header. Neither payload is allocated.
+    path = tmp_path / name
+    path.write_bytes(b"" if damage == "foreign" else (files / name).read_bytes())
+    os.truncate(path, 16 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError if damage == "foreign" else CorruptionError):
+            reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

@@ -74,6 +74,13 @@ def test_search_space_validation():
         SearchSpace((0.3, 0.5), (4, 2), (1, 5))
 
 
+@pytest.mark.parametrize("bounds", [(float("nan"), 0.5), (0.3, float("nan")), (0.3, float("inf"))])
+def test_search_space_rejects_non_finite_delta_bounds(bounds):
+    # NaN compares false, so no ordering check alone can catch it
+    with pytest.raises(ValueError, match="delta_bounds must be finite"):
+        SearchSpace(bounds, (2, 4), (1, 5))
+
+
 def test_search_space_contains_and_clamp():
     assert SPACE.contains(Chromosome(0.4, 2, 5, 7))
     assert not SPACE.contains(Chromosome(0.29, 2, 5, 7))
@@ -622,5 +629,12 @@ def test_history_reader_rejects_foreign_files(tmp_path):
         read_history_csv(garbled)
     with pytest.raises(PersistenceError):
         read_history_csv(tmp_path / "absent.csv")
+    # a NaN best_delta, then an infinite avg_cost, on the second record
+    for row in ("2,nan,3,2,5,0.25,1.5", "2,0.4,3,2,5,0.25,inf"):
+        non_finite = tmp_path / "non_finite.csv"
+        text = ",".join(HISTORY_COLUMNS) + "\n1,0.4,3,2,5,0.25,1.5\n" + row + "\n"
+        non_finite.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"non_finite\.csv: .*line 3 holds a non-finite value"):
+            read_history_csv(non_finite)
     with pytest.raises(PersistenceError):
         _history().write_csv(tmp_path / "no_dir" / "history.csv")
