@@ -36,7 +36,6 @@ from .pod import (
     read_rom,
     reconstruct_field,
     reconstruct_sample,
-    truncate_blocks,
     two_level_compress,
     write_rom,
 )

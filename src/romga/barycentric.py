@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import _frozen_array
-from .pod import RomDatabase, truncate_blocks
+from .pod import RomDatabase
 
 
 class FixedPointConfig:
@@ -93,30 +93,39 @@ def procrustes_align(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
     as Q = R @ L.T. When ``other`` spans the same subspace as ``reference``
     (other = reference @ G for orthogonal G) the alignment is exact:
     other @ Q == reference. A rank-deficient cross-product makes the
-    minimizer non-unique; the returned Q is then still a valid choice.
+    minimizer non-unique; the returned Q is then still a valid choice. A
+    non-finite cross-product raises LinAlgError: its SVD may never return.
     """
     reference = np.asarray(reference, dtype=np.float64)
     other = np.asarray(other, dtype=np.float64)
     if reference.shape != other.shape or reference.ndim != 2:
         raise ValueError("reference and other must share a 2D shape")
-    left, _, right_t = np.linalg.svd(reference.T @ other)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = reference.T @ other
+    if not np.isfinite(cross).all():
+        raise np.linalg.LinAlgError("Procrustes cross product is not finite")
+    left, _, right_t = np.linalg.svd(cross)
     return right_t.T @ left.T
 
 
-def _align_and_average(reference: np.ndarray, blocks, weights, keys, rotations: dict) -> np.ndarray:
-    """sum_k weights[k] * blocks[k] @ Q_k, with Q_k aligning blocks[k] onto ``reference``.
+def _interpolate_factor(side: str, stack: np.ndarray, nearest, params, delta, m: int, rotations):
+    """sum_k w_k * B_k @ Q_k over ``nearest``, B_k = stack[k, :, :m], w_k Lagrange weights.
 
-    ``rotations`` maps keys[k] to Q_k; a rotation missing from it is computed
-    and stored there. Q_k itself is cached, not the aligned block, so the
-    sum is evaluated the same way whether or not Q_k was served.
+    Q_k aligns B_k onto the block of nearest[0], the sample nearest to
+    ``delta``. It is cached in ``rotations`` under (side, nearest[0], k, m),
+    not the aligned block, so a served Q_k changes no bit of the sum.
     """
+    j = int(nearest[0])
+    reference = stack[j, :, :m]
+    neighbors = np.sort(nearest)
 
-    def rotation(key, block):
+    def aligned(w, k):
+        block, key = stack[k, :, :m], (side, j, int(k), m)
         if key not in rotations:
             rotations[key] = procrustes_align(reference, block)
-        return rotations[key]
+        return w * block @ rotations[key]
 
-    return sum(w * b @ rotation(key, b) for w, b, key in zip(weights, blocks, keys))
+    return sum(aligned(w, k) for w, k in zip(lagrange_weights(params[neighbors], delta), neighbors))
 
 
 def interpolate_reduced(
@@ -159,23 +168,9 @@ def interpolate_reduced(
         raise ValueError(f"query {delta!r} outside the training hull [{lo!r}, {hi!r}]")
 
     rotations = {} if rotations is None else rotations
-    truncated = truncate_blocks(db, m)
     order = _nearest_first(params, delta)
-    j = int(order[0])
-    spatial_idx = np.sort(order[:ne_x])
-    temporal_idx = np.sort(order[:ne_t])
-    spatial = _align_and_average(
-        truncated[j][0],
-        [truncated[k][0] for k in spatial_idx],
-        lagrange_weights(params[spatial_idx], delta),
-        [("x", j, int(k), m) for k in spatial_idx],
-        rotations,
-    )
-    temporal = _align_and_average(
-        truncated[j][1],
-        [truncated[h][1] for h in temporal_idx],
-        lagrange_weights(params[temporal_idx], delta),
-        [("t", j, int(h), m) for h in temporal_idx],
-        rotations,
-    )
-    return BarycentricResult(spatial, temporal)
+    sides = (("x", db.spatial_blocks, ne_x), ("t", db.temporal_blocks, ne_t))
+    return BarycentricResult(*[
+        _interpolate_factor(side, stack, order[:ne], params, delta, m, rotations)
+        for side, stack, ne in sides
+    ])

@@ -333,6 +333,8 @@ def read_history_csv(path) -> GaHistory:
         raise PersistenceError(path, f"cannot read history ({exc})") from exc
     if not rows or tuple(rows[0]) != HISTORY_COLUMNS:
         raise ValueError(f"{path}: not a search history file")
+    if len(rows) == 1:  # write_csv records at least one generation
+        raise ValueError(f"{path}: history holds no records")
     records = []
     try:
         for lineno, row in enumerate(rows[1:], 2):

@@ -134,16 +134,13 @@ def pod_factorize(matrix: SnapshotMatrix, q: int) -> PodPair:
 
 @dataclass(frozen=True, eq=False)
 class RomDatabase:
-    """Compressed ensemble: shared bases plus per-sample projection blocks."""
+    """Compressed ensemble: two shared bases, one block stack per side; q, r, s from the shapes."""
 
     spatial_basis: np.ndarray     # (n_cells, r), orthonormal columns
     temporal_basis: np.ndarray    # (n_steps, s), orthonormal columns
-    spatial_blocks: tuple         # n_params arrays of shape (r, q)
-    temporal_blocks: tuple        # n_params arrays of shape (s, q)
+    spatial_blocks: np.ndarray    # (n_params, r, q); [k] is sample k's block, a list is stacked
+    temporal_blocks: np.ndarray   # (n_params, s, q)
     params: np.ndarray            # strictly increasing parameter values
-    q: int
-    r: int
-    s: int
     grid: Grid
     times: TimeAxis
     param_kind: ParamKind
@@ -154,18 +151,30 @@ class RomDatabase:
             raise ValueError("params must be a nonempty 1D array")
         if np.any(np.diff(params) <= 0.0):
             raise ValueError("params must be strictly increasing")
-        sb = _frozen_array(self.spatial_basis, (self.grid.n_cells, self.r))
-        tb = _frozen_array(self.temporal_basis, (self.times.n_steps, self.s))
-        sp = tuple(_frozen_array(b, (self.r, self.q)) for b in self.spatial_blocks)
-        tp = tuple(_frozen_array(b, (self.s, self.q)) for b in self.temporal_blocks)
-        if len(sp) != params.size or len(tp) != params.size:
-            raise ValueError("block count must match parameter count")
-        object.__setattr__(self, "spatial_basis", sb)
-        object.__setattr__(self, "temporal_basis", tb)
-        object.__setattr__(self, "spatial_blocks", sp)
-        object.__setattr__(self, "temporal_blocks", tp)
+        names = ("spatial_basis", "temporal_basis", "spatial_blocks", "temporal_blocks")
+        arrays = [_frozen_array(getattr(self, name)) for name in names]
+        if [a.ndim for a in arrays] != [2, 2, 3, 3]:
+            raise ValueError("bases must be 2D arrays and block stacks 3D")
+        n, r, s, q = params.size, arrays[0].shape[1], arrays[1].shape[1], arrays[2].shape[2]
+        shapes = ((self.grid.n_cells, r), (self.times.n_steps, s), (n, r, q), (n, s, q))
+        for name, arr, shape in zip(names, arrays, shapes):
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "param_kind", ParamKind(self.param_kind))
+
+    @property
+    def q(self) -> int:
+        return int(self.spatial_blocks.shape[2])
+
+    @property
+    def r(self) -> int:
+        return int(self.spatial_basis.shape[1])
+
+    @property
+    def s(self) -> int:
+        return int(self.temporal_basis.shape[1])
 
     @property
     def n_params(self) -> int:
@@ -217,17 +226,12 @@ def two_level_compress(pairs, r: int, s: int) -> RomDatabase:
     spatial_basis, temporal_basis = us[:, :r], ut[:, :s]
     _fix_svd_signs(spatial_basis, vts[:r])
     _fix_svd_signs(temporal_basis, vtt[:s])
-    spatial_blocks = tuple(spatial_basis.T @ p.spatial_modes for p in pairs)
-    temporal_blocks = tuple(temporal_basis.T @ p.temporal_coeffs for p in pairs)
     return RomDatabase(
         spatial_basis,
         temporal_basis,
-        spatial_blocks,
-        temporal_blocks,
+        [spatial_basis.T @ p.spatial_modes for p in pairs],
+        [temporal_basis.T @ p.temporal_coeffs for p in pairs],
         params,
-        q,
-        r,
-        s,
         first.grid,
         first.times,
         first.param_kind,
@@ -258,19 +262,6 @@ def compress_ensemble(matrices, q: int, r: int | None = None, s: int | None = No
     return two_level_compress(pairs, dr if r is None else r, ds if s is None else s)
 
 
-def truncate_blocks(db: RomDatabase, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """First ``m`` columns of every sample's block pair, 1 <= m <= q.
-
-    Columns are ordered by the parent factorization's energy, so truncation
-    keeps each sample's dominant directions.
-    """
-    if not 1 <= m <= db.q:
-        raise ValueError(f"m must lie in [1, {db.q}], got {m}")
-    return [
-        (sb[:, :m], tb[:, :m]) for sb, tb in zip(db.spatial_blocks, db.temporal_blocks)
-    ]
-
-
 def reconstruct_field(db: RomDatabase, spatial: np.ndarray, temporal: np.ndarray) -> np.ndarray:
     """Lift a factor pair to field values: (spatial_basis @ S) @ (temporal_basis @ K).T.
 
@@ -293,7 +284,9 @@ def reconstruct_sample(db: RomDatabase, k: int, m: int) -> SnapshotMatrix:
     """Rebuild training sample ``k`` from its blocks truncated to order ``m``."""
     if not 0 <= k < db.n_params:
         raise ValueError(f"sample index {k} out of range [0, {db.n_params})")
-    values = reconstruct_field(db, *truncate_blocks(db, m)[k])
+    if not 1 <= m <= db.q:
+        raise ValueError(f"m must lie in [1, {db.q}], got {m}")
+    values = reconstruct_field(db, db.spatial_blocks[k, :, :m], db.temporal_blocks[k, :, :m])
     return SnapshotMatrix(db.grid, db.times, db.param_kind, float(db.params[k]), values)
 
 
@@ -331,22 +324,18 @@ def read_rom(path) -> RomDatabase:
     )
     if not np.isfinite(data).all():
         raise CorruptionError(f"{path}: payload holds a non-finite value")
-    # the pieces are views of the payload; RomDatabase takes C-order copies of them
-    shapes = [(nx * ny, r), (n_steps, s), *[(r, q), (s, q)] * n_params]
-    params, *flat = np.split(data, np.cumsum([n_params] + [a * b for a, b in shapes[:-1]]))
+    # views of the payload, each sample's two blocks column-major; RomDatabase copies to C order
+    params, spatial, temporal, blocks = np.split(
+        data, np.cumsum([n_params, nx * ny * r, n_steps * s])
+    )
+    blocks = blocks.reshape(n_params, q * (r + s))
     try:
-        spatial_basis, temporal_basis, *blocks = (
-            piece.reshape(shape, order="F") for piece, shape in zip(flat, shapes)
-        )
         return RomDatabase(
-            spatial_basis,
-            temporal_basis,
-            tuple(blocks[0::2]),
-            tuple(blocks[1::2]),
+            spatial.reshape((nx * ny, r), order="F"),
+            temporal.reshape((n_steps, s), order="F"),
+            blocks[:, : q * r].reshape(n_params, q, r).transpose(0, 2, 1),
+            blocks[:, q * r :].reshape(n_params, q, s).transpose(0, 2, 1),
             params,
-            q,
-            r,
-            s,
             Grid(nx, ny, lx, ly),
             TimeAxis(n_steps, t_final),
             ParamKind(kind),

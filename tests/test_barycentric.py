@@ -158,6 +158,17 @@ def test_procrustes_rotation_is_always_orthogonal(rng):
         assert np.abs(q.T @ q - np.eye(3)).max() < 1e-10
 
 
+def test_procrustes_rejects_an_overflowing_cross_product():
+    # finite blocks whose cross product overflows: an SVD of it would return
+    # NaN (or, on larger blocks, spin for minutes), so the alignment refuses
+    huge = np.full((3, 2), 1e155)
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        procrustes_align(huge, huge)
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        # rows of opposite sign: the overflowing products sum to inf - inf = NaN
+        procrustes_align(huge * np.array([[1.0], [-1.0], [1.0]]), huge)
+
+
 # ---------------------------------------------------------------- queries
 
 

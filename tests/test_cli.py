@@ -124,7 +124,6 @@ def _series2_shaped_rom() -> RomDatabase:
         tuple(rng.standard_normal((r, q)) for _ in range(n)),
         tuple(rng.standard_normal((s, q)) for _ in range(n)),
         np.array([5.0, 10.0, 15.0, 20.0, 25.0]),
-        q, r, s,
         Grid(48, 48, 1.04, 1.04),
         TimeAxis(150, 60.0),
         ParamKind.TEMPERATURE,
@@ -438,6 +437,16 @@ def test_config_file_can_name_the_preset_and_flags_still_win(tmp_path):
 
 
 # ---------------------------------------------------------------- failures
+
+
+def test_report_on_a_history_without_records_exits_two_and_writes_nothing(tmp_path, capsys):
+    history = tmp_path / "history.csv"
+    history.write_text(",".join(HISTORY_COLUMNS) + "\n", encoding="utf-8")
+    report_dir = tmp_path / "report"
+    report_dir.mkdir()
+    assert cli.main(["report", "--history", str(history), "--out", str(report_dir)]) == 2
+    assert f"{history}: history holds no records" in capsys.readouterr().err
+    assert list(report_dir.iterdir()) == []
 
 
 def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -15,14 +16,15 @@ from romga import (
     Grid,
     ParamKind,
     PersistenceError,
+    RomDatabase,
     SnapshotMatrix,
     TimeAxis,
     compress_ensemble,
     default_rank,
     pod_factorize,
     read_rom,
+    reconstruct_field,
     reconstruct_sample,
-    truncate_blocks,
     two_level_compress,
     write_rom,
 )
@@ -179,15 +181,55 @@ def test_default_rank_clips_to_matrix_dimensions():
 def test_block_shapes_and_truncation(plume_db):
     assert plume_db.spatial_blocks[0].shape == (plume_db.r, plume_db.q)
     assert plume_db.temporal_blocks[0].shape == (plume_db.s, plume_db.q)
-    cut = truncate_blocks(plume_db, 4)
-    assert len(cut) == plume_db.n_params
-    sb, tb = cut[1]
-    assert sb.shape == (plume_db.r, 4) and tb.shape == (plume_db.s, 4)
-    assert np.array_equal(sb, plume_db.spatial_blocks[1][:, :4])
-    with pytest.raises(ValueError):
-        truncate_blocks(plume_db, 0)
-    with pytest.raises(ValueError):
-        truncate_blocks(plume_db, plume_db.q + 1)
+    cut = reconstruct_sample(plume_db, 1, 4).values
+    expected = reconstruct_field(
+        plume_db, plume_db.spatial_blocks[1][:, :4], plume_db.temporal_blocks[1][:, :4]
+    )
+    assert np.array_equal(cut, expected)
+    for m in (0, plume_db.q + 1):
+        with pytest.raises(ValueError, match=rf"m must lie in \[1, {plume_db.q}\], got {m}"):
+            reconstruct_sample(plume_db, 1, m)
+
+
+# each case cuts one array of a consistent database by one along one axis
+_SHAPE_DEFECTS = {
+    "block count": dict(spatial_blocks=(slice(1, None),), temporal_blocks=(slice(1, None),)),
+    "spatial block rows": dict(spatial_blocks=(slice(None), slice(1, None))),
+    "temporal block rows": dict(temporal_blocks=(slice(None), slice(1, None))),
+    "q differs between stacks": dict(spatial_blocks=(slice(None), slice(None), slice(1, None))),
+    "spatial basis rows": dict(spatial_basis=(slice(1, None),)),
+    "temporal basis rows": dict(temporal_basis=(slice(1, None),)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_SHAPE_DEFECTS))
+def test_rom_database_checks_every_shape(plume_db, defect):
+    cuts = _SHAPE_DEFECTS[defect]
+    changes = {name: getattr(plume_db, name)[cut] for name, cut in cuts.items()}
+    with pytest.raises(ValueError, match="must have shape"):
+        dataclasses.replace(plume_db, **changes)
+    # the same arrays uncut build a database whose ranks are read off them
+    same = dataclasses.replace(plume_db, **{name: getattr(plume_db, name) for name in cuts})
+    assert (same.q, same.r, same.s, same.n_params) == (
+        plume_db.q, plume_db.r, plume_db.s, plume_db.n_params
+    )
+
+
+def test_rom_database_stacks_per_sample_blocks(plume_db):
+    listed = dataclasses.replace(
+        plume_db,
+        spatial_blocks=list(plume_db.spatial_blocks),
+        temporal_blocks=tuple(plume_db.temporal_blocks),
+    )
+    assert listed.spatial_blocks.shape == (plume_db.n_params, plume_db.r, plume_db.q)
+    assert listed.spatial_blocks.flags.c_contiguous and not listed.spatial_blocks.flags.writeable
+    assert np.array_equal(listed.temporal_blocks, plume_db.temporal_blocks)
+    assert [f.name for f in dataclasses.fields(RomDatabase)] == [
+        "spatial_basis", "temporal_basis", "spatial_blocks", "temporal_blocks",
+        "params", "grid", "times", "param_kind",
+    ]
+    with pytest.raises(ValueError, match="3D"):
+        dataclasses.replace(plume_db, spatial_blocks=plume_db.spatial_blocks[0])
 
 
 def test_reconstruct_sample_index_bounds(plume_db):

@@ -45,3 +45,30 @@ def test_plume_study_runs(tmp_path):
     out = _run_script("plume_interpolation_study.py", "--sweep", "1", cwd=tmp_path)
     assert "leave-one-out" in out
     assert out.count("delta 0.400:") == 1  # the one unseen sweep query
+
+
+def test_campaign_digest_lists_every_artifact(tmp_path):
+    out = _run_script("campaign_digest.py", "campaign", cwd=tmp_path)
+    lines = out.splitlines()
+    listed = [line.split("  ", 1)[1] for line in lines]
+    assert listed == sorted(listed)
+    assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)
+
+    def campaign(name, training, targets):
+        training = [f"train_{i:02d}_{v}.snp1" for i, v in enumerate(training)]
+        common = ["db.rom1", "manifest.txt", *training]
+        per_target = [
+            f"{stem}_{t}{ext}" for t in targets
+            for stem, ext in (("target", ".snp1"), ("history", ".csv"), ("pred", ".snp1"))
+        ] + [f"report_{t}/{csv}" for t in targets for csv in ("avg_cost.csv", "error_series.csv")]
+        return {f"{name}/{f}" for f in common + per_target}
+
+    expected = (
+        campaign("series1", ("0.51", "0.627", "0.798"), ("0.54", "0.67", "0.755"))
+        | campaign("series2", ("5", "10", "15", "20", "25"), ("7.5", "17.5", "22.5"))
+        | campaign("plume", ("0.3", "0.35", "0.4", "0.45", "0.5"), ("0.375",))
+    )
+    assert set(listed) == expected
+    on_disk = {p.relative_to(tmp_path / "campaign").as_posix()
+               for p in (tmp_path / "campaign").rglob("*") if p.is_file()}
+    assert on_disk == expected
