@@ -156,6 +156,8 @@ class RomDatabase:
         if [a.ndim for a in arrays] != [2, 2, 3, 3]:
             raise ValueError("bases must be 2D arrays and block stacks 3D")
         n, r, s, q = params.size, arrays[0].shape[1], arrays[1].shape[1], arrays[2].shape[2]
+        if min(q, r, s) < 1:
+            raise ValueError(f"q, r and s must be at least 1, got q={q} r={r} s={s}")
         shapes = ((self.grid.n_cells, r), (self.times.n_steps, s), (n, r, q), (n, s, q))
         for name, arr, shape in zip(names, arrays, shapes):
             if arr.shape != shape:

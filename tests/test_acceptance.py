@@ -2,14 +2,16 @@
 
 Each criterion is a single test function; the -v listing gives the one
 pass/fail line per criterion. Prints carry the measured numbers for -s runs.
-Artifacts flow through the command line interface wherever one exists.
+Artifacts flow through the command line interface wherever one exists:
+the fixtures run the campaigns of scripts/campaign.py, whose table holds
+the targets and the GA settings.
 """
 
 from __future__ import annotations
 
-import io
+import importlib.util
 import time
-from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from romga import (
     CavityParams,
     Grid,
     TimeAxis,
-    cli,
     compress_ensemble,
     interpolate_reduced,
     lagrange_weights,
@@ -32,104 +33,31 @@ from romga import (
     solve_cavity,
 )
 
-PLUME_ARGS = [
-    "--family", "plume",
-    "--deltas", "0.3,0.35,0.4,0.45,0.5",
-    "--nx", "40", "--ny", "40",
-    "--snapshots", "60", "--tfinal", "10",
-    "--sigma", "0.3",
-]
-
-SERIES1_TARGETS = ("0.54", "0.67", "0.755")
-SERIES2_TARGETS = ("7.5", "17.5", "22.5")
-GA_ARGS = ["--pop", "20", "--gens", "30", "--seed", "3"]
-
-
-def _run(argv):
-    """cli.main with captured stdout; fails the test on a nonzero exit."""
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        code = cli.main(argv)
-    assert code == 0, f"{argv} exited {code}\n{buffer.getvalue()}"
-    return buffer.getvalue()
-
-
-def _fields(line):
-    return dict(token.split("=") for token in line.split())
-
-
-def _optimize(root, rom, target_name, out_name):
-    start = time.perf_counter()
-    line = _run(
-        [
-            "optimize",
-            "--rom", str(rom),
-            "--target", str(root / target_name),
-            *GA_ARGS,
-            "--out", str(root / out_name),
-        ]
-    )
-    elapsed = time.perf_counter() - start
-    return _fields(line.strip()), elapsed
+# the campaign table and pipeline live in the campaign script, which is not a package module
+_SPEC = importlib.util.spec_from_file_location(
+    "campaign", Path(__file__).resolve().parents[1] / "scripts" / "campaign.py"
+)
+campaign = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(campaign)
 
 
 @pytest.fixture(scope="module")
 def plume_assets(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_plume")
-    _run(["datagen", *PLUME_ARGS, "--out", str(root)])
-    rom = root / "db.rom1"
-    _run(["compress", "--snapshots", str(root / "manifest.txt"), "--q", "10",
-          "--out", str(rom)])
+    campaign.run_campaign(root, "plume")
     return root
 
 
 @pytest.fixture(scope="module")
 def series1(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_series1")
-    _run(["datagen", "--preset", "series1-velocity",
-          "--target", ",".join(SERIES1_TARGETS), "--out", str(root)])
-    rom = root / "db.rom1"
-    _run(["compress", "--snapshots", str(root / "manifest.txt"), "--q", "30",
-          "--out", str(rom)])
-    results = {
-        value: _optimize(root, rom, f"target_{value}.snp1", f"history_{value}.csv")
-        for value in SERIES1_TARGETS
-    }
-    return root, results
+    return root, campaign.run_campaign(root, "series1")
 
 
 @pytest.fixture(scope="module")
 def series2(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_series2")
-    _run(["datagen", "--preset", "series2-temperature",
-          "--target", ",".join(SERIES2_TARGETS), "--out", str(root)])
-    rom = root / "db.rom1"
-    _run(["compress", "--snapshots", str(root / "manifest.txt"), "--q", "30",
-          "--out", str(rom)])
-    results = {
-        value: _optimize(root, rom, f"target_{value}.snp1", f"history_{value}.csv")
-        for value in SERIES2_TARGETS
-    }
-    return root, results
-
-
-def _max_error_series(root, rom, fields, target_name, tag):
-    """predict at the recovered genes, then report the per-instant errors."""
-    pred = root / f"pred_{tag}.snp1"
-    _run([
-        "predict", "--rom", str(rom),
-        "--delta", fields["delta"],
-        "--ne-x", fields["ne_x"], "--ne-t", fields["ne_t"], "--m", fields["m"],
-        "--out", str(pred),
-    ])
-    report_dir = root / f"report_{tag}"
-    report_dir.mkdir(exist_ok=True)
-    _run([
-        "report", "--predicted", str(pred), "--target", str(root / target_name),
-        "--out", str(report_dir),
-    ])
-    rows = (report_dir / "error_series.csv").read_text(encoding="utf-8").splitlines()
-    return max(float(r.split(",")[1]) for r in rows[1:])
+    return root, campaign.run_campaign(root, "series2")
 
 
 # -------------------------------------------------------------- criterion 1
@@ -142,7 +70,7 @@ def test_criterion_1_node_queries_reproduce_the_training_samples(plume_assets, t
     worst = 0.0
     for k, delta in enumerate(db.params):
         out = tmp_path / f"node_{k}.snp1"
-        _run([
+        campaign.run_cli([
             "predict", "--rom", str(root / "db.rom1"),
             "--delta", repr(float(delta)), "--ne-x", "3", "--ne-t", "3",
             "--out", str(out),
@@ -239,38 +167,23 @@ def test_criterion_4_leave_one_out_stays_under_five_percent(plume_assets):
     assert elapsed < 30.0
 
 
-# -------------------------------------------------------------- criterion 5
+# -------------------------------------------------------------- criteria 5 and 6
+
+
+def _recovery(rows, label, bar_pct):
+    for row in rows:
+        assert row.seconds < 120.0, f"target {row.truth:g} took {row.seconds:.0f}s"
+    detail = ", ".join(f"{row.truth:g}: {row.miss_pct:.2f}% in {row.seconds:.0f}s" for row in rows)
+    print(f"{label}: recovery misses {detail} (bar {bar_pct:g}%, 120s each)")
+    assert max(row.miss_pct for row in rows) <= bar_pct
 
 
 def test_criterion_5_velocity_recovery_within_five_percent(series1):
-    _, results = series1
-    misses = {}
-    for value, (fields, elapsed) in results.items():
-        truth = float(value)
-        misses[value] = abs(float(fields["delta"]) - truth) / truth
-        assert elapsed < 120.0, f"target {value} took {elapsed:.0f}s"
-    detail = ", ".join(
-        f"{v}: {100 * m:.2f}% in {results[v][1]:.0f}s" for v, m in misses.items()
-    )
-    print(f"criterion 5: recovery misses {detail} (bar 5%, 120s each)")
-    assert max(misses.values()) <= 0.05
-
-
-# -------------------------------------------------------------- criterion 6
+    _recovery(series1[1], "criterion 5", 5.0)
 
 
 def test_criterion_6_temperature_recovery_within_six_percent(series2):
-    _, results = series2
-    misses = {}
-    for value, (fields, elapsed) in results.items():
-        truth = float(value)
-        misses[value] = abs(float(fields["delta"]) - truth) / truth
-        assert elapsed < 120.0, f"target {value} took {elapsed:.0f}s"
-    detail = ", ".join(
-        f"{v}: {100 * m:.2f}% in {results[v][1]:.0f}s" for v, m in misses.items()
-    )
-    print(f"criterion 6: recovery misses {detail} (bar 6%, 120s each)")
-    assert max(misses.values()) <= 0.06
+    _recovery(series2[1], "criterion 6", 6.0)
 
 
 # -------------------------------------------------------------- criterion 7
@@ -278,12 +191,11 @@ def test_criterion_6_temperature_recovery_within_six_percent(series2):
 
 def test_criterion_7_pointwise_errors_at_the_recovered_optima(series1, series2):
     worst = {}
-    for label, (root, results) in (("velocity", series1), ("temperature", series2)):
-        rom = root / "db.rom1"
-        for value, (fields, _) in results.items():
-            worst[f"{label} {value}"] = _max_error_series(
-                root, rom, fields, f"target_{value}.snp1", value.replace(".", "_")
-            )
+    for label, (root, rows) in (("velocity", series1), ("temperature", series2)):
+        for row in rows:
+            tag = f"{row.truth:g}"
+            series = (root / f"report_{tag}" / "error_series.csv").read_text(encoding="utf-8")
+            worst[f"{label} {tag}"] = max(float(r.split(",")[1]) for r in series.splitlines()[1:])
     detail = ", ".join(f"{k}: {v:.2f}%" for k, v in worst.items())
     print(f"criterion 7: max per-instant errors {detail} (bar 2%)")
     assert max(worst.values()) <= 2.0
@@ -294,7 +206,7 @@ def test_criterion_7_pointwise_errors_at_the_recovered_optima(series1, series2):
 
 def test_criterion_8_history_is_monotone_informative_and_reproducible(series1):
     root, _ = series1
-    value = SERIES1_TARGETS[0]
+    value = campaign.CAMPAIGNS["series1"][1][0]
     history = read_history_csv(root / f"history_{value}.csv")
     assert len(history) == 30
     best = [rec.best_cost for rec in history.records]
@@ -303,10 +215,10 @@ def test_criterion_8_history_is_monotone_informative_and_reproducible(series1):
     assert avg[-1] < avg[0], "no average improvement over the run"
 
     rerun = root / "history_rerun.csv"
-    _run([
+    campaign.run_cli([
         "optimize", "--rom", str(root / "db.rom1"),
         "--target", str(root / f"target_{value}.snp1"),
-        *GA_ARGS, "--out", str(rerun),
+        *campaign.GA_ARGS, "--out", str(rerun),
     ])
     identical = rerun.read_bytes() == (root / f"history_{value}.csv").read_bytes()
     print(f"criterion 8: best {best[0]:.3e} -> {best[-1]:.3e}, "

@@ -10,6 +10,7 @@ parameter kind are not dimension fields, so they are left alone.
 from __future__ import annotations
 
 import os
+import re
 import struct
 import tracemalloc
 
@@ -33,7 +34,8 @@ from romga import (
     write_snapshots,
 )
 
-ROM_HEADER = struct.calcsize("<4sIIIIIIIQdddB")
+ROM_FORMAT = "<4sIIIIIIIQdddB"
+ROM_HEADER = struct.calcsize(ROM_FORMAT)
 # the leading integer fields: magic, version, q, r, s, n_params, nx, ny, n_steps
 ROM_INT_FIELDS = struct.calcsize("<4sIIIIIIIQ")
 SNP_HEADER = struct.calcsize("<4sIIIQdddBd")
@@ -57,11 +59,11 @@ def files(tmp_path_factory):
     return root
 
 
-def _rejected_rom(root, blob: bytes, error=(CorruptionError, FormatError)) -> None:
+def _rejected_rom(root, blob: bytes, error=(CorruptionError, FormatError), match=None) -> None:
     """read_rom raises ``error`` on ``blob``, and predict on it exits 2 without writing."""
     rom, out = root / "damaged.rom1", root / "p.snp1"
     rom.write_bytes(blob)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         read_rom(rom)
     assert cli.main(["predict", "--rom", str(rom), "--delta", "0.4", "--out", str(out)]) == 2
     assert not out.exists()
@@ -105,6 +107,21 @@ def test_changed_rom_header_field_is_rejected(files, position, flip):
     blob = bytearray((files / "db.rom1").read_bytes())
     blob[position] ^= flip
     _rejected_rom(files, bytes(blob))
+
+
+@pytest.mark.parametrize("rank", ["q", "r", "s"])
+def test_rom_header_of_rank_zero_is_rejected(files, rank):
+    # the header sets one rank to 0 over a payload of exactly the size it then implies,
+    # with the original parameters, so the rank is the only defect
+    blob = (files / "db.rom1").read_bytes()
+    header = list(struct.unpack_from(ROM_FORMAT, blob))
+    header[2 + "qrs".index(rank)] = 0
+    q, r, s, n, nx, ny, n_steps = header[2:9]
+    params = blob[ROM_HEADER : ROM_HEADER + 8 * n]
+    rest = nx * ny * r + n_steps * s + n * q * (r + s)
+    damaged = struct.pack(ROM_FORMAT, *header) + params + bytes(8 * rest)
+    path = re.escape(str(files / "damaged.rom1"))
+    _rejected_rom(files, damaged, CorruptionError, match=f"{path}: .*must be at least 1")
 
 
 @given(data=st.data())

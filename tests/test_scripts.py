@@ -10,7 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name: str, *args: str, cwd: Path) -> str:
+def _run_script(name: str, *args: str, cwd: Path, code: int = 0) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -19,7 +19,7 @@ def _run_script(name: str, *args: str, cwd: Path) -> str:
         [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == code, done.stderr
     return done.stdout
 
 
@@ -27,15 +27,14 @@ def test_series_script_recovers_a_target_named_with_trailing_zeros(tmp_path):
     # datagen names the target file target_0.54.snp1; the script must find it
     # under that name however the value was typed
     out = _run_script(
-        "run_series.py", "--preset", "series1-velocity", "--targets", "0.540",
-        "--pop", "4", "--gens", "2", "--workdir", "runs", cwd=tmp_path,
+        "campaign.py", "runs", "--only", "series1", "--targets", "0.540", cwd=tmp_path,
     )
     lines = out.splitlines()
     header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["U*", "recovered"])
     row = lines[header + 1].split()
     assert row[0] == "0.540"
     assert 0.51 <= float(row[1]) <= 0.798  # inside the training hull
-    workdir = tmp_path / "runs"
+    workdir = tmp_path / "runs" / "series1"
     for name in ("target_0.54.snp1", "history_0.54.csv", "pred_0.54.snp1",
                  "report_0.54/error_series.csv", "report_0.54/avg_cost.csv"):
         assert (workdir / name).is_file(), name
@@ -47,8 +46,13 @@ def test_plume_study_runs(tmp_path):
     assert out.count("delta 0.400:") == 1  # the one unseen sweep query
 
 
+def test_campaign_targets_without_a_campaign_exit_two_and_create_nothing(tmp_path):
+    _run_script("campaign.py", "runs", "--targets", "0.54", cwd=tmp_path, code=2)
+    assert not (tmp_path / "runs").exists()
+
+
 def test_campaign_digest_lists_every_artifact(tmp_path):
-    out = _run_script("campaign_digest.py", "campaign", cwd=tmp_path)
+    out = _run_script("campaign.py", "campaign", "--digest", cwd=tmp_path)
     lines = out.splitlines()
     listed = [line.split("  ", 1)[1] for line in lines]
     assert listed == sorted(listed)
