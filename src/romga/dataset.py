@@ -103,22 +103,40 @@ class TimeAxis:
         return np.linspace(0.0, self.t_final, self.n_steps)
 
 
-def _frozen_array(values, shape=None, dtype=np.float64, order="C") -> np.ndarray:
-    """Owned, read-only float64 copy; optionally checked against a shape.
+class _Handover:
+    """A float64 array handed to a frozen dataclass by its only holder.
 
-    ``order`` is numpy's copy order: "C" by default, "K" to keep the layout of
-    ``values``.
+    _frozen_array keeps the array itself, frozen, instead of a copy. Only
+    this package's loaders and producers use it, for arrays they built and
+    drop once the dataclass holds them.
     """
-    arr = np.array(values, dtype=dtype, order=order, copy=True)
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
+def _frozen_array(values, shape=None, order="C") -> np.ndarray:
+    """Read-only float64 array of ``values``; optionally checked against a shape.
+
+    A _Handover's array is kept without a copy unless it is not native
+    float64. Anything else is copied in numpy's ``order``: "C" by default,
+    "K" to keep the layout of ``values``.
+    """
+    if isinstance(values, _Handover):
+        arr = values.array.astype(np.float64, copy=False)
+    else:
+        arr = np.array(values, dtype=np.float64, order=order, copy=True)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     arr.flags.writeable = False
     return arr
 
 
-def _column_major(a: np.ndarray) -> memoryview:
-    """``a`` as little-endian float64 bytes in column-major order; a view if it is so already."""
-    return memoryview(a.astype("<f8", copy=False).ravel(order="F"))
+def _file_bytes(a: np.ndarray, order: str) -> memoryview:
+    """``a`` as little-endian float64 bytes in numpy's ``order``; a view if it is so already."""
+    return memoryview(a.astype("<f8", copy=False).ravel(order=order))
 
 
 def _write_file(path, what: str, chunks) -> None:
@@ -179,20 +197,6 @@ def _read_file(path, what: str, magic: bytes, version: int, header: struct.Struc
     return fields, payload
 
 
-class _Handover:
-    """A float64 array handed to SnapshotMatrix by its only holder.
-
-    SnapshotMatrix keeps the array itself, frozen, instead of a copy. Only
-    this package's loaders and producers use it, for arrays they built and
-    drop once the matrix holds them.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
-
-
 def _adopt(grid: Grid, times: TimeAxis, kind, value: float, values: np.ndarray) -> "SnapshotMatrix":
     """SnapshotMatrix holding ``values`` without a copy; the caller must not keep it."""
     return SnapshotMatrix(grid, times, kind, value, _Handover(values))
@@ -203,7 +207,8 @@ class SnapshotMatrix:
     """One parametrized field history: values[j, l] at cell j and instant l.
 
     The constructor keeps an owned copy of ``values`` in its own layout, so a
-    column-major field is written out without a further copy.
+    column-major field is written out without a further copy; a _Handover's
+    array is kept itself.
     """
 
     grid: Grid
@@ -214,14 +219,7 @@ class SnapshotMatrix:
 
     def __post_init__(self) -> None:
         shape = (self.grid.n_cells, self.times.n_steps)
-        if isinstance(self.values, _Handover):
-            # no copy unless the array is not native float64
-            vals = self.values.array.astype(np.float64, copy=False)
-            if vals.shape != shape:
-                raise ValueError(f"expected array of shape {shape}, got {vals.shape}")
-            vals.flags.writeable = False
-        else:
-            vals = _frozen_array(self.values, shape, order="K")
+        vals = _frozen_array(self.values, shape, order="K")
         if not np.isfinite(vals).all():
             raise ValueError("snapshot values must all be finite")
         object.__setattr__(self, "values", vals)
@@ -256,7 +254,7 @@ def write_snapshots(matrix: SnapshotMatrix, path) -> None:
         int(matrix.param_kind),
         matrix.param_value,
     )
-    _write_file(path, "snapshot file", (header, _column_major(matrix.values)))
+    _write_file(path, "snapshot file", (header, _file_bytes(matrix.values, "F")))
 
 
 def read_snapshots(path) -> SnapshotMatrix:

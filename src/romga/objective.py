@@ -37,23 +37,6 @@ class Target:
         object.__setattr__(self, "values", vals)
 
 
-def cost(predicted: np.ndarray, target: Target) -> float:
-    """Time-averaged, area-weighted squared mismatch over the mask.
-
-    cost = (1 / n_steps) * sum over instants and masked cells of
-    weight_j * (predicted[j, l] - target[j, l])**2. Zero if and only if the
-    restrictions coincide.
-    """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    if predicted.shape != target.values.shape:
-        raise ValueError(
-            f"predicted restriction must be {target.values.shape}, got {predicted.shape}"
-        )
-    diff = predicted - target.values
-    weighted = (diff * diff) * target.mask.weights[:, None]
-    return float(weighted.sum() / target.times.n_steps)
-
-
 class ProjectedTarget(NamedTuple):
     """The parts of the masked cost that depend only on the target.
 
@@ -107,8 +90,9 @@ def reduced_cost(
 ) -> float:
     """The masked cost of the prediction B @ spatial_factor @ temporal_factor.T @ T.T.
 
-    Equal to cost(reconstruct_field(db, ...)[mask.indices], target) without
-    lifting the prediction: with orthonormal Q and T the lifted misfit splits into
+    Equal to the masked cost of reconstruct_field(db, ...)[mask.indices], as
+    ``cost`` in tests/masked_cost.py defines it, without lifting the
+    prediction: with orthonormal Q and T the lifted misfit splits into
     ||factor @ spatial_factor @ temporal_factor.T - projected||_F**2 plus
     the residual, two sums of squares.
     """

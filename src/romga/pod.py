@@ -22,7 +22,6 @@ the matching right singular vector flipped to preserve the product.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 
@@ -33,15 +32,16 @@ from .dataset import (
     ParamKind,
     SnapshotMatrix,
     TimeAxis,
-    _column_major,
+    _file_bytes,
     _frozen_array,
+    _Handover,
     _read_file,
     _write_file,
 )
 from .errors import CorruptionError
 
 _MAGIC = b"ROM1"
-_VERSION = 1
+_VERSION = 2
 # magic, version, q, r, s, n_params, nx, ny, n_steps, lx, ly, t_final, param_kind
 _HEADER = struct.Struct("<4sIIIIIIIQdddB")
 
@@ -134,7 +134,11 @@ def pod_factorize(matrix: SnapshotMatrix, q: int) -> PodPair:
 
 @dataclass(frozen=True, eq=False)
 class RomDatabase:
-    """Compressed ensemble: two shared bases, one block stack per side; q, r, s from the shapes."""
+    """Compressed ensemble: two shared bases, one block stack per side; q, r, s from the shapes.
+
+    The constructor keeps C-order copies of the arrays it is given; read_rom
+    hands over views of the one buffer it read, which are kept themselves.
+    """
 
     spatial_basis: np.ndarray     # (n_cells, r), orthonormal columns
     temporal_basis: np.ndarray    # (n_steps, s), orthonormal columns
@@ -309,10 +313,9 @@ def write_rom(db: RomDatabase, path) -> None:
         db.times.t_final,
         int(db.param_kind),
     )
-    blocks = itertools.chain.from_iterable(zip(db.spatial_blocks, db.temporal_blocks))
-    pieces = itertools.chain((db.params, db.spatial_basis, db.temporal_basis), blocks)
-    # each piece is copied to file order only when it is written
-    _write_file(path, "ROM file", itertools.chain((header,), map(_column_major, pieces)))
+    pieces = (db.params, db.spatial_basis, db.temporal_basis, db.spatial_blocks, db.temporal_blocks)
+    # the database holds every piece in file order, so nothing is copied
+    _write_file(path, "ROM file", (header, *(_file_bytes(a, "C") for a in pieces)))
 
 
 def read_rom(path) -> RomDatabase:
@@ -326,17 +329,13 @@ def read_rom(path) -> RomDatabase:
     )
     if not np.isfinite(data).all():
         raise CorruptionError(f"{path}: payload holds a non-finite value")
-    # views of the payload, each sample's two blocks column-major; RomDatabase copies to C order
-    params, spatial, temporal, blocks = np.split(
-        data, np.cumsum([n_params, nx * ny * r, n_steps * s])
-    )
-    blocks = blocks.reshape(n_params, q * (r + s))
+    # C-order views of the one payload, which RomDatabase keeps without a copy
+    ends = np.cumsum([n_params, nx * ny * r, n_steps * s, n_params * r * q])
+    shapes = ((n_params,), (nx * ny, r), (n_steps, s), (n_params, r, q), (n_params, s, q))
+    params, *arrays = (_Handover(a.reshape(shape)) for a, shape in zip(np.split(data, ends), shapes))
     try:
         return RomDatabase(
-            spatial.reshape((nx * ny, r), order="F"),
-            temporal.reshape((n_steps, s), order="F"),
-            blocks[:, : q * r].reshape(n_params, q, r).transpose(0, 2, 1),
-            blocks[:, q * r :].reshape(n_params, q, s).transpose(0, 2, 1),
+            *arrays,
             params,
             Grid(nx, ny, lx, ly),
             TimeAxis(n_steps, t_final),

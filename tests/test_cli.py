@@ -131,9 +131,9 @@ def _series2_shaped_rom() -> RomDatabase:
 
 
 def test_write_rom_copies_one_piece_at_a_time(tmp_path):
-    # the spatial basis is the largest piece, 2.76 MB of the 3.15 MB file; a
-    # write that serializes every piece before writing holds the whole file
-    # (3.16 MB), one that copies each piece as it is written holds one piece
+    # the database holds every piece in file order, so the write copies none
+    # of them (measured 0.007 MB for the 3.3 MB file); a write that copied the
+    # spatial basis to another order alone would hold 2.76 MB
     db = _series2_shaped_rom()
     path = tmp_path / "db.rom1"
     tracemalloc.start()
@@ -142,10 +142,53 @@ def test_write_rom_copies_one_piece_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.95 * path.stat().st_size, peak
+    assert peak < 0.05 * path.stat().st_size, peak
     back = read_rom(path)
     assert np.array_equal(back.spatial_basis, db.spatial_basis)
     assert all(np.array_equal(a, b) for a, b in zip(back.temporal_blocks, db.temporal_blocks))
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_read_rom_keeps_views_of_the_one_buffer_it_reads(tmp_path):
+    # the payload is read once and the database keeps views of it: the peak is
+    # the payload plus the finiteness check's mask (measured 3.72 MB for the
+    # 3.30 MB file); a load that copies the pieces holds both (6.61 MB)
+    db = _series2_shaped_rom()
+    path = tmp_path / "db.rom1"
+    write_rom(db, path)
+    tracemalloc.start()
+    try:
+        back = read_rom(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak <= 1.2 * size, peak
+    owner = _owner(back.params)
+    assert owner.nbytes == size - struct.calcsize("<4sIIIIIIIQdddB")  # the payload
+    for name in ("spatial_basis", "temporal_basis", "spatial_blocks", "temporal_blocks"):
+        array = getattr(back, name)
+        assert _owner(array) is owner, name
+        assert not array.flags.writeable and array.flags.c_contiguous, name
+        assert np.array_equal(array, getattr(db, name)), name
+
+
+def test_rom_database_copies_the_arrays_a_caller_passes():
+    rng = np.random.default_rng(4)
+    names = ("spatial_basis", "temporal_basis", "spatial_blocks", "temporal_blocks", "params")
+    arrays = [rng.standard_normal(shape) for shape in ((4, 2), (3, 2), (2, 2, 1), (2, 2, 1))]
+    arrays.append(np.array([1.0, 2.0]))
+    db = RomDatabase(*arrays, Grid(2, 2, 1.0, 1.0), TimeAxis(3, 1.0), ParamKind.SYNTHETIC)
+    kept = [getattr(db, name).copy() for name in names]
+    for array in arrays:
+        array += 1.0
+    for name, before in zip(names, kept):
+        assert np.array_equal(getattr(db, name), before), name
 
 
 def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
@@ -163,13 +206,13 @@ def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    # the payload read from the file and the database's copy of it while the
-    # ROM loads (6.6 MB, the peak), then the database and the lifted field,
-    # which the prediction keeps without a copy (6.4 MB). The bound is that 6.6 MB plus
-    # 0.4 MB of slack, well under the 2.76 MB a copy of the field adds: a
-    # call that copies it peaks at 9.2 MB, and one that also slices the
-    # payload out of the file's bytes and serializes the field through
-    # tobytes and a header concatenation at 14.5 MB.
+    # the database, whose arrays are views of the payload read from the file
+    # (3.3 MB), and the lifted field, which the prediction keeps without a
+    # copy (2.76 MB): 6.52 MB measured, the peak. The bound is 0.5 MB above
+    # it, well under the 2.76 MB a copy of the field adds: a call that copies
+    # it peaks at 9.2 MB, and one that also slices the payload out of the
+    # file's bytes and serializes the field through tobytes and a header
+    # concatenation at 14.5 MB.
     assert peak < 7.0e6, peak
     result = interpolate_reduced(db, 17.3, ne_x=3, ne_t=4, m=20)
     lifted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)

@@ -124,6 +124,15 @@ def test_rom_header_of_rank_zero_is_rejected(files, rank):
     _rejected_rom(files, damaged, CorruptionError, match=f"{path}: .*must be at least 1")
 
 
+def test_rom_of_version_one_is_rejected(files):
+    # a version-1 file of the same shape has exactly the same payload size, but
+    # stores the bases and blocks column-major: only the version field tells them apart
+    blob = (files / "db.rom1").read_bytes()
+    old = blob[:4] + struct.pack("<I", 1) + blob[8:]
+    path = re.escape(str(files / "damaged.rom1"))
+    _rejected_rom(files, old, FormatError, match=f"{path}: unsupported ROM1 version 1$")
+
+
 @given(data=st.data())
 def test_truncated_snapshot_file_is_rejected(files, data):
     blob = (files / "m.snp1").read_bytes()

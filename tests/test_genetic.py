@@ -18,7 +18,6 @@ from romga import (
     Target,
     analytic_plume,
     build_mask,
-    cost,
     interpolate_reduced,
     project_target,
     read_history_csv,
@@ -39,6 +38,8 @@ from romga.genetic import (
     roulette_select,
     step_generation,
 )
+
+from masked_cost import cost
 
 SPACE = SearchSpace((0.30, 0.50), (2, 5), (4, 10))
 

@@ -299,16 +299,24 @@ def test_rom_header_layout_is_frozen(tmp_path, rng):
     magic, version, q, r, s, n_params, nx, ny, n_steps, lx, ly, t_final, kind = (
         HEADER.unpack(blob[: HEADER.size])
     )
-    assert (version, q, r, s, n_params) == (1, 5, db.r, db.s, 2)
+    assert (version, q, r, s, n_params) == (2, 5, db.r, db.s, 2)
     assert (nx, ny, n_steps) == (db.grid.nx, db.grid.ny, 6)
     assert (lx, ly, t_final) == (db.grid.lx, db.grid.ly, 2.0)
     assert kind == int(ParamKind.SYNTHETIC)
     n_cells = nx * ny
     expected = 8 * (n_params + n_cells * r + n_steps * s + n_params * q * (r + s))
     assert len(blob) == HEADER.size + expected
-    # params come first in the payload, little-endian f8
-    params = np.frombuffer(blob[HEADER.size : HEADER.size + 16], dtype="<f8")
-    assert np.array_equal(params, [0.3, 0.8])
+    # five row-major little-endian f8 pieces: params (2), spatial basis
+    # (12 x 10), temporal basis (6 x 6), spatial blocks (2 x 10 x 5) and
+    # temporal blocks (2 x 6 x 5), each at a fixed byte offset
+    assert (n_cells, r, s) == (12, 10, 6)
+    offsets = (65, 81, 1041, 1329, 2129)
+    arrays = (db.params, db.spatial_basis, db.temporal_basis, db.spatial_blocks, db.temporal_blocks)
+    for array, offset in zip(arrays, offsets):
+        stored = np.frombuffer(blob, dtype="<f8", count=array.size, offset=offset)
+        assert np.array_equal(stored.reshape(array.shape), array)
+    assert len(blob) == 2609
+    assert np.array_equal(db.params, [0.3, 0.8])
 
 
 def test_rom_read_rejects_damage(tmp_path, rng):
