@@ -26,12 +26,11 @@ from .errors import (
     StabilityError,
 )
 from .genetic import Chromosome, GaConfig, GaHistory, SearchSpace, read_history_csv, run
-from .objective import Target, fitness, l2_error_series, project_target, reduced_cost
+from .objective import Target, l2_error_series, project_target, reduced_cost
 from .pod import (
     PodPair,
     RomDatabase,
     compress_ensemble,
-    default_rank,
     pod_factorize,
     read_rom,
     reconstruct_field,
@@ -42,7 +41,6 @@ from .pod import (
 from .surrogate import (
     CavityParams,
     PlumeParams,
-    SolverConfig,
     analytic_plume,
     recirculating_velocity,
     solve_cavity,

@@ -29,11 +29,10 @@ chromosomes without an SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import _frozen_array
 from .pod import RomDatabase
 
 
@@ -41,8 +40,7 @@ class FixedPointConfig:
     """No settings: perfbench/layers.py::_interp builds one as a default argument."""
 
 
-@dataclass(frozen=True, eq=False)
-class BarycentricResult:
+class BarycentricResult(NamedTuple):
     """Outcome of one interpolation query.
 
     The prediction is the factor pair; pod.reconstruct_field lifts it to a field.
@@ -53,10 +51,6 @@ class BarycentricResult:
     # constants, not fields: perfbench/layers.py::_interp reads them
     iterations = 1
     converged = True
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spatial_factor", _frozen_array(self.spatial_factor))
-        object.__setattr__(self, "temporal_factor", _frozen_array(self.temporal_factor))
 
 
 def _nearest_first(params: np.ndarray, delta_new: float) -> np.ndarray:

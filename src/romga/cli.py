@@ -45,7 +45,7 @@ from .errors import (
 )
 from .objective import Target, l2_error_series
 from .pod import compress_ensemble, read_rom, reconstruct_field, write_rom
-from .surrogate import CavityParams, PlumeParams, SolverConfig, analytic_plume, solve_cavity
+from .surrogate import CavityParams, PlumeParams, analytic_plume, solve_cavity
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -206,7 +206,6 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
     elif family == "cavity":
         if (ns.velocities is None) == (ns.temperatures is None):
             raise ValueError("cavity runs need exactly one of --velocities/--temperatures")
-        solver = SolverConfig(ns.cfl)
         if ns.velocities is not None:
             train_values, kind, varied = ns.velocities, ParamKind.VELOCITY, "inlet_velocity"
         else:
@@ -225,7 +224,7 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
                 )
                 for value in values
             ]
-            return solve_cavity(members, grid, times, solver, vary=kind)
+            return solve_cavity(members, grid, times, cfl=ns.cfl, vary=kind)
 
     else:
         raise ValueError(f"unknown family {family!r}")

@@ -27,6 +27,8 @@ _MAGIC = b"SNP1"
 _VERSION = 1
 # magic, version, nx, ny, n_steps, lx, ly, t_final, param_kind, param_value
 _HEADER = struct.Struct("<4sIIIQdddBd")
+# Floats per step of _all_finite, which keeps its boolean mask at 64 KiB.
+_FINITE_CHUNK = 65536
 
 
 class ParamKind(IntEnum):
@@ -134,6 +136,14 @@ def _frozen_array(values, shape=None, order="C") -> np.ndarray:
     return arr
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, checked without a mask the size of ``a``."""
+    flat = a.ravel(order="K")
+    return all(
+        np.isfinite(flat[i : i + _FINITE_CHUNK]).all() for i in range(0, flat.size, _FINITE_CHUNK)
+    )
+
+
 def _file_bytes(a: np.ndarray, order: str) -> memoryview:
     """``a`` as little-endian float64 bytes in numpy's ``order``; a view if it is so already."""
     return memoryview(a.astype("<f8", copy=False).ravel(order=order))
@@ -220,7 +230,7 @@ class SnapshotMatrix:
     def __post_init__(self) -> None:
         shape = (self.grid.n_cells, self.times.n_steps)
         vals = _frozen_array(self.values, shape, order="K")
-        if not np.isfinite(vals).all():
+        if not _all_finite(vals):
             raise ValueError("snapshot values must all be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "param_kind", ParamKind(self.param_kind))
@@ -283,7 +293,6 @@ class RegionMask:
     Weights are quadrature weights, so each must be finite and positive.
     """
 
-    rect: tuple[float, float, float, float]  # (x_min, x_max, y_min, y_max)
     indices: np.ndarray
     weights: np.ndarray
 
@@ -295,7 +304,6 @@ class RegionMask:
             raise ValueError("mask weights must be finite and positive")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "rect", tuple(float(v) for v in self.rect))
 
     @property
     def n_cells(self) -> int:
@@ -318,4 +326,4 @@ def build_mask(grid: Grid, rect) -> RegionMask:
     if indices.size == 0:
         raise EmptyMaskError(f"rectangle {rect} contains no cell centers")
     weights = np.full(indices.size, grid.cell_area)
-    return RegionMask((x_min, x_max, y_min, y_max), indices, weights)
+    return RegionMask(indices, weights)

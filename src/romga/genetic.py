@@ -24,17 +24,14 @@ import numpy as np
 from .barycentric import interpolate_reduced
 from .dataset import _write_file
 from .errors import PersistenceError
-from .objective import (
-    ProjectedTarget,
-    Target,
-    fitness as fitness_of,
-    project_target,
-    reduced_cost as cost_of,
-)
+from .objective import ProjectedTarget, Target, project_target, reduced_cost as cost_of
 from .pod import (
     RomDatabase,
     reconstruct_field,  # noqa: F401  unused here; perfbench/layers.py traces it by this name
 )
+
+# Additive guard in the roulette weight 1 / (cost + guard) keeps a perfect match finite.
+FITNESS_GUARD = 1.0e-12
 
 HISTORY_COLUMNS = (
     "generation",
@@ -174,8 +171,8 @@ def evaluate_population(
     projection: ProjectedTarget,
     cache: dict | None = None,
     rotations: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cost and fitness per chromosome.
+) -> np.ndarray:
+    """Cost per chromosome.
 
     Each chromosome is scored in the reduced space against ``projection``,
     the target as project_target prepared it for ``db``. A request the
@@ -197,8 +194,7 @@ def evaluate_population(
             )
             cache[c] = cost_of(result.spatial_factor, result.temporal_factor, projection)
         costs[i] = cache[c]
-    fitnesses = np.array([fitness_of(j) for j in costs])
-    return costs, fitnesses
+    return costs
 
 
 def roulette_select(fitnesses: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -248,21 +244,22 @@ def mutate(c: Chromosome, rng: np.random.Generator, cfg: GaConfig) -> Chromosome
 def step_generation(
     population,
     costs: np.ndarray,
-    fitnesses: np.ndarray,
     rng: np.random.Generator,
     cfg: GaConfig,
 ) -> list[Chromosome]:
     """Produce the next population: elites pass through, the rest is bred.
 
-    Offspring parents come from roulette selection; selected parents are
-    paired in draw order (the draws are already random), crossed over, then
-    each child is mutated. Population size is preserved.
+    Offspring parents come from roulette selection weighted by
+    1 / (cost + FITNESS_GUARD), so an exact match (cost 0) keeps a finite
+    weight. Selected parents are paired in draw order (the draws are already
+    random), crossed over, then each child is mutated. Population size is
+    preserved.
     """
     order = np.argsort(costs, kind="stable")
     elites = [population[i] for i in order[: cfg.elite_count]]
     n_offspring = cfg.population_size - cfg.elite_count
     n_selected = n_offspring + (n_offspring % 2)
-    selected = roulette_select(fitnesses, n_selected, rng)
+    selected = roulette_select(1.0 / (costs + FITNESS_GUARD), n_selected, rng)
     children: list[Chromosome] = []
     for i in range(0, n_selected, 2):
         a, b = population[selected[i]], population[selected[i + 1]]
@@ -306,9 +303,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
     best_cost = float("inf")
     total = max(cfg.generations, 1)
     for generation in range(1, total + 1):
-        costs, fitnesses = evaluate_population(
-            population, db, projection, cache=cache, rotations=rotations
-        )
+        costs = evaluate_population(population, db, projection, cache=cache, rotations=rotations)
         leader = int(np.argmin(costs))
         if costs[leader] < best_cost:
             best = population[leader]
@@ -319,7 +314,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
             )
         )
         if generation < total:
-            population = step_generation(population, costs, fitnesses, rng, cfg)
+            population = step_generation(population, costs, rng, cfg)
     assert best is not None
     return best, GaHistory(tuple(records))
 

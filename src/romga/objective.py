@@ -10,9 +10,6 @@ import numpy as np
 from .dataset import RegionMask, TimeAxis, _frozen_array
 from .pod import RomDatabase
 
-# Additive guard in the fitness transform keeps a perfect match finite.
-FITNESS_GUARD = 1.0e-12
-
 # Largest entry of |T.T @ T - I| that reduced_cost's identity with the lifted
 # cost tolerates; the bases two_level_compress builds are off by a few 1e-15.
 ORTHONORMALITY_TOL = 1.0e-10
@@ -105,13 +102,6 @@ def reduced_cost(
         )
     diff = (projection.factor @ spatial_factor) @ temporal_factor.T - projection.projected
     return float((np.sum(diff * diff) + projection.residual) / projection.n_steps)
-
-
-def fitness(cost_value: float) -> float:
-    """Monotone map from cost to selection fitness: 1 / (cost + guard)."""
-    if cost_value < 0.0:
-        raise ValueError("cost must be nonnegative")
-    return 1.0 / (cost_value + FITNESS_GUARD)
 
 
 def l2_error_series(predicted: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .dataset import (
     ParamKind,
     SnapshotMatrix,
     TimeAxis,
+    _all_finite,
     _file_bytes,
     _frozen_array,
     _Handover,
@@ -69,7 +70,6 @@ class PodPair:
 
     spatial_modes: np.ndarray   # (n_cells, q)
     temporal_coeffs: np.ndarray  # (n_steps, q)
-    singular_values: np.ndarray  # (q,) nonincreasing
     grid: Grid
     times: TimeAxis
     param_kind: ParamKind
@@ -78,17 +78,12 @@ class PodPair:
     def __post_init__(self) -> None:
         s = _frozen_array(self.spatial_modes)
         t = _frozen_array(self.temporal_coeffs)
-        sv = _frozen_array(self.singular_values)
-        if s.ndim != 2 or t.ndim != 2 or sv.ndim != 1:
+        if s.ndim != 2 or t.ndim != 2:
             raise ValueError("malformed factor shapes")
-        q = s.shape[1]
-        if t.shape[1] != q or sv.shape[0] != q:
+        if t.shape[1] != s.shape[1]:
             raise ValueError("factor ranks disagree")
-        if np.any(np.diff(sv) > 0.0):
-            raise ValueError("singular values must be nonincreasing")
         object.__setattr__(self, "spatial_modes", s)
         object.__setattr__(self, "temporal_coeffs", t)
-        object.__setattr__(self, "singular_values", sv)
 
     @property
     def q(self) -> int:
@@ -122,13 +117,7 @@ def pod_factorize(matrix: SnapshotMatrix, q: int) -> PodPair:
     _fix_svd_signs(spatial, temporal)
     temporal = temporal.T * sv[:q]
     return PodPair(
-        spatial,
-        temporal,
-        sv[:q],
-        matrix.grid,
-        matrix.times,
-        matrix.param_kind,
-        matrix.param_value,
+        spatial, temporal, matrix.grid, matrix.times, matrix.param_kind, matrix.param_value
     )
 
 
@@ -191,7 +180,7 @@ class RomDatabase:
         return float(self.params[0]), float(self.params[-1])
 
 
-def two_level_compress(pairs, r: int, s: int) -> RomDatabase:
+def two_level_compress(pairs, r: int | None = None, s: int | None = None) -> RomDatabase:
     """Compress an ensemble of per-sample factorizations into a RomDatabase.
 
     Parameters
@@ -200,10 +189,11 @@ def two_level_compress(pairs, r: int, s: int) -> RomDatabase:
         One factorization per sample, all with identical grid, time axis,
         parameter kind and order q, listed in strictly increasing order of
         their parameter values.
-    r, s : int
+    r, s : int or None
         Ranks of the global spatial and temporal bases,
         1 <= r <= min(q * n_params, n_cells) and
-        1 <= s <= min(q * n_params, n_steps).
+        1 <= s <= min(q * n_params, n_steps). None takes the upper bound,
+        which keeps the stacked column spaces exactly.
     """
     pairs = list(pairs)
     if not pairs:
@@ -218,12 +208,14 @@ def two_level_compress(pairs, r: int, s: int) -> RomDatabase:
         if p.param_kind != first.param_kind:
             raise ValueError("all samples must share the parameter kind")
     params = np.array([p.param_value for p in pairs])  # RomDatabase checks the order
-    n_cells = first.grid.n_cells
-    n_steps = first.times.n_steps
-    if not 1 <= r <= min(q * len(pairs), n_cells):
-        raise ValueError(f"r must lie in [1, {min(q * len(pairs), n_cells)}], got {r}")
-    if not 1 <= s <= min(q * len(pairs), n_steps):
-        raise ValueError(f"s must lie in [1, {min(q * len(pairs), n_steps)}], got {s}")
+    r_max = min(q * len(pairs), first.grid.n_cells)
+    s_max = min(q * len(pairs), first.times.n_steps)
+    r = r_max if r is None else r
+    s = s_max if s is None else s
+    if not 1 <= r <= r_max:
+        raise ValueError(f"r must lie in [1, {r_max}], got {r}")
+    if not 1 <= s <= s_max:
+        raise ValueError(f"s must lie in [1, {s_max}], got {s}")
 
     stacked_spatial = np.hstack([p.spatial_modes for p in pairs])
     stacked_temporal = np.hstack([p.temporal_coeffs for p in pairs])
@@ -244,28 +236,18 @@ def two_level_compress(pairs, r: int, s: int) -> RomDatabase:
     )
 
 
-def default_rank(q: int, n_params: int, n_cells: int, n_steps: int) -> tuple[int, int]:
-    """Lossless default ranks: keep the full stacked column space."""
-    r = min(q * n_params, n_cells)
-    s = min(q * n_params, n_steps)
-    return r, s
-
-
 def compress_ensemble(matrices, q: int, r: int | None = None, s: int | None = None) -> RomDatabase:
     """Factorize and compress an ensemble of SnapshotMatrix in one call.
 
     ``matrices`` may be any iterable, a generator included: each matrix is
     factorized as it arrives and dropped, so only its PodPair stays alive
     and a generator that reads samples from disk holds one at a time. The
-    pairs are sorted by parameter value; ranks default to
-    min(q * n_params, matrix dimension), which keeps the stacked column
-    spaces exactly.
+    pairs are sorted by parameter value and handed to two_level_compress
+    with ``r`` and ``s``, whose defaults keep the stacked column spaces
+    exactly.
     """
     pairs = sorted((pod_factorize(m, q) for m in matrices), key=lambda p: p.param_value)
-    if not pairs:
-        raise ValueError("need at least one snapshot matrix")
-    dr, ds = default_rank(q, len(pairs), pairs[0].grid.n_cells, pairs[0].times.n_steps)
-    return two_level_compress(pairs, dr if r is None else r, ds if s is None else s)
+    return two_level_compress(pairs, r, s)
 
 
 def reconstruct_field(db: RomDatabase, spatial: np.ndarray, temporal: np.ndarray) -> np.ndarray:
@@ -327,7 +309,7 @@ def read_rom(path) -> RomDatabase:
         path, "ROM file", _MAGIC, _VERSION, _HEADER,
         lambda q, r, s, n, nx, ny, nt, *_: n + nx * ny * r + nt * s + n * q * (r + s),
     )
-    if not np.isfinite(data).all():
+    if not _all_finite(data):
         raise CorruptionError(f"{path}: payload holds a non-finite value")
     # C-order views of the one payload, which RomDatabase keeps without a copy
     ends = np.cumsum([n_params, nx * ny * r, n_steps * s, n_params * r * q])

@@ -105,22 +105,11 @@ class CavityParams:
             raise ValueError("kappa must be positive")
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Time integration controls: donor-cell advection, centered diffusion."""
-
-    cfl: float = 0.9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
-
-
 def solve_cavity(
     members: Sequence[CavityParams],
     grid: Grid,
     times: TimeAxis,
-    config: SolverConfig = SolverConfig(),
+    cfl: float = 0.9,
     vary: ParamKind = ParamKind.VELOCITY,
 ) -> list[SnapshotMatrix]:
     """Integrate the passive temperature equation on the cavity for every member.
@@ -148,8 +137,8 @@ def solve_cavity(
     grid, times : Grid, TimeAxis
         Output sampling. Internal substeps are sized from each member's
         stability bound and land exactly on each sampling instant.
-    config : SolverConfig
-        CFL safety factor.
+    cfl : float
+        Safety factor in (0, 1] on each member's stability bound.
     vary : ParamKind
         Which knob the enclosing ensemble varies; decides the parameter value
         stored in each returned SnapshotMatrix.
@@ -169,6 +158,8 @@ def solve_cavity(
     members = tuple(members)
     if not members:
         raise ValueError("solve_cavity needs at least one member")
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError("cfl must lie in (0, 1]")
     if vary == ParamKind.VELOCITY:
         param_values = [p.inlet_velocity for p in members]
     elif vary == ParamKind.TEMPERATURE:
@@ -176,7 +167,7 @@ def solve_cavity(
     else:
         raise ValueError("cavity runs vary either velocity or temperature")
 
-    records = _advance(members, grid, times, config)
+    records = _advance(members, grid, times, cfl)
     # each SnapshotMatrix keeps its member's record, as a column-major view
     return [
         _adopt(grid, times, vary, value, record.reshape(times.n_steps, grid.n_cells).T)
@@ -185,7 +176,7 @@ def solve_cavity(
 
 
 def _advance(
-    members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis, config: SolverConfig
+    members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis, cfl: float
 ) -> list[np.ndarray]:
     """The batched kernel of ``solve_cavity``: one (n_steps, ny, nx) record per member."""
     k = len(members)
@@ -228,7 +219,7 @@ def _advance(
         # Convex-combination stability: dt * (|u|/dx + |v|/dy + 2k/dx^2 + 2k/dy^2) <= 1.
         rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * p.kappa * (1.0 / dx**2 + 1.0 / dy**2)
         dt_stable.append(1.0 / float(rate.max()))
-        dt_target.append(config.cfl * dt_stable[-1])
+        dt_target.append(cfl * dt_stable[-1])
         # West ghost column: inlet patch on the top 10% of the left wall.
         west[i] = np.where(inlet_rows, p.inlet_temperature, p.theta_cold)
         padded[i, 1:-1, 1:-1] = p.theta_initial

@@ -231,8 +231,7 @@ def test_step_preserves_size_and_elites(rng):
     cfg = GaConfig(SPACE, population_size=7, elite_count=2)
     pop = init_population(cfg)
     costs = np.linspace(1.0, 7.0, 7)
-    fitnesses = 1.0 / costs
-    nxt = step_generation(pop, costs, fitnesses, rng, cfg)
+    nxt = step_generation(pop, costs, rng, cfg)
     assert len(nxt) == 7
     assert nxt[0] is pop[0] and nxt[1] is pop[1]
     assert all(SPACE.contains(c) for c in nxt)
@@ -242,8 +241,19 @@ def test_step_handles_odd_offspring_counts(rng):
     cfg = GaConfig(SPACE, population_size=6, elite_count=1)
     pop = init_population(cfg)
     costs = np.arange(1.0, 7.0)
-    nxt = step_generation(pop, costs, 1.0 / costs, rng, cfg)
+    nxt = step_generation(pop, costs, rng, cfg)
     assert len(nxt) == 6
+
+
+def test_an_exact_match_breeds_with_a_finite_dominant_weight(rng):
+    # cost 0 is the guarded pole of the roulette weight 1 / (cost + guard):
+    # the weight stays finite and outweighs every other member by ~1e12
+    cfg = GaConfig(SPACE, population_size=6, elite_count=1, crossover_prob=0.0, mutation_prob=0.0)
+    pop = init_population(cfg)
+    costs = np.array([3.0, 1.0, 0.0, 2.0, 5.0, 4.0])
+    nxt = step_generation(pop, costs, rng, cfg)
+    assert len(nxt) == 6
+    assert all(c is pop[2] for c in nxt)
 
 
 # ---------------------------------------------------------------- operator stream
@@ -342,7 +352,7 @@ def test_operator_stream_is_pinned(name):
     cfg = GaConfig(space, population_size=6, elite_count=1, rng_seed=3)
     costs = np.array([0.5, 0.25, 2.0, 1.0, 0.125, 4.0])
     rng = np.random.default_rng(13)
-    nxt = step_generation(init_population(cfg), costs, 1.0 / costs, rng, cfg)
+    nxt = step_generation(init_population(cfg), costs, rng, cfg)
     assert [_genes(c) for c in nxt] == want["step"]
     assert int(rng.integers(0, 2**31)) == want["step_next"]
 
@@ -355,9 +365,7 @@ def test_node_chromosome_scores_like_the_trained_sample(
 ):
     # delta 0.35 is training sample 1; at full order the prediction is the
     # sample itself, so the cost must agree with scoring it directly.
-    costs, _ = evaluate_population(
-        [Chromosome(0.35, 2, 2, 10)], plume_db, plume_projection
-    )
+    costs = evaluate_population([Chromosome(0.35, 2, 2, 10)], plume_db, plume_projection)
     sample = reconstruct_sample(plume_db, 1, m=10)
     direct = cost(sample.values[plume_target.mask.indices], plume_target)
     assert costs[0] == pytest.approx(direct, rel=1e-8)
@@ -365,20 +373,19 @@ def test_node_chromosome_scores_like_the_trained_sample(
 
 def test_identical_chromosomes_score_identically(plume_db, plume_projection):
     twins = [Chromosome(0.37, 3, 3, 8)] * 3
-    costs, fitnesses = evaluate_population(twins, plume_db, plume_projection)
+    costs = evaluate_population(twins, plume_db, plume_projection)
     assert costs[0] == costs[1] == costs[2]
-    assert np.all(fitnesses == 1.0 / (costs + 1e-12))
 
 
 def test_evaluation_cache_short_circuits(plume_db, plume_projection):
     pop = [Chromosome(0.37, 3, 3, 8), Chromosome(0.44, 2, 4, 6)]
     cache: dict = {}
-    costs, _ = evaluate_population(pop, plume_db, plume_projection, cache)
+    costs = evaluate_population(pop, plume_db, plume_projection, cache)
     assert len(cache) == 2
     poisoned = {key: 123.5 for key in cache}
-    again, _ = evaluate_population(pop, plume_db, plume_projection, poisoned)
+    again = evaluate_population(pop, plume_db, plume_projection, poisoned)
     assert again.tolist() == [123.5, 123.5]  # proves values came from the cache
-    fresh, _ = evaluate_population(pop, plume_db, plume_projection, {})
+    fresh = evaluate_population(pop, plume_db, plume_projection, {})
     assert np.array_equal(fresh, costs)
 
 
@@ -394,8 +401,8 @@ def test_shared_rotations_change_no_cost(plume_db, plume_target, plume_projectio
     run(GaConfig(SPACE, population_size=10, generations=6, rng_seed=3), plume_db, plume_target)
     rotations: dict = {}
     for population in populations:
-        alone, _ = real(population, plume_db, plume_projection)
-        shared, _ = real(population, plume_db, plume_projection, rotations=rotations)
+        alone = real(population, plume_db, plume_projection)
+        shared = real(population, plume_db, plume_projection, rotations=rotations)
         assert np.array_equal(shared, alone)
 
 
@@ -456,7 +463,7 @@ def test_rejected_requests_raise_and_name_the_gene(plume_db, plume_projection):
 def test_cost_landscape_bottoms_out_at_the_true_parameter(plume_db, plume_projection):
     deltas = np.linspace(0.30, 0.50, 21)
     pop = [Chromosome(d, 3, 3, 10) for d in deltas]
-    costs, _ = evaluate_population(pop, plume_db, plume_projection)
+    costs = evaluate_population(pop, plume_db, plume_projection)
     at_truth = costs[10]  # deltas[10] == 0.40
     assert deltas[10] == pytest.approx(0.40, abs=1e-12)
     others = [c for i, c in enumerate(costs) if abs(deltas[i] - 0.40) >= 0.0099]
@@ -485,7 +492,7 @@ def test_reduced_cost_matches_the_lifted_cost(plume_db, plume_grid, plume_times,
     cfg = GaConfig(SearchSpace((0.30, 0.50), (2, 5), (1, 10)), population_size=30)
     population = init_population(cfg, rng)
     assert len({c.m for c in population}) > 5
-    costs, _ = evaluate_population(population, plume_db, projection)
+    costs = evaluate_population(population, plume_db, projection)
     assert np.all(projection.residual / plume_times.n_steps > 1e-6 * costs)
     for c, value in zip(population, costs):
         assert value == pytest.approx(_lifted_cost(plume_db, c, target), rel=1e-10)

@@ -1,12 +1,11 @@
-"""Cost, fitness and the per-instant error series."""
+"""Cost and the per-instant error series."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from romga import Grid, Target, TimeAxis, build_mask, fitness, l2_error_series
-from romga.objective import FITNESS_GUARD
+from romga import Grid, Target, TimeAxis, build_mask, l2_error_series
 
 from masked_cost import cost
 
@@ -62,14 +61,6 @@ def test_target_validation():
     bad[0, 1] = np.nan
     with pytest.raises(ValueError):
         Target(bad, mask, times)
-
-
-def test_fitness_is_monotone_with_a_guarded_pole():
-    assert fitness(0.1) > fitness(0.2) > fitness(1.0)
-    assert fitness(0.0) == pytest.approx(1.0 / FITNESS_GUARD, rel=1e-12)
-    assert fitness(2.0) == pytest.approx(0.5, rel=1e-9)
-    with pytest.raises(ValueError):
-        fitness(-1e-9)
 
 
 def test_error_series_hand_case():

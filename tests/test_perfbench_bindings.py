@@ -9,6 +9,8 @@ breaks the traced run; these tests catch it without running it.
 from __future__ import annotations
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,24 @@ def layers():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return module
+
+
+def test_the_benchmark_workloads_import(monkeypatch):
+    # workloads.py imports romga names at module level, so a name it uses that
+    # is gone fails here; its dataclasses need sys.modules, so it is imported by
+    # name, with its sibling modules, which are dropped again afterwards
+    siblings = ("workloads", "layers", "spans", "summary")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in siblings:
+        if name in sys.modules:
+            monkeypatch.delitem(sys.modules, name)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        for name in siblings:
+            sys.modules.pop(name, None)
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
+    assert set(workloads.WORKLOADS) == {w["name"] for w in declared}
 
 
 def test_every_traced_binding_resolves(layers):

@@ -20,7 +20,6 @@ from romga import (
     SnapshotMatrix,
     TimeAxis,
     compress_ensemble,
-    default_rank,
     pod_factorize,
     read_rom,
     reconstruct_field,
@@ -61,7 +60,8 @@ def test_factorization_reproduces_the_svd_truncation(rng):
     rank5 = (u[:, :5] * sv[:5]) @ vt[:5]
     rebuilt = pair.spatial_modes @ pair.temporal_coeffs.T
     assert np.abs(rebuilt - rank5).max() < 1e-12
-    assert np.allclose(pair.singular_values, sv[:5], rtol=0.0, atol=1e-12)
+    norms = np.linalg.norm(pair.temporal_coeffs, axis=0)
+    assert np.allclose(norms, sv[:5], rtol=0.0, atol=1e-12)
 
 
 def test_factorization_error_matches_the_singular_tail(rng):
@@ -81,9 +81,11 @@ def test_spatial_modes_are_orthonormal(rng):
 
 
 def test_temporal_column_norms_equal_the_singular_values(rng):
-    pair = pod_factorize(random_matrix(rng), 6)
+    matrix = random_matrix(rng)
+    pair = pod_factorize(matrix, 6)
     norms = np.linalg.norm(pair.temporal_coeffs, axis=0)
-    assert np.allclose(norms, pair.singular_values, rtol=1e-12, atol=0.0)
+    sv = np.linalg.svd(matrix.values, compute_uv=False)
+    assert np.allclose(norms, sv[:6], rtol=1e-12, atol=0.0)
 
 
 def test_sign_convention_and_determinism(rng):
@@ -172,10 +174,19 @@ def test_compress_ensemble_sorts_by_parameter(rng):
     assert db.hull == (0.1, 0.9)
 
 
-def test_default_rank_clips_to_matrix_dimensions():
-    assert default_rank(10, 5, 1600, 60) == (50, 50)
-    assert default_rank(10, 5, 30, 60) == (30, 50)
-    assert default_rank(3, 2, 100, 4) == (6, 4)
+def test_default_rank_clips_to_matrix_dimensions(rng):
+    # r and s default to min(q * n_params, n_cells) and min(q * n_params, n_steps)
+    for n_cells, n_steps, q, n_params, ranks in (
+        (40, 12, 3, 2, (6, 6)),
+        (6, 12, 2, 5, (6, 10)),
+        (40, 4, 3, 2, (6, 4)),
+    ):
+        mats = [random_matrix(rng, n_cells, n_steps, value=v) for v in range(n_params)]
+        db = compress_ensemble(mats, q=q)
+        assert (db.r, db.s) == ranks
+        pairs = [pod_factorize(m, q) for m in mats]
+        assert (two_level_compress(pairs).r, two_level_compress(pairs).s) == ranks
+        assert two_level_compress(pairs, s=2).r == ranks[0]
 
 
 def test_block_shapes_and_truncation(plume_db):

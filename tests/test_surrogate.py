@@ -13,7 +13,6 @@ from romga import (
     Grid,
     ParamKind,
     PlumeParams,
-    SolverConfig,
     TimeAxis,
     analytic_plume,
     recirculating_velocity,
@@ -282,7 +281,9 @@ def test_cavity_validation():
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 CavityParams(**{"inlet_velocity": 0.5, "inlet_temperature": 15.0, name: bad})
-    with pytest.raises(ValueError):
-        SolverConfig(cfl=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(cfl=1.5)
+    grid, times, params = _grid(4, 4), TimeAxis(3, 1.0), CavityParams(0.5, 15.0)
+    for cfl in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"cfl must lie in \(0, 1\]"):
+            solve_cavity([params], grid, times, cfl=cfl)
+    (full,) = solve_cavity([params], grid, times, cfl=1.0)
+    assert full.values.shape == (16, 3)
