@@ -9,7 +9,6 @@ from .barycentric import (
 from .dataset import (
     Grid,
     ParamKind,
-    RegionMask,
     SnapshotMatrix,
     TimeAxis,
     build_mask,
@@ -26,7 +25,7 @@ from .errors import (
     StabilityError,
 )
 from .genetic import Chromosome, GaConfig, GaHistory, SearchSpace, read_history_csv, run
-from .objective import Target, l2_error_series, project_target, reduced_cost
+from .objective import l2_error_series, project_target, reduced_cost
 from .pod import (
     PodPair,
     RomDatabase,

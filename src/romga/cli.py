@@ -43,7 +43,7 @@ from .errors import (
     PersistenceError,
     StabilityError,
 )
-from .objective import Target, l2_error_series
+from .objective import l2_error_series
 from .pod import compress_ensemble, read_rom, reconstruct_field, write_rom
 from .surrogate import CavityParams, PlumeParams, analytic_plume, solve_cavity
 
@@ -374,12 +374,9 @@ _OPTIMIZE_OPTS = (
 
 def _cmd_optimize(ns: SimpleNamespace) -> int:
     db = read_rom(_require(ns, "rom"))
-    target_matrix = read_snapshots(_require(ns, "target"))
+    target = read_snapshots(_require(ns, "target"))
     out = _require(ns, "out")
-    if target_matrix.grid != db.grid or target_matrix.times != db.times:
-        raise ValueError("target snapshot grid/time axis does not match the ROM")
-    mask = build_mask(db.grid, ns.mask)
-    target = Target(target_matrix.values[mask.indices], mask, db.times)
+    rows = build_mask(db.grid, ns.mask)
     hull = db.hull
     space = genetic.SearchSpace(
         delta_bounds=(
@@ -401,12 +398,14 @@ def _cmd_optimize(ns: SimpleNamespace) -> int:
         elite_count=ns.elite,
         rng_seed=ns.seed,
     )
-    best, history = genetic.run(cfg, db, target)
+    history = genetic.run(cfg, db, target, rows)
     history.write_csv(out)
-    best_cost = min(rec.best_cost for rec in history.records)
+    # the first generation to reach the least cost holds the overall best
+    record = min(history.records, key=lambda rec: rec.best_cost)
+    best = record.best
     print(
         f"delta={best.delta!r} ne_t={best.ne_t} ne_x={best.ne_x} m={best.m}"
-        f" cost={best_cost!r}"
+        f" cost={record.best_cost!r}"
     )
     return 0
 

@@ -286,36 +286,11 @@ def read_snapshots(path) -> SnapshotMatrix:
         raise CorruptionError(f"{path}: inconsistent header or payload ({exc})") from exc
 
 
-@dataclass(frozen=True, eq=False)
-class RegionMask:
-    """Cells whose centers fall strictly inside an observation rectangle.
+def build_mask(grid: Grid, rect) -> np.ndarray:
+    """Increasing int64 row indices of the cells with center strictly inside ``rect``.
 
-    Weights are quadrature weights, so each must be finite and positive.
-    """
-
-    indices: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.array(self.indices, dtype=np.int64, copy=True)
-        idx.flags.writeable = False
-        weights = _frozen_array(self.weights, idx.shape)
-        if not (np.isfinite(weights).all() and (weights > 0.0).all()):
-            raise ValueError("mask weights must be finite and positive")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def n_cells(self) -> int:
-        return int(self.indices.size)
-
-
-def build_mask(grid: Grid, rect) -> RegionMask:
-    """Mask of all cells with center strictly inside ``rect``.
-
-    ``rect`` is (x_min, x_max, y_min, y_max). Every selected cell carries the
-    uniform quadrature weight dx * dy. Raises ValueError for a degenerate
-    rectangle and EmptyMaskError when no center lies inside.
+    ``rect`` is (x_min, x_max, y_min, y_max). Raises ValueError for a
+    degenerate rectangle and EmptyMaskError when no center lies inside.
     """
     x_min, x_max, y_min, y_max = (float(v) for v in rect)
     if not (x_min < x_max and y_min < y_max):
@@ -325,5 +300,4 @@ def build_mask(grid: Grid, rect) -> RegionMask:
     indices = np.flatnonzero(inside)
     if indices.size == 0:
         raise EmptyMaskError(f"rectangle {rect} contains no cell centers")
-    weights = np.full(indices.size, grid.cell_area)
-    return RegionMask(indices, weights)
+    return indices

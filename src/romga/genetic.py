@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .barycentric import interpolate_reduced
-from .dataset import _write_file
+from .dataset import SnapshotMatrix, _write_file
 from .errors import PersistenceError
-from .objective import ProjectedTarget, Target, project_target, reduced_cost as cost_of
+from .objective import ProjectedTarget, project_target, reduced_cost as cost_of
 from .pod import (
     RomDatabase,
     reconstruct_field,  # noqa: F401  unused here; perfbench/layers.py traces it by this name
@@ -269,8 +269,8 @@ def step_generation(
     return elites + children[:n_offspring]
 
 
-def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaHistory]:
-    """Full search: returns the overall best chromosome and the history.
+def run(cfg: GaConfig, db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray) -> GaHistory:
+    """Full search for the ``rows`` of ``target``: returns each generation's leader in the history.
 
     The initial random population counts as generation 1; each later
     generation evaluates the population bred from the previous one. With
@@ -292,22 +292,17 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
         raise ValueError("neighbor bound exceeds the number of training samples")
     if cfg.space.m_bounds[1] > db.q:
         raise ValueError("truncation bound exceeds the database order q")
-    projection = project_target(db, target)
+    projection = project_target(db, target, rows)
 
     rng = np.random.default_rng(cfg.rng_seed)
     cache: dict = {}
     rotations: dict = {}
     population = init_population(cfg, rng)
     records = []
-    best: Chromosome | None = None
-    best_cost = float("inf")
     total = max(cfg.generations, 1)
     for generation in range(1, total + 1):
         costs = evaluate_population(population, db, projection, cache=cache, rotations=rotations)
         leader = int(np.argmin(costs))
-        if costs[leader] < best_cost:
-            best = population[leader]
-            best_cost = float(costs[leader])
         records.append(
             GenerationRecord(
                 generation, population[leader], float(costs[leader]), float(costs.mean())
@@ -315,8 +310,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: Target) -> tuple[Chromosome, GaH
         )
         if generation < total:
             population = step_generation(population, costs, rng, cfg)
-    assert best is not None
-    return best, GaHistory(tuple(records))
+    return GaHistory(tuple(records))
 
 
 def read_history_csv(path) -> GaHistory:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RegionMask, TimeAxis, _frozen_array
+from .dataset import SnapshotMatrix
 from .pod import RomDatabase
 
 # Largest entry of |T.T @ T - I| that reduced_cost's identity with the lifted
@@ -15,33 +15,14 @@ from .pod import RomDatabase
 ORTHONORMALITY_TOL = 1.0e-10
 
 
-@dataclass(frozen=True, eq=False)
-class Target:
-    """Reference field history restricted to an observation mask.
-
-    ``values`` holds one row per masked cell (same order as mask.indices)
-    and one column per sampling instant.
-    """
-
-    values: np.ndarray
-    mask: RegionMask
-    times: TimeAxis
-
-    def __post_init__(self) -> None:
-        vals = _frozen_array(self.values, (self.mask.n_cells, self.times.n_steps))
-        if not np.isfinite(vals).all():
-            raise ValueError("target values must all be finite")
-        object.__setattr__(self, "values", vals)
-
-
 class ProjectedTarget(NamedTuple):
     """The parts of the masked cost that depend only on the target.
 
     With B the spatial basis restricted to the mask, T the temporal basis, w
-    the mask weights and Y the target values: sqrt(w) * B = Q @ factor is a
-    reduced QR, projected = Q.T @ (sqrt(w) * Y) @ T, and residual is the
-    squared Frobenius norm of sqrt(w) * Y - Q @ projected @ T.T, the part of
-    the target no prediction of the ROM can reach.
+    the grid's cell area and Y the masked target values: sqrt(w) * B =
+    Q @ factor is a reduced QR, projected = Q.T @ (sqrt(w) * Y) @ T, and
+    residual is the squared Frobenius norm of sqrt(w) * Y - Q @ projected @
+    T.T, the part of the target no prediction of the ROM can reach.
     """
 
     factor: np.ndarray     # (k, r), k = min(n_mask, r)
@@ -50,24 +31,24 @@ class ProjectedTarget(NamedTuple):
     n_steps: int
 
 
-def project_target(db: RomDatabase, target: Target) -> ProjectedTarget:
-    """Project ``target`` onto the bases of ``db``, once per search.
+def project_target(db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray) -> ProjectedTarget:
+    """Project the ``rows`` of ``target`` onto the bases of ``db``, once per search.
 
-    Raises ValueError when the target does not fit the database or the
+    ``rows`` are the observed cells, as build_mask returns them. Raises
+    ValueError when the target or the rows do not fit the database or the
     temporal basis columns are not orthonormal (reduced_cost relies on
     T.T @ T = I), and np.linalg.LinAlgError when a projected piece is not
     finite.
     """
-    if target.times != db.times:
-        raise ValueError("target time axis must match the database")
-    rows = target.mask.indices
+    if target.grid != db.grid or target.times != db.times:
+        raise ValueError("target snapshot grid/time axis does not match the ROM")
     if rows.size and (rows.min() < 0 or rows.max() >= db.grid.n_cells):
         raise ValueError("mask indices out of range for the database grid")
     temporal = db.temporal_basis
     gram = temporal.T @ temporal
-    root_w = np.sqrt(target.mask.weights)[:, None]
+    root_w = np.sqrt(db.grid.cell_area)
     q, factor = np.linalg.qr(root_w * db.spatial_basis[rows])
-    weighted = root_w * target.values
+    weighted = root_w * target.values[rows]
     projected = (q.T @ weighted) @ temporal
     leftover = weighted - (q @ projected) @ temporal.T
     residual = float(np.sum(leftover * leftover))
@@ -79,7 +60,7 @@ def project_target(db: RomDatabase, target: Target) -> ProjectedTarget:
         raise ValueError(
             f"temporal basis columns are not orthonormal (max |T.T @ T - I| = {defect!r})"
         )
-    return ProjectedTarget(factor, projected, residual, target.times.n_steps)
+    return ProjectedTarget(factor, projected, residual, db.times.n_steps)
 
 
 def reduced_cost(
@@ -87,11 +68,12 @@ def reduced_cost(
 ) -> float:
     """The masked cost of the prediction B @ spatial_factor @ temporal_factor.T @ T.T.
 
-    Equal to the masked cost of reconstruct_field(db, ...)[mask.indices], as
+    Equal to the masked cost of reconstruct_field(db, ...)[rows], as
     ``cost`` in tests/masked_cost.py defines it, without lifting the
     prediction: with orthonormal Q and T the lifted misfit splits into
     ||factor @ spatial_factor @ temporal_factor.T - projected||_F**2 plus
-    the residual, two sums of squares.
+    the residual, two sums of squares. Raises np.linalg.LinAlgError when
+    the cost is not finite, as when factors of huge magnitude overflow it.
     """
     r, m = spatial_factor.shape
     s = projection.projected.shape[1]
@@ -100,8 +82,12 @@ def reduced_cost(
             f"factors must be ({projection.factor.shape[1]}, m) and ({s}, m),"
             f" got {spatial_factor.shape} and {temporal_factor.shape}"
         )
-    diff = (projection.factor @ spatial_factor) @ temporal_factor.T - projection.projected
-    return float((np.sum(diff * diff) + projection.residual) / projection.n_steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = (projection.factor @ spatial_factor) @ temporal_factor.T - projection.projected
+        cost = float((np.sum(diff * diff) + projection.residual) / projection.n_steps)
+    if not math.isfinite(cost):
+        raise np.linalg.LinAlgError("search cost is not finite")
+    return cost
 
 
 def l2_error_series(predicted: np.ndarray, target: np.ndarray) -> np.ndarray:

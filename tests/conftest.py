@@ -14,7 +14,6 @@ from hypothesis import settings
 from romga import (
     Grid,
     PlumeParams,
-    Target,
     TimeAxis,
     analytic_plume,
     build_mask,
@@ -55,15 +54,19 @@ def plume_db(plume_matrices):
 
 @pytest.fixture(scope="session")
 def plume_target(plume_grid, plume_times):
-    """The plume at 0.4 seen through the default observation window."""
-    mask = build_mask(plume_grid, (0.1, 0.9, 0.15, 0.7))
-    truth = analytic_plume(PlumeParams(0.4, sigma=0.3), plume_grid, plume_times)
-    return Target(truth.values[mask.indices], mask, plume_times)
+    """The plume at 0.4, the truth a search is to recover."""
+    return analytic_plume(PlumeParams(0.4, sigma=0.3), plume_grid, plume_times)
 
 
 @pytest.fixture(scope="session")
-def plume_projection(plume_db, plume_target):
-    return project_target(plume_db, plume_target)
+def plume_rows(plume_grid):
+    """The cells of the default observation window."""
+    return build_mask(plume_grid, (0.1, 0.9, 0.15, 0.7))
+
+
+@pytest.fixture(scope="session")
+def plume_projection(plume_db, plume_target, plume_rows):
+    return project_target(plume_db, plume_target, plume_rows)
 
 
 @pytest.fixture()

@@ -17,8 +17,10 @@ from romga import (
     Grid,
     ParamKind,
     PersistenceError,
+    PlumeParams,
     RomDatabase,
     TimeAxis,
+    analytic_plume,
     cli,
     compress_ensemble,
     interpolate_reduced,
@@ -324,7 +326,12 @@ def test_optimize_recovers_the_target_parameter(pipeline, tmp_path, capsys):
     assert 4 <= int(fields["m"]) <= 8
     history = read_history_csv(history_path)
     assert len(history) == 6
-    assert float(fields["cost"]) == min(r.best_cost for r in history.records)
+    # the first generation to reach the least cost holds the printed genes
+    costs = [r.best_cost for r in history.records]
+    best = history.records[costs.index(min(costs))]
+    assert float(fields["cost"]) == best.best_cost
+    genes = (int(fields["ne_t"]), int(fields["ne_x"]), int(fields["m"]))
+    assert Chromosome(float(fields["delta"]), *genes) == best.best
 
 
 def test_optimize_reruns_are_byte_identical(pipeline, tmp_path):
@@ -571,10 +578,22 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
 
     # a NaN search bound is rejected by name, not as a query outside the hull
     target = str(pipeline / "target_0.375.snp1")
-    optimize = ["optimize", "--rom", rom, "--target", target, "--out", str(tmp_path / "h.csv")]
-    assert cli.main([*optimize, "--delta-min", "nan"]) == 2
+    optimize = ["optimize", "--rom", rom, "--out", str(tmp_path / "h.csv")]
+    assert cli.main([*optimize, "--target", target, "--delta-min", "nan"]) == 2
     assert "delta_bounds must be finite" in capsys.readouterr().err
     assert not (tmp_path / "h.csv").exists()
+
+    # a target sampled on another grid or at other instants than the ROM's
+    plume = PlumeParams(0.375, sigma=0.3)
+    for name, grid, times in (
+        ("other_grid", Grid(20, 20, 1.04, 1.04), TimeAxis(40, 10.0)),
+        ("other_times", Grid(24, 24, 1.04, 1.04), TimeAxis(40, 12.0)),
+    ):
+        foreign = tmp_path / f"{name}.snp1"
+        write_snapshots(analytic_plume(plume, grid, times), foreign)
+        assert cli.main([*optimize, "--target", str(foreign)]) == 2, name
+        assert "target snapshot grid/time axis does not match the ROM" in capsys.readouterr().err
+        assert not (tmp_path / "h.csv").exists()
 
 
 def test_datagen_rejects_targets_that_would_share_a_file(tmp_path, monkeypatch, capsys):

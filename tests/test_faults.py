@@ -4,11 +4,13 @@ Every damage is drawn by hypothesis from the bytes of one valid file: a
 truncation to any length, a NaN or an infinity in any payload float slot,
 or a changed byte in the magic tag, the version or an integer dimension
 field. The float header fields (extents, t_final, parameter value) and the
-parameter kind are not dimension fields, so they are left alone.
+parameter kind are not dimension fields, so they are left alone. A ROM that
+loads but whose search cost overflows stops a search as a numerical failure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import struct
@@ -23,8 +25,10 @@ from romga import (
     FormatError,
     Grid,
     ParamKind,
+    PlumeParams,
     SnapshotMatrix,
     TimeAxis,
+    analytic_plume,
     cli,
     compress_ensemble,
     dataset,
@@ -211,3 +215,39 @@ def test_a_16_mb_file_of_the_wrong_size_is_rejected_before_allocating(
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+@pytest.fixture(scope="module")
+def overflowing_rom(tmp_path_factory):
+    """A 20x20 plume ROM at q 6 with both block stacks scaled by 1e100, and a target.
+
+    The file is finite, so read_rom accepts it, and each Procrustes cross
+    product (about 1e200) stays finite; the cost of every prediction overflows.
+    """
+    root = tmp_path_factory.mktemp("overflow")
+    grid, times = Grid(20, 20, 1.04, 1.04), TimeAxis(30, 10.0)
+    matrices = [
+        analytic_plume(PlumeParams(d, sigma=0.3), grid, times) for d in (0.3, 0.35, 0.4, 0.45, 0.5)
+    ]
+    db = compress_ensemble(matrices, q=6)
+    huge = dataclasses.replace(
+        db, spatial_blocks=1e100 * db.spatial_blocks, temporal_blocks=1e100 * db.temporal_blocks
+    )
+    write_rom(huge, root / "huge.rom1")
+    target = analytic_plume(PlumeParams(0.375, sigma=0.3), grid, times)
+    write_snapshots(target, root / "target.snp1")
+    return root
+
+
+@pytest.mark.parametrize("gens", ["1", "3"])
+def test_a_search_cost_that_overflows_exits_three(overflowing_rom, capsys, gens):
+    # one generation only scores; three also breed, where the costs weigh the roulette
+    out = overflowing_rom / f"history_{gens}.csv"
+    argv = [
+        "optimize", "--rom", str(overflowing_rom / "huge.rom1"),
+        "--target", str(overflowing_rom / "target.snp1"),
+        "--pop", "6", "--gens", gens, "--out", str(out),
+    ]
+    assert cli.main(argv) == 3
+    assert "numerical failure: search cost is not finite" in capsys.readouterr().err
+    assert not out.exists()

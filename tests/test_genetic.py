@@ -15,7 +15,7 @@ from romga import (
     PersistenceError,
     PlumeParams,
     SearchSpace,
-    Target,
+    SnapshotMatrix,
     analytic_plume,
     build_mask,
     interpolate_reduced,
@@ -360,14 +360,20 @@ def test_operator_stream_is_pinned(name):
 # ---------------------------------------------------------------- evaluation
 
 
+def _masked_cost(field: np.ndarray, target: SnapshotMatrix, rows: np.ndarray) -> float:
+    """The masked cost of ``field`` over ``rows``, each cell weighted by its area."""
+    weights = np.full(rows.size, target.grid.cell_area)
+    return cost(field[rows], target.values[rows], weights)
+
+
 def test_node_chromosome_scores_like_the_trained_sample(
-    plume_db, plume_target, plume_projection
+    plume_db, plume_target, plume_rows, plume_projection
 ):
     # delta 0.35 is training sample 1; at full order the prediction is the
     # sample itself, so the cost must agree with scoring it directly.
     costs = evaluate_population([Chromosome(0.35, 2, 2, 10)], plume_db, plume_projection)
     sample = reconstruct_sample(plume_db, 1, m=10)
-    direct = cost(sample.values[plume_target.mask.indices], plume_target)
+    direct = _masked_cost(sample.values, plume_target, plume_rows)
     assert costs[0] == pytest.approx(direct, rel=1e-8)
 
 
@@ -389,7 +395,9 @@ def test_evaluation_cache_short_circuits(plume_db, plume_projection):
     assert np.array_equal(fresh, costs)
 
 
-def test_shared_rotations_change_no_cost(plume_db, plume_target, plume_projection, monkeypatch):
+def test_shared_rotations_change_no_cost(
+    plume_db, plume_target, plume_rows, plume_projection, monkeypatch
+):
     populations = []
     real = genetic.evaluate_population
 
@@ -398,7 +406,8 @@ def test_shared_rotations_change_no_cost(plume_db, plume_target, plume_projectio
         return real(population, *args, **kwargs)
 
     monkeypatch.setattr(genetic, "evaluate_population", record)
-    run(GaConfig(SPACE, population_size=10, generations=6, rng_seed=3), plume_db, plume_target)
+    cfg = GaConfig(SPACE, population_size=10, generations=6, rng_seed=3)
+    run(cfg, plume_db, plume_target, plume_rows)
     rotations: dict = {}
     for population in populations:
         alone = real(population, plume_db, plume_projection)
@@ -415,7 +424,7 @@ def _rotation_keys(db, delta, ne_x, ne_t, m):
     ]
 
 
-def test_run_computes_each_rotation_once(plume_db, plume_target, monkeypatch):
+def test_run_computes_each_rotation_once(plume_db, plume_target, plume_rows, monkeypatch):
     calls = []
     real_align = barycentric.procrustes_align
     monkeypatch.setattr(
@@ -432,7 +441,7 @@ def test_run_computes_each_rotation_once(plume_db, plume_target, monkeypatch):
     cfg = GaConfig(SPACE, population_size=10, generations=6, rng_seed=3)
     for search in (1, 2):
         seen.clear()
-        run(cfg, plume_db, plume_target)
+        run(cfg, plume_db, plume_target, plume_rows)
         (rotations,) = {id(d): d for _, d in seen}.values()  # one dict serves the search
         used = [
             key for (delta, genes), _ in seen for key in _rotation_keys(plume_db, delta, **genes)
@@ -470,32 +479,32 @@ def test_cost_landscape_bottoms_out_at_the_true_parameter(plume_db, plume_projec
     assert at_truth < min(others)
 
 
-def _lifted_cost(db, c: Chromosome, target: Target) -> float:
+def _lifted_cost(db, c: Chromosome, target: SnapshotMatrix, rows: np.ndarray) -> float:
     """The masked cost of a chromosome's prediction, lifted onto the mask."""
     result = interpolate_reduced(db, c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m)
     lifted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
-    return cost(lifted[target.mask.indices], target)
+    return _masked_cost(lifted, target, rows)
 
 
 # the default window has more cells than r = 50 basis columns, the small one
 # fewer, so both shapes of the reduced QR are scored
 @pytest.mark.parametrize("rect", [(0.1, 0.9, 0.15, 0.7), (0.45, 0.55, 0.45, 0.55)])
 def test_reduced_cost_matches_the_lifted_cost(plume_db, plume_grid, plume_times, rect, rng):
-    mask = build_mask(plume_grid, rect)
+    rows = build_mask(plume_grid, rect)
     truth = analytic_plume(PlumeParams(0.4, sigma=0.3), plume_grid, plume_times)
     # A smooth plume lies in the span of the bases to ~1e-13 of its cost, so
     # noise supplies the part of the target the residual term must carry.
-    noise = 0.01 * rng.standard_normal((mask.n_cells, plume_times.n_steps))
-    values = truth.values[mask.indices] + noise
-    target = Target(values, mask, plume_times)
-    projection = project_target(plume_db, target)
+    values = np.array(truth.values)
+    values[rows] += 0.01 * rng.standard_normal((rows.size, plume_times.n_steps))
+    target = SnapshotMatrix(plume_grid, plume_times, truth.param_kind, truth.param_value, values)
+    projection = project_target(plume_db, target, rows)
     cfg = GaConfig(SearchSpace((0.30, 0.50), (2, 5), (1, 10)), population_size=30)
     population = init_population(cfg, rng)
     assert len({c.m for c in population}) > 5
     costs = evaluate_population(population, plume_db, projection)
     assert np.all(projection.residual / plume_times.n_steps > 1e-6 * costs)
     for c, value in zip(population, costs):
-        assert value == pytest.approx(_lifted_cost(plume_db, c, target), rel=1e-10)
+        assert value == pytest.approx(_lifted_cost(plume_db, c, target, rows), rel=1e-10)
 
 
 def test_reduced_cost_rejects_mismatched_factors(plume_projection):
@@ -506,81 +515,83 @@ def test_reduced_cost_rejects_mismatched_factors(plume_projection):
             reduced_cost(*bad, plume_projection)
 
 
-def test_history_costs_are_the_lifted_costs_of_the_leaders(plume_db, plume_target):
+def test_history_costs_are_the_lifted_costs_of_the_leaders(plume_db, plume_target, plume_rows):
     cfg = GaConfig(SPACE, population_size=8, generations=4, rng_seed=7)
-    _, history = run(cfg, plume_db, plume_target)
+    history = run(cfg, plume_db, plume_target, plume_rows)
     for rec in history.records:
-        lifted = _lifted_cost(plume_db, rec.best, plume_target)
+        lifted = _lifted_cost(plume_db, rec.best, plume_target, plume_rows)
         assert rec.best_cost == pytest.approx(lifted, rel=1e-10)
 
 
-def test_projection_rejects_what_it_cannot_score(plume_db, plume_target, plume_times):
+def test_projection_rejects_what_it_cannot_score(plume_db, plume_target, plume_rows, plume_times):
     stretched = plume_db.temporal_basis * (1.0 + 1e-9)
     skewed = dataclasses.replace(plume_db, temporal_basis=stretched)
     with pytest.raises(ValueError, match="orthonormal"):
-        project_target(skewed, plume_target)
+        project_target(skewed, plume_target, plume_rows)
     cfg = GaConfig(SPACE, population_size=4, generations=1)
     with pytest.raises(ValueError, match="orthonormal"):
-        run(cfg, skewed, plume_target)
-    wider = build_mask(Grid(50, 50, 1.04, 1.04), (0.1, 0.9, 0.15, 0.7))
-    off_grid = Target(np.zeros((wider.n_cells, plume_times.n_steps)), wider, plume_times)
+        run(cfg, skewed, plume_target, plume_rows)
+    wider_grid = Grid(50, 50, 1.04, 1.04)
+    wider = build_mask(wider_grid, (0.1, 0.9, 0.15, 0.7))
     with pytest.raises(ValueError, match="out of range"):
-        project_target(plume_db, off_grid)
+        project_target(plume_db, plume_target, wider)
+    off_grid = analytic_plume(PlumeParams(0.4, sigma=0.3), wider_grid, plume_times)
+    with pytest.raises(ValueError, match="grid/time axis does not match"):
+        project_target(plume_db, off_grid, plume_rows)
     broken = np.array(plume_db.spatial_basis)
-    broken[plume_target.mask.indices[0], 0] = np.nan
+    broken[plume_rows[0], 0] = np.nan
+    poisoned = dataclasses.replace(plume_db, spatial_basis=broken)
     with pytest.raises(np.linalg.LinAlgError):
-        project_target(dataclasses.replace(plume_db, spatial_basis=broken), plume_target)
+        project_target(poisoned, plume_target, plume_rows)
 
 
 # ---------------------------------------------------------------- the driver
 
 
-def test_run_validates_against_the_database(plume_db, plume_target):
+def test_run_validates_against_the_database(plume_db, plume_target, plume_rows):
     bad_hull = GaConfig(SearchSpace((0.25, 0.50), (2, 5), (4, 10)))
     with pytest.raises(ValueError):
-        run(bad_hull, plume_db, plume_target)
+        run(bad_hull, plume_db, plume_target, plume_rows)
     bad_ne = GaConfig(SearchSpace((0.30, 0.50), (2, 6), (4, 10)))
     with pytest.raises(ValueError):
-        run(bad_ne, plume_db, plume_target)
+        run(bad_ne, plume_db, plume_target, plume_rows)
     bad_m = GaConfig(SearchSpace((0.30, 0.50), (2, 5), (4, 11)))
     with pytest.raises(ValueError):
-        run(bad_m, plume_db, plume_target)
+        run(bad_m, plume_db, plume_target, plume_rows)
 
 
-def test_run_recovers_the_generating_parameter(plume_db, plume_target):
+def test_run_recovers_the_generating_parameter(plume_db, plume_target, plume_rows):
     cfg = GaConfig(SPACE, population_size=12, generations=8, rng_seed=5)
-    best, history = run(cfg, plume_db, plume_target)
+    history = run(cfg, plume_db, plume_target, plume_rows)
+    best = min(history.records, key=lambda rec: rec.best_cost).best
     assert abs(best.delta - 0.40) <= 0.02
     assert len(history) == 8
     assert [r.generation for r in history.records] == list(range(1, 9))
 
 
-def test_run_is_deterministic(plume_db, plume_target):
+def test_run_is_deterministic(plume_db, plume_target, plume_rows):
     cfg = GaConfig(SPACE, population_size=8, generations=4, rng_seed=21)
-    best_a, hist_a = run(cfg, plume_db, plume_target)
-    best_b, hist_b = run(cfg, plume_db, plume_target)
-    assert best_a == best_b
+    hist_a = run(cfg, plume_db, plume_target, plume_rows)
+    hist_b = run(cfg, plume_db, plume_target, plume_rows)
     assert hist_a.records == hist_b.records
 
 
-def test_run_with_elitism_never_backslides(plume_db, plume_target):
+def test_run_with_elitism_never_backslides(plume_db, plume_target, plume_rows):
     cfg = GaConfig(SPACE, population_size=10, generations=6, rng_seed=3, elite_count=1)
-    best, history = run(cfg, plume_db, plume_target)
+    history = run(cfg, plume_db, plume_target, plume_rows)
     series = [r.best_cost for r in history.records]
     assert all(b <= a for a, b in zip(series, series[1:]))
     assert min(series) == series[-1]
-    # the returned best matches the cheapest recorded generation leader
-    assert best == history.records[int(np.argmin(series))].best
 
 
 def test_run_with_zero_generations_scores_the_initial_population(
-    plume_db, plume_target
+    plume_db, plume_target, plume_rows
 ):
     cfg = GaConfig(SPACE, population_size=6, generations=0, rng_seed=1)
-    best, history = run(cfg, plume_db, plume_target)
+    history = run(cfg, plume_db, plume_target, plume_rows)
     assert len(history) == 1
     assert history.records[0].generation == 1
-    assert SPACE.contains(best)
+    assert SPACE.contains(history.records[0].best)
 
 
 # ---------------------------------------------------------------- history
