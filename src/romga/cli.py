@@ -1,9 +1,11 @@
 """Command line pipeline: datagen -> compress -> predict / optimize -> report.
 
-Every flag can also be supplied through ``--config FILE`` where the file
-holds ``key = value`` lines (``#`` starts a comment, keys are the flag names
-without the leading dashes). Precedence is flags, then config file, then
-preset, then built-in defaults.
+Every option can also be supplied through ``--config FILE`` where the file
+holds ``key = value`` lines (``#`` starts a comment, keys are the option
+names spelled in full without the leading dashes, ``preset`` is a key too).
+The preset's entries and the file's lines become ``--key=value`` flags ahead
+of the command line's, and argparse keeps the last value it reads: flags
+beat the config file, which beats the preset, which beats the defaults.
 
 Exit codes: 0 success, 2 usage or validation problem, 3 numerical failure.
 """
@@ -11,14 +13,9 @@ Exit codes: 0 success, 2 usage or validation problem, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Callable
 
 import numpy as np
 
@@ -30,19 +27,13 @@ from .dataset import (
     SnapshotMatrix,
     TimeAxis,
     _adopt,
+    _write_csv,
     _write_file,
     build_mask,
     read_snapshots,
     write_snapshots,
 )
-from .errors import (
-    CorruptionError,
-    DivergenceError,
-    EmptyMaskError,
-    FormatError,
-    PersistenceError,
-    StabilityError,
-)
+from .errors import DivergenceError, PersistenceError, RomgaError, StabilityError
 from .objective import l2_error_series
 from .pod import compress_ensemble, read_rom, reconstruct_field, write_rom
 from .surrogate import CavityParams, PlumeParams, analytic_plume, solve_cavity
@@ -67,31 +58,15 @@ PRESETS = {
 def _floats(raw: str) -> tuple[float, ...]:
     parts = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not parts:
-        raise ValueError("empty value list")
+        raise argparse.ArgumentTypeError("empty value list")
     return tuple(float(tok) for tok in parts)
 
 
 def _rect(raw: str) -> tuple[float, float, float, float]:
     values = _floats(raw)
     if len(values) != 4:
-        raise ValueError("rectangle needs exactly x_min,x_max,y_min,y_max")
+        raise argparse.ArgumentTypeError("rectangle needs exactly x_min,x_max,y_min,y_max")
     return values  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class _Opt:
-    flag: str
-    convert: Callable
-    default: object
-    help: str = ""
-
-    @property
-    def key(self) -> str:
-        return self.flag.lstrip("-")
-
-    @property
-    def dest(self) -> str:
-        return self.key.replace("-", "_")
 
 
 def _read_config(path) -> dict[str, str]:
@@ -111,90 +86,81 @@ def _read_config(path) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace) -> SimpleNamespace:
-    opts: tuple[_Opt, ...] = args._opts
-    known = {o.key for o in opts} | {"preset"}
-    file_cfg = _read_config(args.config) if args.config else {}
-    unknown = set(file_cfg) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    preset_name = getattr(args, "preset", None) or file_cfg.get("preset")
-    preset: dict[str, str] = {}
-    if preset_name is not None:
-        if preset_name not in PRESETS:
-            raise ValueError(
-                f"unknown preset {preset_name!r}; choose from {', '.join(sorted(PRESETS))}"
-            )
-        preset = PRESETS[preset_name]
-    resolved = {}
-    for opt in opts:
-        raw = getattr(args, opt.dest, None)
-        if raw is None:
-            raw = file_cfg.get(opt.key)
-        if raw is None:
-            raw = preset.get(opt.key)
-        resolved[opt.dest] = opt.convert(raw) if raw is not None else opt.default
-    return SimpleNamespace(**resolved)
+@functools.cache
+def _build_preparser() -> argparse.ArgumentParser:
+    """The parser of --config and --preset alone, built once like _build_parser."""
+    parser = argparse.ArgumentParser(prog="romga", add_help=False, allow_abbrev=False)
+    parser.add_argument("--config")
+    parser.add_argument("--preset")
+    return parser
 
 
-def _require(ns: SimpleNamespace, dest: str):
-    value = getattr(ns, dest)
-    if value is None:
-        raise ValueError(f"--{dest.replace('_', '-')} is required")
-    return value
+def _expand(argv: list[str]) -> list[str]:
+    """``argv`` with the preset's and the config file's options ahead of its own flags.
+
+    Each entry becomes one ``--key=value`` token, which keeps a value such as
+    ``-5,0,5`` whole; the full parse rejects a key no option of the command has.
+    """
+    if not argv or argv[0].startswith("-"):
+        return argv
+    command, *flags = argv
+    known = _build_preparser().parse_known_args(flags)[0]
+    config = _read_config(known.config) if known.config else {}
+    if "config" in config:
+        # argparse would take --config=... as one more option and ignore it
+        raise ValueError(f"{known.config}: a config file cannot name another config file")
+    name = known.preset or config.get("preset")
+    if name is not None and name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(sorted(PRESETS))}")
+    options = {**PRESETS.get(name, {}), **config}
+    return [command, *(f"--{key}={value}" for key, value in options.items()), *flags]
 
 
-def _out_dir(ns: SimpleNamespace) -> Path:
-    out = Path(_require(ns, "out"))
-    if not out.is_dir():
-        raise ValueError(f"output directory {out} does not exist")
-    return out
-
-
-def _write_csv_pairs(path: Path, rows) -> None:
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(("index", "value"))
-    for index, value in rows:
-        writer.writerow((index, repr(float(value))))
-    _write_file(path, "CSV", [text.getvalue().encode("utf-8")])
+def _out_dir(out: str) -> Path:
+    path = Path(out)
+    if not path.is_dir():
+        raise ValueError(f"output directory {path} does not exist")
+    return path
 
 
 # ---------------------------------------------------------------- datagen
 
+# (flag, type, default, help); a default of ... marks a required option
+
 _DATAGEN_OPTS = (
-    _Opt("--family", str, None, "plume or cavity"),
-    _Opt("--preset", str, None, "named experiment preset"),
-    _Opt("--deltas", _floats, None, "plume training parameters"),
-    _Opt("--velocities", _floats, None, "cavity training velocities (m/s)"),
-    _Opt("--temperatures", _floats, None, "cavity training inlet temperatures (C)"),
-    _Opt("--target", _floats, None, "held-out parameter values to also generate"),
-    _Opt("--velocity", float, 0.57, "fixed velocity when temperatures vary"),
-    _Opt("--inlet-temp", float, 15.0, "fixed inlet temperature when velocities vary"),
-    _Opt("--nx", int, 48, "cells along x"),
-    _Opt("--ny", int, 48, "cells along y"),
-    _Opt("--lx", float, 1.04, "domain extent along x (m)"),
-    _Opt("--ly", float, 1.04, "domain extent along y (m)"),
-    _Opt("--snapshots", int, 150, "number of recorded instants"),
-    _Opt("--tfinal", float, 60.0, "simulated time span (s)"),
-    _Opt("--sigma", float, 0.25, "plume width (m)"),
-    _Opt("--theta-cold", float, 15.0, "cold wall temperature (C)"),
-    _Opt("--theta-hot", float, 35.0, "floor temperature (C)"),
-    _Opt("--theta-init", float, 15.0, "initial temperature (C)"),
-    _Opt("--kappa", float, 2.0e-3, "diffusivity (m^2/s)"),
-    _Opt("--cfl", float, 0.9, "stability safety factor"),
-    _Opt("--out", str, None, "existing output directory"),
+    ("--family", str, ..., "plume or cavity"),
+    ("--preset", str, None, "named experiment preset"),
+    ("--deltas", _floats, None, "plume training parameters"),
+    ("--velocities", _floats, None, "cavity training velocities (m/s)"),
+    ("--temperatures", _floats, None, "cavity training inlet temperatures (C)"),
+    ("--target", _floats, None, "held-out parameter values to also generate"),
+    ("--velocity", float, 0.57, "fixed velocity when temperatures vary"),
+    ("--inlet-temp", float, 15.0, "fixed inlet temperature when velocities vary"),
+    ("--nx", int, 48, "cells along x"),
+    ("--ny", int, 48, "cells along y"),
+    ("--lx", float, 1.04, "domain extent along x (m)"),
+    ("--ly", float, 1.04, "domain extent along y (m)"),
+    ("--snapshots", int, 150, "number of recorded instants"),
+    ("--tfinal", float, 60.0, "simulated time span (s)"),
+    ("--sigma", float, 0.25, "plume width (m)"),
+    ("--theta-cold", float, 15.0, "cold wall temperature (C)"),
+    ("--theta-hot", float, 35.0, "floor temperature (C)"),
+    ("--theta-init", float, 15.0, "initial temperature (C)"),
+    ("--kappa", float, 2.0e-3, "diffusivity (m^2/s)"),
+    ("--cfl", float, 0.9, "stability safety factor"),
+    ("--out", str, ..., "existing output directory"),
 )
 
 
-def _cmd_datagen(ns: SimpleNamespace) -> int:
-    out = _out_dir(ns)
-    family = _require(ns, "family")
+def _cmd_datagen(ns: argparse.Namespace) -> int:
+    out = _out_dir(ns.out)
     grid = Grid(ns.nx, ns.ny, ns.lx, ns.ly)
     times = TimeAxis(ns.snapshots, ns.tfinal)
 
-    if family == "plume":
-        train_values = _require(ns, "deltas")
+    if ns.family == "plume":
+        if ns.deltas is None:
+            raise ValueError("the plume family needs --deltas")
+        train_values = ns.deltas
 
         def make(values) -> list[SnapshotMatrix]:
             return [
@@ -203,7 +169,7 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
             ]
 
         kind = ParamKind.SYNTHETIC
-    elif family == "cavity":
+    elif ns.family == "cavity":
         if (ns.velocities is None) == (ns.temperatures is None):
             raise ValueError("cavity runs need exactly one of --velocities/--temperatures")
         if ns.velocities is not None:
@@ -227,7 +193,7 @@ def _cmd_datagen(ns: SimpleNamespace) -> int:
             return solve_cavity(members, grid, times, cfl=ns.cfl, vary=kind)
 
     else:
-        raise ValueError(f"unknown family {family!r}")
+        raise ValueError(f"unknown family {ns.family!r}")
 
     train_values = tuple(sorted(train_values))
     if len(set(train_values)) != len(train_values):
@@ -292,11 +258,11 @@ def _read_manifest(path: Path) -> list[tuple[ParamKind, float, Path]]:
 # ---------------------------------------------------------------- compress
 
 _COMPRESS_OPTS = (
-    _Opt("--snapshots", str, None, "manifest file listing the training runs"),
-    _Opt("--q", int, 60, "per-sample truncation order"),
-    _Opt("--r", int, None, "global spatial rank (default: lossless)"),
-    _Opt("--s", int, None, "global temporal rank (default: lossless)"),
-    _Opt("--out", str, None, "ROM output file"),
+    ("--snapshots", str, ..., "manifest file listing the training runs"),
+    ("--q", int, 60, "per-sample truncation order"),
+    ("--r", int, None, "global spatial rank (default: lossless)"),
+    ("--s", int, None, "global temporal rank (default: lossless)"),
+    ("--out", str, ..., "ROM output file"),
 )
 
 
@@ -312,15 +278,13 @@ def _manifest_samples(entries):
         yield matrix
 
 
-def _cmd_compress(ns: SimpleNamespace) -> int:
-    manifest = Path(_require(ns, "snapshots"))
-    out = _require(ns, "out")
-    entries = _read_manifest(manifest)
+def _cmd_compress(ns: argparse.Namespace) -> int:
+    entries = _read_manifest(Path(ns.snapshots))
     # the samples stream from disk: compress holds one of them at a time
     db = compress_ensemble(_manifest_samples(entries), q=ns.q, r=ns.r, s=ns.s)
-    write_rom(db, out)
+    write_rom(db, ns.out)
     print(
-        f"compressed {db.n_params} samples at q={db.q}, r={db.r}, s={db.s} -> {out}"
+        f"compressed {db.n_params} samples at q={db.q}, r={db.r}, s={db.s} -> {ns.out}"
     )
     return 0
 
@@ -328,54 +292,51 @@ def _cmd_compress(ns: SimpleNamespace) -> int:
 # ---------------------------------------------------------------- predict
 
 _PREDICT_OPTS = (
-    _Opt("--rom", str, None, "ROM database file"),
-    _Opt("--delta", float, None, "query parameter value"),
-    _Opt("--ne-x", int, 2, "spatial neighbor count"),
-    _Opt("--ne-t", int, 2, "temporal neighbor count"),
-    _Opt("--m", int, None, "block truncation order (default: q)"),
-    _Opt("--out", str, None, "predicted snapshot output file"),
+    ("--rom", str, ..., "ROM database file"),
+    ("--delta", float, ..., "query parameter value"),
+    ("--ne-x", int, 2, "spatial neighbor count"),
+    ("--ne-t", int, 2, "temporal neighbor count"),
+    ("--m", int, None, "block truncation order (default: q)"),
+    ("--out", str, ..., "predicted snapshot output file"),
 )
 
 
-def _cmd_predict(ns: SimpleNamespace) -> int:
-    db = read_rom(_require(ns, "rom"))
-    delta = _require(ns, "delta")
-    out = _require(ns, "out")
+def _cmd_predict(ns: argparse.Namespace) -> int:
+    db = read_rom(ns.rom)
     m = db.q if ns.m is None else ns.m
-    result = interpolate_reduced(db, delta, ne_x=ns.ne_x, ne_t=ns.ne_t, m=m)
+    result = interpolate_reduced(db, ns.delta, ne_x=ns.ne_x, ne_t=ns.ne_t, m=m)
     field = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
     # the lifted field is this call's own, so the matrix keeps it without a copy
-    write_snapshots(_adopt(db.grid, db.times, db.param_kind, delta, field), out)
-    print(f"predicted delta={delta!r} ne_x={ns.ne_x} ne_t={ns.ne_t} m={m} -> {out}")
+    write_snapshots(_adopt(db.grid, db.times, db.param_kind, ns.delta, field), ns.out)
+    print(f"predicted delta={ns.delta!r} ne_x={ns.ne_x} ne_t={ns.ne_t} m={m} -> {ns.out}")
     return 0
 
 
 # ---------------------------------------------------------------- optimize
 
 _OPTIMIZE_OPTS = (
-    _Opt("--rom", str, None, "ROM database file"),
-    _Opt("--target", str, None, "target snapshot file"),
-    _Opt("--mask", _rect, (0.1, 0.9, 0.15, 0.7), "observation window x_min,x_max,y_min,y_max"),
-    _Opt("--pop", int, 20, "population size"),
-    _Opt("--gens", int, 30, "number of generations"),
-    _Opt("--pc", float, 0.8, "crossover probability"),
-    _Opt("--pm", float, 0.1, "mutation probability"),
-    _Opt("--elite", int, 1, "elite carry-over count"),
-    _Opt("--seed", int, 0, "random seed"),
-    _Opt("--delta-min", float, None, "search lower bound (default: hull)"),
-    _Opt("--delta-max", float, None, "search upper bound (default: hull)"),
-    _Opt("--ne-min", int, 2, "neighbor count lower bound"),
-    _Opt("--ne-max", int, None, "neighbor count upper bound (default: sample count)"),
-    _Opt("--m-min", int, None, "truncation lower bound (default: min(4, q))"),
-    _Opt("--m-max", int, None, "truncation upper bound (default: q)"),
-    _Opt("--out", str, None, "history CSV output file"),
+    ("--rom", str, ..., "ROM database file"),
+    ("--target", str, ..., "target snapshot file"),
+    ("--mask", _rect, (0.1, 0.9, 0.15, 0.7), "observation window x_min,x_max,y_min,y_max"),
+    ("--pop", int, 20, "population size"),
+    ("--gens", int, 30, "number of generations"),
+    ("--pc", float, 0.8, "crossover probability"),
+    ("--pm", float, 0.1, "mutation probability"),
+    ("--elite", int, 1, "elite carry-over count"),
+    ("--seed", int, 0, "random seed"),
+    ("--delta-min", float, None, "search lower bound (default: hull)"),
+    ("--delta-max", float, None, "search upper bound (default: hull)"),
+    ("--ne-min", int, 2, "neighbor count lower bound"),
+    ("--ne-max", int, None, "neighbor count upper bound (default: sample count)"),
+    ("--m-min", int, None, "truncation lower bound (default: min(4, q))"),
+    ("--m-max", int, None, "truncation upper bound (default: q)"),
+    ("--out", str, ..., "history CSV output file"),
 )
 
 
-def _cmd_optimize(ns: SimpleNamespace) -> int:
-    db = read_rom(_require(ns, "rom"))
-    target = read_snapshots(_require(ns, "target"))
-    out = _require(ns, "out")
+def _cmd_optimize(ns: argparse.Namespace) -> int:
+    db = read_rom(ns.rom)
+    target = read_snapshots(ns.target)
     rows = build_mask(db.grid, ns.mask)
     hull = db.hull
     space = genetic.SearchSpace(
@@ -399,7 +360,7 @@ def _cmd_optimize(ns: SimpleNamespace) -> int:
         rng_seed=ns.seed,
     )
     history = genetic.run(cfg, db, target, rows)
-    history.write_csv(out)
+    history.write_csv(ns.out)
     # the first generation to reach the least cost holds the overall best
     record = min(history.records, key=lambda rec: rec.best_cost)
     best = record.best
@@ -413,36 +374,35 @@ def _cmd_optimize(ns: SimpleNamespace) -> int:
 # ---------------------------------------------------------------- report
 
 _REPORT_OPTS = (
-    _Opt("--history", str, None, "search history CSV"),
-    _Opt("--predicted", str, None, "predicted snapshot file"),
-    _Opt("--target", str, None, "target snapshot file"),
-    _Opt("--out", str, None, "existing output directory"),
+    ("--history", str, None, "search history CSV"),
+    ("--predicted", str, None, "predicted snapshot file"),
+    ("--target", str, None, "target snapshot file"),
+    ("--out", str, ..., "existing output directory"),
 )
 
 
-def _cmd_report(ns: SimpleNamespace) -> int:
-    out = _out_dir(ns)
-    wrote = []
-    if ns.history is not None:
-        history = genetic.read_history_csv(ns.history)
-        path = out / "avg_cost.csv"
-        _write_csv_pairs(path, ((rec.generation, rec.avg_cost) for rec in history.records))
-        wrote.append(path)
+def _cmd_report(ns: argparse.Namespace) -> int:
+    out = _out_dir(ns.out)
     if (ns.predicted is None) != (ns.target is None):
         raise ValueError("--predicted and --target must be given together")
+    if ns.history is None and ns.predicted is None:
+        raise ValueError("nothing to report: pass --history and/or --predicted/--target")
+    # every input is read and checked before either summary is written
+    tables = {}
+    if ns.history is not None:
+        history = genetic.read_history_csv(ns.history)
+        tables["avg_cost.csv"] = [(rec.generation, rec.avg_cost) for rec in history.records]
     if ns.predicted is not None:
         predicted = read_snapshots(ns.predicted)
         target = read_snapshots(ns.target)
         if predicted.grid != target.grid or predicted.times != target.times:
             raise ValueError("predicted and target snapshots do not match")
-        series = l2_error_series(predicted.values, target.values)
-        path = out / "error_series.csv"
-        _write_csv_pairs(path, enumerate(series))
-        wrote.append(path)
-    if not wrote:
-        raise ValueError("nothing to report: pass --history and/or --predicted/--target")
-    for path in wrote:
-        print(f"wrote {path}")
+        tables["error_series.csv"] = list(
+            enumerate(l2_error_series(predicted.values, target.values))
+        )
+    for name, rows in tables.items():
+        _write_csv(out / name, [("index", "value"), *((i, repr(float(v))) for i, v in rows)])
+        print(f"wrote {out / name}")
     return 0
 
 
@@ -466,32 +426,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, func, opts, help_text in _COMMANDS:
-        sub = subparsers.add_parser(name, help=help_text)
-        for opt in opts:
-            sub.add_argument(opt.flag, dest=opt.dest, default=None, help=opt.help)
-        sub.add_argument("--config", default=None, help="key = value options file")
-        sub.set_defaults(_func=func, _opts=opts)
+        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, convert, default, help_opt in opts:
+            sub.add_argument(
+                flag,
+                type=convert,
+                default=None if default is ... else default,
+                required=default is ...,
+                help=help_opt,
+            )
+        sub.add_argument("--config", help="key = value options file")
+        sub.set_defaults(_func=func)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_expand(sys.argv[1:] if argv is None else list(argv)))
+        return args._func(args)
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code) if exc.code else 0
-    try:
-        return args._func(_resolve(args))
     # LinAlgError subclasses ValueError, so it must be caught first
     except (StabilityError, DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (
-        ValueError,
-        FormatError,
-        CorruptionError,
-        EmptyMaskError,
-        PersistenceError,
-    ) as exc:
+    except (ValueError, RomgaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,8 @@ by the payload as float64 in column-major order.
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import math
 import os
 import struct
@@ -168,6 +170,13 @@ def _write_file(path, what: str, chunks) -> None:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise PersistenceError(path, f"cannot write {what} ({exc})") from exc
+
+
+def _write_csv(path, rows, what: str = "CSV") -> None:
+    """Write ``rows``, each a sequence of cells, to ``path`` as CSV lines, like _write_file."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _write_file(path, what, [text.getvalue().encode("utf-8")])
 
 
 def _read_file(path, what: str, magic: bytes, version: int, header: struct.Struct, n_floats):

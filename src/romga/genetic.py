@@ -14,7 +14,6 @@ outcome.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -22,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .barycentric import interpolate_reduced
-from .dataset import SnapshotMatrix, _write_file
+from .dataset import SnapshotMatrix, _write_csv
 from .errors import PersistenceError
 from .objective import ProjectedTarget, project_target, reduced_cost as cost_of
 from .pod import (
@@ -138,22 +137,19 @@ class GaHistory:
         return len(self.records)
 
     def write_csv(self, path) -> None:
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(HISTORY_COLUMNS)
-        for rec in self.records:
-            writer.writerow(
-                [
-                    rec.generation,
-                    repr(float(rec.best.delta)),
-                    rec.best.ne_t,
-                    rec.best.ne_x,
-                    rec.best.m,
-                    repr(float(rec.best_cost)),
-                    repr(float(rec.avg_cost)),
-                ]
+        rows = (
+            (
+                rec.generation,
+                repr(float(rec.best.delta)),
+                rec.best.ne_t,
+                rec.best.ne_x,
+                rec.best.m,
+                repr(float(rec.best_cost)),
+                repr(float(rec.avg_cost)),
             )
-        _write_file(path, "history", [text.getvalue().encode("utf-8")])
+            for rec in self.records
+        )
+        _write_csv(path, [HISTORY_COLUMNS, *rows], "history")
 
 
 def init_population(cfg: GaConfig, rng: np.random.Generator | None = None) -> list[Chromosome]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -486,6 +488,65 @@ def test_config_file_can_name_the_preset_and_flags_still_win(tmp_path):
     ]
 
 
+def test_a_required_value_can_come_from_the_config_file_alone(pipeline, tmp_path, capsys):
+    out = tmp_path / "pred.snp1"
+    config = tmp_path / "predict.cfg"
+    config.write_text(
+        f"rom = {pipeline / 'db.rom1'}\ndelta = 0.375\nout = {out}\n", encoding="utf-8"
+    )
+    assert cli.main(["predict", "--config", str(config)]) == 0
+    assert read_snapshots(out).param_value == 0.375
+
+
+def test_a_negative_list_in_a_config_file_reaches_the_solver(tmp_path, capsys):
+    # on the command line the same list must be written --temperatures=-5,0,5
+    out = tmp_path / "cold"
+    out.mkdir()
+    config = tmp_path / "cold.cfg"
+    config.write_text(
+        "family = cavity\ntemperatures = -5,0,5\nnx = 8\nny = 8\nsnapshots = 4\ntfinal = 1\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["datagen", "--config", str(config), "--out", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[1] for line in manifest] == ["-5.0", "0.0", "5.0"]
+
+
+def test_the_preset_flag_beats_the_config_files_preset(tmp_path, capsys):
+    out = tmp_path / "series1"
+    out.mkdir()
+    config = tmp_path / "series2.cfg"
+    config.write_text(
+        "preset = series2-temperature\nnx = 12\nny = 12\nsnapshots = 8\ntfinal = 4\n",
+        encoding="utf-8",
+    )
+    argv = ["datagen", "--config", str(config), "--preset", "series1-velocity", "--out", str(out)]
+    assert cli.main(argv) == 0
+    manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[:2] for line in manifest] == [
+        ["velocity", "0.51"], ["velocity", "0.627"], ["velocity", "0.798"],
+    ]
+
+
+def test_the_module_runs_as_a_program(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    config = tmp_path / "plume.cfg"
+    config.write_text(
+        "family = plume\ndeltas = 0.3,0.4\nnx = 8\nny = 8\nsnapshots = 4\ntfinal = 1\n",
+        encoding="utf-8",
+    )
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "romga.cli", "datagen", "--config", str(config), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "wrote 2 training runs and 0 target runs" in done.stdout
+    assert len((out / "manifest.txt").read_text(encoding="utf-8").splitlines()) == 2
+
+
 # ---------------------------------------------------------------- failures
 
 
@@ -621,6 +682,66 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys):
     assert "wavelength" in capsys.readouterr().err
 
 
+def test_a_failed_report_writes_nothing(pipeline, tmp_path, capsys):
+    history = tmp_path / "history.csv"
+    history.write_text(",".join(HISTORY_COLUMNS) + "\n1,0.4,3,2,5,0.25,1.5\n", encoding="utf-8")
+    report_dir = tmp_path / "report"
+    report_dir.mkdir()
+    report = [
+        "report", "--history", str(history),
+        "--predicted", str(pipeline / "target_0.375.snp1"), "--out", str(report_dir),
+    ]
+    # a lone --predicted, then a --target that does not exist
+    for extra in ([], ["--target", str(tmp_path / "missing.snp1")]):
+        assert cli.main([*report, *extra]) == 2, extra
+        assert capsys.readouterr().err.strip() != ""
+        assert list(report_dir.iterdir()) == [], extra
+
+
+def test_a_missing_out_exits_two_and_names_it(pipeline, capsys):
+    assert cli.main(["predict", "--rom", str(pipeline / "db.rom1"), "--delta", "0.4"]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def test_abbreviated_flags_and_config_keys_are_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    config = tmp_path / "snap.cfg"
+    config.write_text("snap = 10\n", encoding="utf-8")
+    datagen = ["datagen", "--family", "plume", "--deltas", "0.3,0.4", "--nx", "8", "--ny", "8",
+               "--tfinal", "1", "--out", str(out)]
+    assert cli.main([*datagen, "--snap", "10"]) == 2
+    assert "--snap" in capsys.readouterr().err
+    assert cli.main([*datagen, "--config", str(config)]) == 2
+    assert "--snap=10" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_config_files_cannot_nest_or_give_another_command_a_preset(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    other = tmp_path / "other.cfg"
+    other.write_text("nx = 9\n", encoding="utf-8")
+    # a complete plume run, which would go ahead if the config key were ignored
+    nested = tmp_path / "nested.cfg"
+    nested.write_text(
+        f"config = {other}\nfamily = plume\ndeltas = 0.3,0.4\nnx = 8\nny = 8\nsnapshots = 4\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["datagen", "--config", str(nested), "--out", str(out)]) == 2
+    assert "cannot name another config file" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+    preset = tmp_path / "preset.cfg"
+    preset.write_text("preset = series1-velocity\n", encoding="utf-8")
+    rom = tmp_path / "db.rom1"
+    compress = ["compress", "--config", str(preset), "--snapshots", str(pipeline / "manifest.txt"),
+                "--q", "4", "--out", str(rom)]
+    assert cli.main(compress) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not rom.exists()
+
+
 def test_tampered_manifest_is_rejected(pipeline, tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     lines = (pipeline / "manifest.txt").read_text(encoding="utf-8").splitlines()
@@ -699,7 +820,7 @@ def test_failed_writes_keep_the_old_file_and_leave_no_temp(
         "snapshots.snp1": lambda path: write_snapshots(matrix, path),
         "db.rom1": lambda path: write_rom(db, path),
         "history.csv": history.write_csv,
-        "pairs.csv": lambda path: cli._write_csv_pairs(path, [(0, 1.5)]),
+        "pairs.csv": lambda path: cli._write_csv(path, [(0, 1.5)]),
     }
     datagen_dir = tmp_path / "datagen"
     datagen_dir.mkdir()
