@@ -14,12 +14,19 @@ Each campaign prints a recovery table; --digest prints one sorted
 ``sha256  relative-path`` line per file under OUTDIR instead, so two
 checkouts wrote byte-identical artifacts exactly when their digests diff empty.
 
+--against REFDIR runs nothing: it compares the artifacts already under OUTDIR
+with their counterparts under REFDIR. A file passes when its bytes are equal
+or when it meets the tolerance standard (see TOLERANCES), prints one line per
+file that differs and exits 1 if any file is missing or out of bounds.
+
 Usage: python3 scripts/campaign.py OUTDIR [--only NAME [--targets V,...]] [--digest]
+       python3 scripts/campaign.py OUTDIR --against REFDIR
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import io
 import sys
@@ -28,7 +35,9 @@ from contextlib import redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
 
-from romga import cli
+import numpy as np
+
+from romga import RomgaError, cli, read_history_csv, read_rom, read_snapshots, reconstruct_sample
 
 PLUME_ARGS = [
     "--family", "plume",
@@ -104,15 +113,135 @@ def run_campaign(root: Path, name: str, targets=None) -> list[Row]:
     return rows
 
 
+# Bounds of the tolerance standard: how far an artifact may move from its
+# reference when it is not byte-identical.
+TOLERANCES = {
+    "delta": 1e-9,  # history best_delta, relative
+    "cost": 1e-9,  # history best_cost and avg_cost, avg_cost.csv values, relative
+    "error": 1e-9,  # error_series.csv values, absolute percentage points
+    "field": 1e-12,  # SNP1 fields and ROM1 reconstructions, relative to the reference's norm
+}
+
+
+def _relative(new: np.ndarray, ref: np.ndarray) -> float:
+    """Largest |new - ref| / |ref|; a moved value whose reference is zero reads inf."""
+    gap = np.abs(new - ref)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(gap == 0.0, 0.0, gap / np.abs(ref))
+    return float(ratio.max(initial=0.0))
+
+
+def _field_gap(new: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.linalg.norm(new - ref) / np.linalg.norm(ref))
+
+
+def _history_gaps(new: Path, ref: Path) -> dict[str, float]:
+    a, b = read_history_csv(new).records, read_history_csv(ref).records
+    if [(r.generation, *r.best[1:]) for r in a] != [(r.generation, *r.best[1:]) for r in b]:
+        raise ValueError("generations or integer genes differ")
+    # columns: best_delta, best_cost, avg_cost
+    a, b = (np.array([(r.best.delta, r.best_cost, r.avg_cost) for r in rs]) for rs in (a, b))
+    return {"delta": _relative(a[:, 0], b[:, 0]), "cost": _relative(a[:, 1:], b[:, 1:])}
+
+
+def _series(path: Path) -> tuple[list[str], np.ndarray]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))[1:]
+    return [i for i, _ in rows], np.array([float(v) for _, v in rows])
+
+
+def _series_gaps(new: Path, ref: Path, absolute: bool) -> dict[str, float]:
+    (new_index, new_values), (ref_index, ref_values) = _series(new), _series(ref)
+    if new_index != ref_index:
+        raise ValueError("row indices differ")
+    if absolute:
+        return {"error": float(np.abs(new_values - ref_values).max(initial=0.0))}
+    return {"cost": _relative(new_values, ref_values)}
+
+
+def _snapshot_gaps(new: Path, ref: Path) -> dict[str, float]:
+    a, b = read_snapshots(new), read_snapshots(ref)
+    if (a.grid, a.times, a.param_kind, a.param_value) != (
+        b.grid, b.times, b.param_kind, b.param_value
+    ):
+        raise ValueError("grid, time axis or parameter differ")
+    return {"field": _field_gap(a.values, b.values)}
+
+
+def _rom_gaps(new: Path, ref: Path) -> dict[str, float]:
+    # reconstructions, not bases: near-null basis columns may rotate freely
+    a, b = read_rom(new), read_rom(ref)
+    if (a.grid, a.times, a.param_kind, a.q) != (b.grid, b.times, b.param_kind, b.q) or not (
+        np.array_equal(a.params, b.params)
+    ):
+        raise ValueError("grid, time axis, parameters or order q differ")
+    return {"field": max(
+        _field_gap(reconstruct_sample(a, k, a.q).values, reconstruct_sample(b, k, b.q).values)
+        for k in range(a.n_params)
+    )}
+
+
+def _gaps(new: Path, ref: Path) -> dict[str, float]:
+    """What the tolerance standard measures between two versions of one artifact."""
+    if new.name.startswith("history_") and new.suffix == ".csv":
+        return _history_gaps(new, ref)
+    if new.name == "avg_cost.csv":
+        return _series_gaps(new, ref, absolute=False)
+    if new.name == "error_series.csv":
+        return _series_gaps(new, ref, absolute=True)
+    if new.suffix == ".snp1":
+        return _snapshot_gaps(new, ref)
+    if new.suffix == ".rom1":
+        return _rom_gaps(new, ref)
+    raise ValueError("no tolerance applies; the bytes must match")
+
+
+def compare_artifacts(outdir: Path, refdir: Path) -> list[tuple[str, str, bool]]:
+    """One (path, verdict, within bounds) row per artifact that is not byte-identical."""
+    names = sorted({p.relative_to(root).as_posix()
+                    for root in (outdir, refdir) for p in root.rglob("*") if p.is_file()})
+    rows = []
+    for name in names:
+        new, ref = outdir / name, refdir / name
+        if not (new.is_file() and ref.is_file()):
+            rows.append((name, f"only under {outdir if new.is_file() else refdir}", False))
+            continue
+        if new.read_bytes() == ref.read_bytes():
+            continue
+        try:
+            gaps = _gaps(new, ref)
+        except (ValueError, RomgaError) as exc:
+            rows.append((name, str(exc), False))
+            continue
+        ok = all(gap <= TOLERANCES[kind] for kind, gap in gaps.items())
+        rows.append((name, ", ".join(f"{kind} {gap:.2g} (bound {TOLERANCES[kind]:.0e})"
+                                     for kind, gap in gaps.items()), ok))
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path, help="artifact directory, one subdirectory per campaign")
     parser.add_argument("--only", choices=list(CAMPAIGNS), help="run this campaign alone")
     parser.add_argument("--targets", help="comma-separated held-out values for --only's campaign")
     parser.add_argument("--digest", action="store_true", help="print artifact sha256s, not tables")
+    parser.add_argument("--against", type=Path, metavar="REFDIR",
+                        help="run nothing; compare OUTDIR's artifacts with REFDIR's")
     args = parser.parse_args()
     if args.targets is not None and args.only is None:
         parser.error("--targets needs --only")
+    if args.against is not None:
+        if args.only or args.digest:
+            parser.error("--against takes no other option")
+        for root in (args.outdir, args.against):
+            if not root.is_dir():
+                parser.error(f"{root} is not a directory")
+        rows = compare_artifacts(args.outdir, args.against)
+        for name, verdict, ok in rows:
+            print(f"{'within' if ok else 'OUT OF BOUNDS'}  {name}: {verdict}")
+        failed = sum(not ok for *_, ok in rows)
+        print(f"{len(rows)} artifacts differ from {args.against}, {failed} out of bounds")
+        raise SystemExit(1 if failed else 0)
     targets = [tok.strip() for tok in (args.targets or "").split(",") if tok.strip()]
     for name in [args.only] if args.only else CAMPAIGNS:
         rows = run_campaign(args.outdir / name, name, targets)

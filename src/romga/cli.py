@@ -59,7 +59,13 @@ def _floats(raw: str) -> tuple[float, ...]:
     parts = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not parts:
         raise argparse.ArgumentTypeError("empty value list")
-    return tuple(float(tok) for tok in parts)
+    values = []
+    for tok in parts:
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {tok!r}") from None
+    return tuple(values)
 
 
 def _rect(raw: str) -> tuple[float, float, float, float]:

@@ -116,10 +116,13 @@ def solve_cavity(
 
     Solves dT/dt + u . grad T = kappa * lap T with the prescribed
     recirculating velocity, first-order upwind advection and centered
-    diffusion, recording the field at every instant of ``times``. Dirichlet
-    values enter through ghost cells set directly to the wall temperature,
-    which keeps every update a convex combination of neighbor values, so the
-    discrete maximum principle holds by construction.
+    diffusion, recording the field at every instant of ``times``. Each
+    substep is one update in coefficient form: the cell moves toward each of
+    its four neighbors by a nonnegative weight, its upwind plus diffusive
+    rate times dt. Under the stability bound the weights sum to at most one,
+    so every update is a convex combination of neighbor values and the
+    discrete maximum principle holds by construction. Dirichlet values enter
+    through ghost cells set to the wall temperature.
 
     All members advance together in one padded ``(k, ny + 2, nx + 2)``
     buffer, so each operation of a substep is one contiguous pass over every
@@ -187,53 +190,48 @@ def _advance(
     size = k * plane              # every member field, back to back
 
     # One spare row before the first and after the last member keeps every
-    # neighbor slice in bounds. Each pass also updates the ghost cells; the
-    # wall reset overwrites what they get, and their zero upwind
-    # coefficients keep it finite.
+    # neighbor slice in bounds. The ghost cells hold the wall temperatures:
+    # they are set once, and their neighbor rates are zero, so while the
+    # field is finite every substep adds exactly zero to them and no
+    # per-substep reset is needed.
     buffer = np.zeros(size + 2 * row)
     padded = buffer[row : row + size].reshape(k, ny + 2, row)
     flat = (k, plane)
     center = buffer[row : row + size].reshape(flat)
-    west_n = buffer[row - 1 : row - 1 + size].reshape(flat)
-    east_n = buffer[row + 1 : row + 1 + size].reshape(flat)
-    south_n = buffer[:size].reshape(flat)
-    north_n = buffer[2 * row : 2 * row + size].reshape(flat)
 
-    # Upwind coefficients, zero on the ghost cells.
-    u_pos, u_neg, v_pos, v_neg = np.zeros((4, k, ny + 2, row))
-    kappa = np.array([[p.kappa] for p in members])
+    # Per-unit-time rates toward the west, east, south and north neighbors:
+    # upwind advection plus centered diffusion, each nonnegative.
+    rates = np.zeros((4, k, ny + 2, row))
     dt_stable, dt_target = [], []
     _, cy = grid.cell_centers()
     inlet_rows = cy.reshape(ny, nx)[:, 0] > 0.9 * grid.ly
-    west = np.empty((k, ny))
-    hot = np.array([[p.theta_hot] for p in members])
-    cold = np.array([[p.theta_cold] for p in members])
     for i, p in enumerate(members):
         u_flat, v_flat = recirculating_velocity(p.inlet_velocity, grid)
         u = u_flat.reshape(ny, nx)
         v = v_flat.reshape(ny, nx)
-        u_pos[i, 1:-1, 1:-1] = np.maximum(u, 0.0)
-        u_neg[i, 1:-1, 1:-1] = np.minimum(u, 0.0)
-        v_pos[i, 1:-1, 1:-1] = np.maximum(v, 0.0)
-        v_neg[i, 1:-1, 1:-1] = np.minimum(v, 0.0)
-        # Convex-combination stability: dt * (|u|/dx + |v|/dy + 2k/dx^2 + 2k/dy^2) <= 1.
+        rates[0, i, 1:-1, 1:-1] = p.kappa / dx**2 + np.maximum(u, 0.0) / dx
+        rates[1, i, 1:-1, 1:-1] = p.kappa / dx**2 - np.minimum(u, 0.0) / dx
+        rates[2, i, 1:-1, 1:-1] = p.kappa / dy**2 + np.maximum(v, 0.0) / dy
+        rates[3, i, 1:-1, 1:-1] = p.kappa / dy**2 - np.minimum(v, 0.0) / dy
+        # Convex-combination stability: dt * (|u|/dx + |v|/dy + 2k/dx^2 + 2k/dy^2) <= 1,
+        # which is dt times the sum of the four rates.
         rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * p.kappa * (1.0 / dx**2 + 1.0 / dy**2)
         dt_stable.append(1.0 / float(rate.max()))
         dt_target.append(cfl * dt_stable[-1])
-        # West ghost column: inlet patch on the top 10% of the left wall.
-        west[i] = np.where(inlet_rows, p.inlet_temperature, p.theta_cold)
+        # inlet patch on the top 10% of the left wall
+        padded[i, 1:-1, 0] = np.where(inlet_rows, p.inlet_temperature, p.theta_cold)
+        padded[i, 1:-1, -1] = p.theta_cold
+        padded[i, 0, :] = p.theta_hot          # heated floor at y = 0
+        padded[i, -1, :] = p.theta_cold
         padded[i, 1:-1, 1:-1] = p.theta_initial
-    u_pos, u_neg, v_pos, v_neg = (c.reshape(flat) for c in (u_pos, u_neg, v_pos, v_neg))
+    rates = rates.reshape(4, *flat)
+    # Each interval scales the rates by its members' dt: cw, ce, cs, cn.
+    coefs = np.empty_like(rates)
+    cw, ce, cs, cn = coefs
 
-    def reset_walls() -> None:
-        padded[:, 1:-1, 0] = west            # left wall / inlet patch
-        padded[:, 1:-1, -1] = cold
-        padded[:, 0, :] = hot                # heated floor at y = 0
-        padded[:, -1, :] = cold
-
-    # One-sided differences shared by the upwind terms: (center - west) and
-    # (east - center) are the same differences one cell apart, and likewise
-    # (center - south) and (north - center) one row apart.
+    # One-sided differences: (center - west) and (east - center) are the same
+    # differences one cell apart, and likewise (center - south) and
+    # (north - center) one row apart.
     x_hi, x_lo = buffer[row : row + size + 1], buffer[row - 1 : row + size]
     y_hi, y_lo = buffer[row : 2 * row + size], buffer[: row + size]
     step_x = np.empty(size + 1)
@@ -242,14 +240,13 @@ def _advance(
     e_minus_c = step_x[1:].reshape(flat)
     c_minus_s = step_y[:size].reshape(flat)
     n_minus_c = step_y[row:].reshape(flat)
-    adv, lap, term, twice = np.empty((4, *flat))
+    flux, term = np.empty((2, *flat))
     dt = np.empty((k, 1))
 
     instants = times.instants()
     records = [np.empty((times.n_steps, ny, nx)) for _ in members]
     for i, record in enumerate(records):
         record[0] = padded[i, 1:-1, 1:-1]
-    reset_walls()
     for l in range(1, times.n_steps):
         span = instants[l] - instants[l - 1]
         n_sub = [max(1, math.ceil(span / target)) for target in dt_target]
@@ -259,38 +256,21 @@ def _advance(
                 raise StabilityError(
                     f"substep {dt[i, 0]:.3e}s exceeds stability bound {dt_stable[i]:.3e}s"
                 )
+        np.multiply(rates, dt, out=coefs)
         counts, fewest = np.array(n_sub)[:, None], min(n_sub)
         for j in range(max(n_sub)):
             active = True if j < fewest else counts > j
             np.subtract(x_hi, x_lo, out=step_x)
             np.subtract(y_hi, y_lo, out=step_y)
-            # adv = u_pos*(c - w)/dx + u_neg*(e - c)/dx + v_pos*(c - s)/dy + v_neg*(n - c)/dy
-            np.multiply(u_pos, c_minus_w, out=adv)
-            np.divide(adv, dx, out=adv)
-            np.multiply(u_neg, e_minus_c, out=term)
-            np.divide(term, dx, out=term)
-            np.add(adv, term, out=adv)
-            np.multiply(v_pos, c_minus_s, out=term)
-            np.divide(term, dy, out=term)
-            np.add(adv, term, out=adv)
-            np.multiply(v_neg, n_minus_c, out=term)
-            np.divide(term, dy, out=term)
-            np.add(adv, term, out=adv)
-            # diff = kappa * ((e - 2c + w)/dx^2 + (n - 2c + s)/dy^2)
-            np.multiply(2.0, center, out=twice)
-            np.subtract(east_n, twice, out=lap)
-            np.add(lap, west_n, out=lap)
-            np.divide(lap, dx**2, out=lap)
-            np.subtract(north_n, twice, out=term)
-            np.add(term, south_n, out=term)
-            np.divide(term, dy**2, out=term)
-            np.add(lap, term, out=lap)
-            np.multiply(kappa, lap, out=lap)
-            # field = field + dt * (diff - adv)
-            np.subtract(lap, adv, out=lap)
-            np.multiply(dt, lap, out=lap)
-            np.add(center, lap, out=center, where=active)
-            reset_walls()
+            # field += ce*(e - c) - cw*(c - w) + cn*(n - c) - cs*(c - s)
+            np.multiply(ce, e_minus_c, out=flux)
+            np.multiply(cw, c_minus_w, out=term)
+            np.subtract(flux, term, out=flux)
+            np.multiply(cn, n_minus_c, out=term)
+            np.add(flux, term, out=flux)
+            np.multiply(cs, c_minus_s, out=term)
+            np.subtract(flux, term, out=flux)
+            np.add(center, flux, out=center, where=active)
         interior = padded[:, 1:-1, 1:-1]
         if not np.isfinite(interior).all():
             raise DivergenceError(f"non-finite values at t = {instants[l]:.6g}s")

@@ -717,6 +717,14 @@ def test_abbreviated_flags_and_config_keys_are_rejected(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_a_malformed_number_in_a_list_is_named(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["datagen", "--family", "plume", "--deltas", "0.3,x", "--out", str(out)]) == 2
+    assert "--deltas: not a number: 'x'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_config_files_cannot_nest_or_give_another_command_a_preset(pipeline, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

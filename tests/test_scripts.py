@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,3 +80,60 @@ def test_campaign_digest_lists_every_artifact(tmp_path):
     on_disk = {p.relative_to(tmp_path / "campaign").as_posix()
                for p in (tmp_path / "campaign").rglob("*") if p.is_file()}
     assert on_disk == expected
+
+
+@pytest.fixture(scope="module")
+def plume_campaign(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reference")
+    _run_script("campaign.py", "runs", "--only", "plume", cwd=root)
+    return root / "runs"
+
+
+def _copy_with_history_edit(reference: Path, dest: Path, column: str, edit) -> Path:
+    """Copy the campaign, replacing ``column`` of the history's last row by ``edit(value)``."""
+    shutil.copytree(reference, dest)
+    history = dest / "plume" / "history_0.375.csv"
+    with open(history, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    at = rows[0].index(column)
+    rows[-1][at] = edit(rows[-1][at])
+    with open(history, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    return dest
+
+
+def test_against_passes_a_copy_and_a_cost_moved_within_bounds(plume_campaign, tmp_path):
+    shutil.copytree(plume_campaign, tmp_path / "copy")
+    out = _run_script("campaign.py", "copy", "--against", str(plume_campaign), cwd=tmp_path)
+    assert out.splitlines() == [f"0 artifacts differ from {plume_campaign}, 0 out of bounds"]
+
+    _copy_with_history_edit(plume_campaign, tmp_path / "near", "best_cost",
+                            lambda v: repr(float(v) * (1 + 1e-12)))
+    out = _run_script("campaign.py", "near", "--against", str(plume_campaign), cwd=tmp_path)
+    assert out.splitlines()[0].startswith("within  plume/history_0.375.csv: delta 0 ")
+    assert out.splitlines()[-1] == f"1 artifacts differ from {plume_campaign}, 0 out of bounds"
+
+
+@pytest.mark.parametrize(
+    "column, edit, why",
+    [
+        ("best_cost", lambda v: repr(float(v) * (1 + 1e-6)),
+         "delta 0 (bound 1e-09), cost 1e-06 (bound 1e-09)"),
+        ("best_m", lambda v: str(int(v) + 1), "generations or integer genes differ"),
+    ],
+    ids=["cost-nudged-1e-6", "best-m-changed"],
+)
+def test_against_fails_a_history_out_of_bounds(plume_campaign, tmp_path, column, edit, why):
+    _copy_with_history_edit(plume_campaign, tmp_path / "moved", column, edit)
+    out = _run_script(
+        "campaign.py", "moved", "--against", str(plume_campaign), cwd=tmp_path, code=1
+    )
+    assert out.splitlines() == [
+        f"OUT OF BOUNDS  plume/history_0.375.csv: {why}",
+        f"1 artifacts differ from {plume_campaign}, 1 out of bounds",
+    ]
+
+
+def test_against_a_missing_directory_exits_two(plume_campaign, tmp_path):
+    # an empty comparison would otherwise pass
+    _run_script("campaign.py", "absent", "--against", str(plume_campaign), cwd=tmp_path, code=2)

@@ -189,7 +189,41 @@ def test_cavity_inlet_temperature_enters_affinely():
 
 
 def _reference_cavity(params, grid, times, cfl=0.9):
-    """The cavity scheme for one member as a plain loop over padded copies."""
+    """The cavity scheme for one member as a plain loop in the solver's coefficient form."""
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    u_flat, v_flat = recirculating_velocity(params.inlet_velocity, grid)
+    u, v = u_flat.reshape(ny, nx), v_flat.reshape(ny, nx)
+    rw = params.kappa / dx**2 + np.maximum(u, 0.0) / dx
+    re = params.kappa / dx**2 - np.minimum(u, 0.0) / dx
+    rs = params.kappa / dy**2 + np.maximum(v, 0.0) / dy
+    rn = params.kappa / dy**2 - np.minimum(v, 0.0) / dy
+    rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * params.kappa * (1.0 / dx**2 + 1.0 / dy**2)
+    dt_target = cfl / float(rate.max())
+    y_col = grid.cell_centers()[1].reshape(ny, nx)[:, 0]
+    padded = np.empty((ny + 2, nx + 2))
+    padded[1:-1, 0] = np.where(y_col > 0.9 * grid.ly, params.inlet_temperature, params.theta_cold)
+    padded[1:-1, -1] = params.theta_cold
+    padded[0, 1:-1] = params.theta_hot
+    padded[-1, 1:-1] = params.theta_cold
+    padded[1:-1, 1:-1] = params.theta_initial
+    out = np.empty((grid.n_cells, times.n_steps))
+    out[:, 0] = padded[1:-1, 1:-1].ravel()
+    instants = times.instants()
+    for l in range(1, times.n_steps):
+        span = instants[l] - instants[l - 1]
+        n_sub = max(1, math.ceil(span / dt_target))
+        dt = span / n_sub
+        cw, ce, cs, cn = rw * dt, re * dt, rs * dt, rn * dt
+        for _ in range(n_sub):
+            c, w, e = padded[1:-1, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]
+            s, n = padded[:-2, 1:-1], padded[2:, 1:-1]
+            padded[1:-1, 1:-1] = c + (ce * (e - c) - cw * (c - w) + cn * (n - c) - cs * (c - s))
+        out[:, l] = padded[1:-1, 1:-1].ravel()
+    return out
+
+
+def _textbook_cavity(params, grid, times, cfl=0.9):
+    """The cavity scheme for one member as separate upwind advection and diffusion terms."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     u_flat, v_flat = recirculating_velocity(params.inlet_velocity, grid)
     u, v = u_flat.reshape(ny, nx), v_flat.reshape(ny, nx)
@@ -256,6 +290,33 @@ def test_batched_members_equal_each_member_solved_alone():
 
     with pytest.raises(ValueError, match="at least one member"):
         solve_cavity([], grid, times)
+
+
+def test_members_agree_with_the_textbook_scheme():
+    # the coefficient form regroups the upwind and diffusion terms, so it may
+    # differ from them only by rounding
+    grid = Grid(14, 12, 1.04, 0.9)
+    times = TimeAxis(7, 4.0)
+    runs = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
+    for params, run in zip(MIXED_ENSEMBLE, runs):
+        textbook = _textbook_cavity(params, grid, times)
+        assert np.abs(run.values - textbook).max() <= 1e-13 * np.abs(textbook).max()
+
+
+def test_full_cfl_keeps_the_maximum_principle_and_batched_equality():
+    # at cfl = 1 a cell's own weight 1 - (cw + ce + cs + cn) can reach zero
+    grid = Grid(14, 12, 1.04, 0.9)
+    times = TimeAxis(7, 4.0)
+    batched = solve_cavity(MIXED_ENSEMBLE, grid, times, cfl=1.0, vary=ParamKind.TEMPERATURE)
+    for params, run in zip(MIXED_ENSEMBLE, batched):
+        bounds = (
+            params.theta_hot, params.theta_cold, params.inlet_temperature, params.theta_initial
+        )
+        assert run.values.min() >= min(bounds) - 1e-9
+        assert run.values.max() <= max(bounds) + 1e-9
+        (alone,) = solve_cavity([params], grid, times, cfl=1.0, vary=ParamKind.TEMPERATURE)
+        assert run.equals(alone)
+        assert np.array_equal(alone.values, _reference_cavity(params, grid, times, cfl=1.0))
 
 
 def test_cavity_parameter_tagging_follows_vary():
