@@ -168,31 +168,34 @@ def _snapshot_gaps(new: Path, ref: Path) -> dict[str, float]:
     return {"field": _field_gap(a.values, b.values)}
 
 
-def _rom_gaps(new: Path, ref: Path) -> dict[str, float]:
-    # reconstructions, not bases: near-null basis columns may rotate freely
+def _rom_gaps(new: Path, ref: Path) -> tuple[dict[str, float], str]:
+    # reconstructions, not bases: near-null basis columns may rotate freely,
+    # and the ranks may differ; the note names a rank that moved
     a, b = read_rom(new), read_rom(ref)
     if (a.grid, a.times, a.param_kind, a.q) != (b.grid, b.times, b.param_kind, b.q) or not (
         np.array_equal(a.params, b.params)
     ):
         raise ValueError("grid, time axis, parameters or order q differ")
-    return {"field": max(
+    gap = max(
         _field_gap(reconstruct_sample(a, k, a.q).values, reconstruct_sample(b, k, b.q).values)
         for k in range(a.n_params)
-    )}
+    )
+    ranks = (("r", b.r, a.r), ("s", b.s, a.s))
+    return {"field": gap}, " ".join(f"{x} {old}→{now}" for x, old, now in ranks if old != now)
 
 
-def _gaps(new: Path, ref: Path) -> dict[str, float]:
-    """What the tolerance standard measures between two versions of one artifact."""
-    if new.name.startswith("history_") and new.suffix == ".csv":
-        return _history_gaps(new, ref)
-    if new.name == "avg_cost.csv":
-        return _series_gaps(new, ref, absolute=False)
-    if new.name == "error_series.csv":
-        return _series_gaps(new, ref, absolute=True)
-    if new.suffix == ".snp1":
-        return _snapshot_gaps(new, ref)
+def _gaps(new: Path, ref: Path) -> tuple[dict[str, float], str]:
+    """What the tolerance standard measures between two versions of one artifact, and a note."""
     if new.suffix == ".rom1":
         return _rom_gaps(new, ref)
+    if new.name.startswith("history_") and new.suffix == ".csv":
+        return _history_gaps(new, ref), ""
+    if new.name == "avg_cost.csv":
+        return _series_gaps(new, ref, absolute=False), ""
+    if new.name == "error_series.csv":
+        return _series_gaps(new, ref, absolute=True), ""
+    if new.suffix == ".snp1":
+        return _snapshot_gaps(new, ref), ""
     raise ValueError("no tolerance applies; the bytes must match")
 
 
@@ -209,13 +212,13 @@ def compare_artifacts(outdir: Path, refdir: Path) -> list[tuple[str, str, bool]]
         if new.read_bytes() == ref.read_bytes():
             continue
         try:
-            gaps = _gaps(new, ref)
+            gaps, note = _gaps(new, ref)
         except (ValueError, RomgaError) as exc:
             rows.append((name, str(exc), False))
             continue
         ok = all(gap <= TOLERANCES[kind] for kind, gap in gaps.items())
-        rows.append((name, ", ".join(f"{kind} {gap:.2g} (bound {TOLERANCES[kind]:.0e})"
-                                     for kind, gap in gaps.items()), ok))
+        verdict = [f"{kind} {gap:.2g} (bound {TOLERANCES[kind]:.0e})" for kind, gap in gaps.items()]
+        rows.append((name, ", ".join(verdict + ([note] if note else [])), ok))
     return rows
 
 

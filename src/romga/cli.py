@@ -266,8 +266,8 @@ def _read_manifest(path: Path) -> list[tuple[ParamKind, float, Path]]:
 _COMPRESS_OPTS = (
     ("--snapshots", str, ..., "manifest file listing the training runs"),
     ("--q", int, 60, "per-sample truncation order"),
-    ("--r", int, None, "global spatial rank (default: lossless)"),
-    ("--s", int, None, "global temporal rank (default: lossless)"),
+    ("--r", int, None, "global spatial rank (default: numerical rank of the stacked modes)"),
+    ("--s", int, None, "global temporal rank (default: numerical rank of the stacked coeffs)"),
     ("--out", str, ..., "ROM output file"),
 )
 

@@ -13,7 +13,11 @@ each sample is reduced to the pair of small projection blocks
 
 so that Y_k ~ spatial_basis @ spatial_block_k @ temporal_block_k.T
 @ temporal_basis.T. The blocks are what the barycentric interpolation
-operates on; the two global bases never change between queries.
+operates on; the two global bases never change between queries. By default
+r and s are the numerical ranks of the two stacked matrices: the directions
+whose singular values lie at rounding level are dropped, since every sample
+rebuilds to rounding without them and every lift and search cost would
+carry them.
 
 SVD signs are pinned deterministically: within each left singular vector the
 entry of largest magnitude is made nonnegative (first index wins ties), with
@@ -180,6 +184,11 @@ class RomDatabase:
         return float(self.params[0]), float(self.params[-1])
 
 
+def _numerical_rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
+    """Singular values above numpy's matrix_rank tolerance, at least one."""
+    return max(1, int(np.count_nonzero(sv > sv[0] * max(shape) * np.finfo(sv.dtype).eps)))
+
+
 def two_level_compress(pairs, r: int | None = None, s: int | None = None) -> RomDatabase:
     """Compress an ensemble of per-sample factorizations into a RomDatabase.
 
@@ -192,8 +201,11 @@ def two_level_compress(pairs, r: int | None = None, s: int | None = None) -> Rom
     r, s : int or None
         Ranks of the global spatial and temporal bases,
         1 <= r <= min(q * n_params, n_cells) and
-        1 <= s <= min(q * n_params, n_steps). None takes the upper bound,
-        which keeps the stacked column spaces exactly.
+        1 <= s <= min(q * n_params, n_steps). None takes the numerical rank
+        of the stacked spatial modes or temporal coefficients: the count of
+        singular values above sigma_1 * max(rows, cols) * eps, the default
+        tolerance of np.linalg.matrix_rank, and at least 1. That keeps the
+        stacked column spaces to rounding.
     """
     pairs = list(pairs)
     if not pairs:
@@ -210,17 +222,17 @@ def two_level_compress(pairs, r: int | None = None, s: int | None = None) -> Rom
     params = np.array([p.param_value for p in pairs])  # RomDatabase checks the order
     r_max = min(q * len(pairs), first.grid.n_cells)
     s_max = min(q * len(pairs), first.times.n_steps)
-    r = r_max if r is None else r
-    s = s_max if s is None else s
-    if not 1 <= r <= r_max:
+    if r is not None and not 1 <= r <= r_max:
         raise ValueError(f"r must lie in [1, {r_max}], got {r}")
-    if not 1 <= s <= s_max:
+    if s is not None and not 1 <= s <= s_max:
         raise ValueError(f"s must lie in [1, {s_max}], got {s}")
 
     stacked_spatial = np.hstack([p.spatial_modes for p in pairs])
     stacked_temporal = np.hstack([p.temporal_coeffs for p in pairs])
-    us, _, vts = np.linalg.svd(stacked_spatial, full_matrices=False)
-    ut, _, vtt = np.linalg.svd(stacked_temporal, full_matrices=False)
+    us, svs, vts = np.linalg.svd(stacked_spatial, full_matrices=False)
+    ut, svt, vtt = np.linalg.svd(stacked_temporal, full_matrices=False)
+    r = _numerical_rank(svs, stacked_spatial.shape) if r is None else r
+    s = _numerical_rank(svt, stacked_temporal.shape) if s is None else s
     spatial_basis, temporal_basis = us[:, :r], ut[:, :s]
     _fix_svd_signs(spatial_basis, vts[:r])
     _fix_svd_signs(temporal_basis, vtt[:s])
@@ -244,7 +256,7 @@ def compress_ensemble(matrices, q: int, r: int | None = None, s: int | None = No
     and a generator that reads samples from disk holds one at a time. The
     pairs are sorted by parameter value and handed to two_level_compress
     with ``r`` and ``s``, whose defaults keep the stacked column spaces
-    exactly.
+    to rounding.
     """
     pairs = sorted((pod_factorize(m, q) for m in matrices), key=lambda p: p.param_value)
     return two_level_compress(pairs, r, s)

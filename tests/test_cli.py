@@ -82,7 +82,11 @@ def test_datagen_writes_manifest_and_snapshots(pipeline):
 def test_compress_output_reloads(pipeline):
     db = read_rom(pipeline / "db.rom1")
     assert db.n_params == 5 and db.q == 8
-    assert (db.r, db.s) == (40, 40)  # lossless: q * n_params on both axes
+    # the default ranks keep the stacked factors to rounding, at most q * n_params
+    training = [read_snapshots(path) for path in sorted(pipeline.glob("train_*.snp1"))]
+    library = compress_ensemble(training, q=8)
+    assert (db.r, db.s) == (library.r, library.s)
+    assert db.r <= 40 and db.s <= 40
     assert db.params.tolist() == [0.3, 0.35, 0.4, 0.45, 0.5]
 
 
@@ -114,10 +118,12 @@ def test_predict_truncation_defaults_to_full_order(pipeline, tmp_path):
 
 
 def _series2_shaped_rom() -> RomDatabase:
-    """A synthetic ROM shaped like the series-2 preset's.
+    """A synthetic ROM on the series-2 preset's grid at the largest ranks.
 
-    48x48 cells, 150 instants, q = 30, five samples, r = s = 150: it holds
-    3.3 MB of floats, and a field lifted from it 2.76 MB.
+    48x48 cells, 150 instants, q = 30, five samples, r = s = 150: the
+    worst case an explicit ``--r 150 --s 150`` builds, not the preset's
+    default ROM, which keeps fewer. It holds 3.3 MB of floats, and a field
+    lifted from it 2.76 MB.
     """
     rng = np.random.default_rng(2)
     q, n = 30, 5
@@ -306,6 +312,23 @@ def test_compress_stops_at_a_corrupt_sample_and_writes_nothing(pipeline, tmp_pat
     assert code == 2
     assert third.name in capsys.readouterr().err
     assert set(tmp_path.iterdir()) == before  # no ROM, no temporary file
+
+
+def test_compress_ranks_follow_r_and_s(pipeline, tmp_path, capsys):
+    manifest = str(pipeline / "manifest.txt")
+    rom = tmp_path / "ranked.rom1"
+    argv = ["compress", "--snapshots", manifest, "--q", "8", "--r", "5", "--s", "3"]
+    assert cli.main([*argv, "--out", str(rom)]) == 0
+    assert "q=8, r=5, s=3" in capsys.readouterr().out
+    db = read_rom(rom)
+    assert (db.q, db.r, db.s) == (8, 5, 3)
+    assert db.spatial_blocks.shape == (5, 5, 8) and db.temporal_blocks.shape == (5, 3, 8)
+    # r_max is q * n_params = 40: one more is a usage error and writes nothing
+    over = tmp_path / "over.rom1"
+    argv[argv.index("--r") + 1] = "41"
+    assert cli.main([*argv, "--out", str(over)]) == 2
+    assert "r must lie in [1, 40], got 41" in capsys.readouterr().err
+    assert not over.exists()
 
 
 def test_optimize_recovers_the_target_parameter(pipeline, tmp_path, capsys):

@@ -508,7 +508,8 @@ def test_reduced_cost_matches_the_lifted_cost(plume_db, plume_grid, plume_times,
 
 
 def test_reduced_cost_rejects_mismatched_factors(plume_projection):
-    spatial, temporal = np.zeros((50, 4)), np.zeros((50, 4))
+    r, s = plume_projection.factor.shape[1], plume_projection.projected.shape[1]
+    spatial, temporal = np.zeros((r, 4)), np.zeros((s, 4))
     assert reduced_cost(spatial, temporal, plume_projection) > 0.0
     for bad in ((spatial[:49], temporal), (spatial, temporal[:1]), (spatial, temporal[:, :3])):
         with pytest.raises(ValueError):

@@ -145,8 +145,8 @@ def test_global_bases_are_orthonormal(plume_db):
 
 
 def test_lossless_truncation_error_equals_the_singular_tail(plume_db, plume_matrices):
-    # default ranks keep the stacked factor columns exactly, so rebuilding a
-    # sample at order m is the rank-m SVD truncation of that sample
+    # the default ranks keep the stacked factor columns to rounding, so
+    # rebuilding a sample at order m is the rank-m SVD truncation of that sample
     for k in (0, 2, 4):
         values = plume_matrices[k].values
         sv = np.linalg.svd(values, compute_uv=False)
@@ -175,7 +175,8 @@ def test_compress_ensemble_sorts_by_parameter(rng):
 
 
 def test_default_rank_clips_to_matrix_dimensions(rng):
-    # r and s default to min(q * n_params, n_cells) and min(q * n_params, n_steps)
+    # r and s default to the numerical ranks of the stacked factors, which
+    # random samples fill: min(q * n_params, n_cells) and min(q * n_params, n_steps)
     for n_cells, n_steps, q, n_params, ranks in (
         (40, 12, 3, 2, (6, 6)),
         (6, 12, 2, 5, (6, 10)),
@@ -187,6 +188,42 @@ def test_default_rank_clips_to_matrix_dimensions(rng):
         pairs = [pod_factorize(m, q) for m in mats]
         assert (two_level_compress(pairs).r, two_level_compress(pairs).s) == ranks
         assert two_level_compress(pairs, s=2).r == ranks[0]
+
+
+def _affine_family(rng, deltas, n_cells=40, n_steps=20):
+    # Y(delta) = A + delta * B with rank-2 A and B: every sample has rank 4
+    # and all of them share one 4-dimensional column space and row space
+    grid, times = _grid_for(n_cells), TimeAxis(n_steps, 2.0)
+    a, b = (rng.normal(size=(n_cells, 2)) @ rng.normal(size=(2, n_steps)) for _ in range(2))
+    return [SnapshotMatrix(grid, times, ParamKind.SYNTHETIC, d, a + d * b) for d in deltas]
+
+
+def test_default_ranks_are_the_numerical_ranks_of_the_stacked_factors(plume_matrices, rng):
+    ensembles = (
+        (plume_matrices, 10),
+        (_affine_family(rng, (0.1, 0.2, 0.3, 0.4, 0.5)), 4),
+        ([random_matrix(rng, value=v) for v in (0.1, 0.4)], 5),
+    )
+    for mats, q in ensembles:
+        pairs = [pod_factorize(m, q) for m in mats]
+        db = two_level_compress(pairs)
+        stacked = (np.hstack([p.spatial_modes for p in pairs]),
+                   np.hstack([p.temporal_coeffs for p in pairs]))
+        assert (db.r, db.s) == tuple(np.linalg.matrix_rank(m) for m in stacked)
+
+
+def test_a_rank_deficient_ensemble_keeps_its_rank_and_rebuilds(rng):
+    deltas = (0.1, 0.2, 0.3, 0.4, 0.5)
+    pairs = [pod_factorize(m, 4) for m in _affine_family(rng, deltas)]
+    db = two_level_compress(pairs)
+    assert (db.r, db.s) == (4, 4)  # not q * n_params = 20
+    full = two_level_compress(pairs, 20, 20)
+    # an explicit r_max and s_max keep every stacked column, as before
+    assert (full.r, full.s) == (20, 20)
+    assert full.spatial_blocks.shape == (5, 20, 4) and full.temporal_blocks.shape == (5, 20, 4)
+    for k in range(len(deltas)):
+        kept, every = (reconstruct_sample(d, k, 4).values for d in (db, full))
+        assert np.linalg.norm(kept - every) <= 1e-12 * np.linalg.norm(every)
 
 
 def test_block_shapes_and_truncation(plume_db):

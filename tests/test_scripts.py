@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from romga import cli, read_rom
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -112,6 +114,20 @@ def test_against_passes_a_copy_and_a_cost_moved_within_bounds(plume_campaign, tm
     out = _run_script("campaign.py", "near", "--against", str(plume_campaign), cwd=tmp_path)
     assert out.splitlines()[0].startswith("within  plume/history_0.375.csv: delta 0 ")
     assert out.splitlines()[-1] == f"1 artifacts differ from {plume_campaign}, 0 out of bounds"
+
+
+def test_against_names_a_rank_change(plume_campaign, tmp_path):
+    reference = read_rom(plume_campaign / "plume" / "db.rom1")
+    # the default keeps every spatial column but only the temporal ones above rounding
+    assert reference.r == 50 and reference.s < 50
+    copy = shutil.copytree(plume_campaign, tmp_path / "full") / "plume"
+    assert cli.main(["compress", "--snapshots", str(copy / "manifest.txt"), "--q", "10",
+                     "--r", "50", "--s", "50", "--out", str(copy / "db.rom1")]) == 0
+    out = _run_script("campaign.py", "full", "--against", str(plume_campaign), cwd=tmp_path)
+    first, last = out.splitlines()
+    assert first.startswith("within  plume/db.rom1: field ")
+    assert first.endswith(f"(bound 1e-12), s {reference.s}→50")
+    assert last == f"1 artifacts differ from {plume_campaign}, 0 out of bounds"
 
 
 @pytest.mark.parametrize(
