@@ -18,17 +18,16 @@ Lagrange weights collapse onto it and its self-alignment is the identity.
 No re-orthonormalization happens; the factors are the weighted sums as they
 come.
 
-Because every block is aligned to the nearest sample's block and not to a
-weighted sum, a rotation depends only on which factor it aligns, the nearest
-sample j, the neighbor k and the truncation order m; the query's parameter
-value enters the prediction through the Lagrange weights alone. Queries that
-share a rotation dict therefore compute each (side, j, k, m) rotation once:
-a genetic search keeps one dict for its whole run and scores most
-chromosomes without an SVD.
+An aligned block depends only on its factor, the nearest sample j, the
+neighbor set and m, never on the query's parameter value. Queries sharing
+an ``aligned`` dict align each (side, j, neighbors, m) stack once, in one
+batched Procrustes SVD; a search then scores most chromosomes as a weighted
+sum (cavity-temperature identify_s 0.152 -> 0.102 s, ``BENCH_23.json``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -62,22 +61,22 @@ def _nearest_first(params: np.ndarray, delta_new: float) -> np.ndarray:
 def lagrange_weights(nodes, delta_new: float) -> np.ndarray:
     """Classical Lagrange cardinal weights of ``nodes`` evaluated at ``delta_new``.
 
-    weight_k = prod_{i != k} (delta_new - node_i) / (node_k - node_i).
+    weight_k = prod_{i != k} (delta_new - node_i) / (node_k - node_i), in order of i.
     The weights sum to one; a query placed on a node yields the Kronecker
     vector for that node. Duplicate nodes raise ValueError.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     if nodes.ndim != 1 or nodes.size == 0:
         raise ValueError("nodes must be a nonempty 1D array")
-    ordered = np.sort(nodes)
-    if np.any(ordered[1:] == ordered[:-1]):
+    values = nodes.tolist()
+    if len(set(values)) != len(values):
         raise ValueError("nodes must be pairwise distinct")
-    n = nodes.size
-    others = ~np.eye(n, dtype=bool)
-    # row k holds the factors (delta_new - node_i) / (node_k - node_i), i != k, in order
-    numerators = np.broadcast_to(delta_new - nodes, (n, n))[others]
-    denominators = (nodes[:, None] - nodes)[others]
-    return np.prod((numerators / denominators).reshape(n, n - 1), axis=1)
+    # Python floats round like float64 and skip numpy's per-call overhead on a few nodes
+    delta_new = float(delta_new)
+    return np.array([
+        math.prod((delta_new - x_i) / (x_k - x_i) for i, x_i in enumerate(values) if i != k)
+        for k, x_k in enumerate(values)
+    ], dtype=np.float64)
 
 
 def procrustes_align(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -89,37 +88,35 @@ def procrustes_align(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
     other @ Q == reference. A rank-deficient cross-product makes the
     minimizer non-unique; the returned Q is then still a valid choice. A
     non-finite cross-product raises LinAlgError: its SVD may never return.
+    ``other`` may stack such matrices on leading axes: one SVD call then
+    gives one Q per matrix, each the bits of a 2D call on it.
     """
     reference = np.asarray(reference, dtype=np.float64)
     other = np.asarray(other, dtype=np.float64)
-    if reference.shape != other.shape or reference.ndim != 2:
-        raise ValueError("reference and other must share a 2D shape")
+    if reference.ndim != 2 or other.shape[-2:] != reference.shape:
+        raise ValueError("other must stack matrices of reference's 2D shape")
     with np.errstate(over="ignore", invalid="ignore"):
         cross = reference.T @ other
     if not np.isfinite(cross).all():
         raise np.linalg.LinAlgError("Procrustes cross product is not finite")
     left, _, right_t = np.linalg.svd(cross)
-    return right_t.T @ left.T
+    return np.swapaxes(right_t, -1, -2) @ np.swapaxes(left, -1, -2)
 
 
-def _interpolate_factor(side: str, stack: np.ndarray, nearest, params, delta, m: int, rotations):
-    """sum_k w_k * B_k @ Q_k over ``nearest``, B_k = stack[k, :, :m], w_k Lagrange weights.
+def _interpolate_factor(side: str, stack: np.ndarray, nearest, params, delta, m: int, aligned):
+    """sum_k w_k * (B_k @ Q_k) over ``nearest`` in increasing k, B_k = stack[k, :, :m].
 
-    Q_k aligns B_k onto the block of nearest[0], the sample nearest to
-    ``delta``. It is cached in ``rotations`` under (side, nearest[0], k, m),
-    not the aligned block, so a served Q_k changes no bit of the sum.
+    w_k are Lagrange weights; Q_k aligns B_k onto the block of nearest[0].
+    ``aligned`` holds the stack of B_k @ Q_k under (side, nearest[0], neighbors, m).
     """
     j = int(nearest[0])
-    reference = stack[j, :, :m]
     neighbors = np.sort(nearest)
-
-    def aligned(w, k):
-        block, key = stack[k, :, :m], (side, j, int(k), m)
-        if key not in rotations:
-            rotations[key] = procrustes_align(reference, block)
-        return w * block @ rotations[key]
-
-    return sum(aligned(w, k) for w, k in zip(lagrange_weights(params[neighbors], delta), neighbors))
+    key = (side, j, tuple(neighbors.tolist()), m)
+    if key not in aligned:
+        blocks = stack[neighbors, :, :m]
+        aligned[key] = blocks @ procrustes_align(stack[j, :, :m], blocks)
+    weights = lagrange_weights(params[neighbors], delta)
+    return (weights[:, None, None] * aligned[key]).sum(axis=0)
 
 
 def interpolate_reduced(
@@ -129,7 +126,7 @@ def interpolate_reduced(
     ne_x: int,
     ne_t: int,
     m: int,
-    rotations: dict | None = None,
+    aligned: dict | None = None,
 ) -> BarycentricResult:
     """Predict the factor pair at the unseen parameter value ``delta``.
 
@@ -140,11 +137,11 @@ def interpolate_reduced(
     genes are keyword-only, so the two neighbor counts cannot be swapped by
     position.
 
-    ``rotations`` holds the alignment rotations of earlier queries on the
-    same database, keyed ``(side, nearest, neighbor, m)`` with side ``"x"``
-    (spatial) or ``"t"`` (temporal); rotations this query needs and does not
-    find there are computed and added. A query served from it returns the
-    same bits as one that computes every rotation. None starts an empty dict.
+    ``aligned`` holds earlier queries' aligned neighbor blocks on the same
+    database, one stack per ``(side, nearest, neighbors, m)``, side ``"x"``
+    or ``"t"`` and neighbors an increasing tuple; missing stacks are added.
+    A query served from it returns the bits of one that aligns every block.
+    None starts an empty dict.
 
     Raises ValueError naming the gene that does not fit the database:
     neighbor counts outside [2, n_params], m outside [1, q], or a query
@@ -161,10 +158,10 @@ def interpolate_reduced(
     if not lo <= delta <= hi:
         raise ValueError(f"query {delta!r} outside the training hull [{lo!r}, {hi!r}]")
 
-    rotations = {} if rotations is None else rotations
+    aligned = {} if aligned is None else aligned
     order = _nearest_first(params, delta)
     sides = (("x", db.spatial_blocks, ne_x), ("t", db.temporal_blocks, ne_t))
     return BarycentricResult(*[
-        _interpolate_factor(side, stack, order[:ne], params, delta, m, rotations)
+        _interpolate_factor(side, stack, order[:ne], params, delta, m, aligned)
         for side, stack, ne in sides
     ])

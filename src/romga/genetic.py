@@ -166,7 +166,7 @@ def evaluate_population(
     db: RomDatabase,
     projection: ProjectedTarget,
     cache: dict | None = None,
-    rotations: dict | None = None,
+    aligned: dict | None = None,
 ) -> np.ndarray:
     """Cost per chromosome.
 
@@ -177,16 +177,16 @@ def evaluate_population(
     limits. Identical chromosomes always score identically, so ``cache``
     maps each chromosome scored so far to its cost and a repeat, within the
     population or across generations, is served from it; None starts an
-    empty one. ``rotations`` is handed to interpolate_reduced, so alignment
-    rotations computed for one chromosome serve every later one on the same
-    database.
+    empty one. ``aligned`` is handed to interpolate_reduced, so the aligned
+    neighbor blocks computed for one chromosome serve every later one on the
+    same database that shares its nearest sample, neighbor sets and m.
     """
     cache = {} if cache is None else cache
     costs = np.empty(len(population))
     for i, c in enumerate(population):
         if c not in cache:
             result = interpolate_reduced(
-                db, c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m, rotations=rotations
+                db, c.delta, ne_x=c.ne_x, ne_t=c.ne_t, m=c.m, aligned=aligned
             )
             cache[c] = cost_of(result.spatial_factor, result.temporal_factor, projection)
         costs[i] = cache[c]
@@ -274,7 +274,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray
     ``generations`` of 0 degenerates to evaluating the initial population
     only. The target is projected onto the database's bases once, before
     the first generation, and every chromosome is scored against that.
-    The cost cache and the alignment rotations live for this call only, so
+    The cost cache and the aligned blocks live for this call only, so
     nothing carries over from one search or database to the next.
     """
     d_lo, d_hi = cfg.space.delta_bounds
@@ -292,12 +292,12 @@ def run(cfg: GaConfig, db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray
 
     rng = np.random.default_rng(cfg.rng_seed)
     cache: dict = {}
-    rotations: dict = {}
+    aligned: dict = {}
     population = init_population(cfg, rng)
     records = []
     total = max(cfg.generations, 1)
     for generation in range(1, total + 1):
-        costs = evaluate_population(population, db, projection, cache=cache, rotations=rotations)
+        costs = evaluate_population(population, db, projection, cache=cache, aligned=aligned)
         leader = int(np.argmin(costs))
         records.append(
             GenerationRecord(

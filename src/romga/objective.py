@@ -94,10 +94,11 @@ def l2_error_series(predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-instant L2 percentage error over the full field.
 
     e[l] = 100 * ||predicted[:, l] - target[:, l]|| / ||target[:, l]||.
+    Column-major copies fix the summation order whatever the inputs' layout.
     Raises ValueError when shapes differ or a target column has zero norm.
     """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    predicted = np.asfortranarray(predicted, dtype=np.float64)
+    target = np.asfortranarray(target, dtype=np.float64)
     if predicted.shape != target.shape or predicted.ndim != 2:
         raise ValueError("predicted and target must share a 2D shape")
     denom = np.linalg.norm(target, axis=0)

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from romga import (
     Grid,
@@ -42,13 +42,13 @@ def reduced_matrix(result):
 def _neighbor_choice(db, delta, ne_x, ne_t, m=2):
     """(nearest sample, spatial neighbors, temporal neighbors) a query aligned.
 
-    Read from the keys (side, nearest, neighbor, m) of the rotations the
-    query computed.
+    Read from the keys (side, nearest, neighbors, m) of the aligned stacks
+    the query computed.
     """
-    rotations: dict = {}
-    interpolate_reduced(db, delta, ne_x=ne_x, ne_t=ne_t, m=m, rotations=rotations)
-    (nearest,) = {j for _, j, _, _ in rotations}
-    side = {name: sorted(k for s, _, k, _ in rotations if s == name) for name in ("x", "t")}
+    aligned: dict = {}
+    interpolate_reduced(db, delta, ne_x=ne_x, ne_t=ne_t, m=m, aligned=aligned)
+    (nearest,) = {j for _, j, _, _ in aligned}
+    side = {s: list(neighbors) for s, _, neighbors, _ in aligned}
     return nearest, side["x"], side["t"]
 
 
@@ -75,11 +75,11 @@ def test_neighbor_ties_prefer_the_smaller_value():
 
 def test_neighbor_selection_validation():
     db = _random_db(params=PARAMS)
-    rotations: dict = {}
+    aligned: dict = {}
     for ne_x, ne_t, named in ((1, 3, "ne_x"), (6, 3, "ne_x"), (3, 1, "ne_t"), (3, 6, "ne_t")):
         with pytest.raises(ValueError, match=rf"\b{named}\b"):
-            interpolate_reduced(db, 0.4, ne_x=ne_x, ne_t=ne_t, m=2, rotations=rotations)
-    assert rotations == {}  # a rejected query computes no rotation
+            interpolate_reduced(db, 0.4, ne_x=ne_x, ne_t=ne_t, m=2, aligned=aligned)
+    assert aligned == {}  # a rejected query aligns nothing
 
 
 # ---------------------------------------------------------------- weights
@@ -125,6 +125,34 @@ def test_lagrange_weights_equal_the_product_loop(nodes, position):
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def _numpy_lagrange_weights(nodes, delta):
+    """The weights as one numpy product over an (n, n - 1) table of the factors."""
+    n = nodes.size
+    others = ~np.eye(n, dtype=bool)
+    numerators = np.broadcast_to(delta - nodes, (n, n))[others]
+    denominators = (nodes[:, None] - nodes)[others]
+    return np.prod((numerators / denominators).reshape(n, n - 1), axis=1)
+
+
+@given(
+    nodes=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=8,
+        unique=True,
+    ),
+    delta=st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+def test_lagrange_weights_equal_the_numpy_table(nodes, delta):
+    # the weights are formed on Python floats; they must keep the bits of
+    # the numpy table of factors they replaced, overflow to inf or nan included
+    nodes = np.array(nodes)
+    assume(np.unique(nodes).size == nodes.size)  # 0.0 and -0.0 are one node
+    with np.errstate(all="ignore"):
+        want = _numpy_lagrange_weights(nodes, delta)
+        got = lagrange_weights(nodes, delta)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 @given(
     start=st.floats(-2.0, 2.0),
     gaps=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4),
@@ -167,6 +195,28 @@ def test_procrustes_rejects_an_overflowing_cross_product():
     with pytest.raises(np.linalg.LinAlgError, match="not finite"):
         # rows of opposite sign: the overflowing products sum to inf - inf = NaN
         procrustes_align(huge * np.array([[1.0], [-1.0], [1.0]]), huge)
+
+
+def test_batched_procrustes_equals_one_call_per_matrix(rng, plume_db):
+    # a stack of neighbor blocks is aligned in one call; each slice must be
+    # the bits a 2D call on that block returns
+    for m in (1, 4, plume_db.q):
+        reference = plume_db.spatial_blocks[2, :, :m]
+        stacks = (plume_db.spatial_blocks[:, :, :m], rng.normal(size=(2, 3, *reference.shape)))
+        for stack in stacks:
+            batched = procrustes_align(reference, stack)
+            assert batched.shape == (*stack.shape[:-2], m, m)
+            for index in np.ndindex(stack.shape[:-2]):
+                assert np.array_equal(batched[index], procrustes_align(reference, stack[index]))
+
+
+def test_batched_procrustes_rejects_a_trailing_shape_mismatch(rng):
+    reference = rng.normal(size=(7, 3))
+    for other in (rng.normal(size=(4, 7, 2)), rng.normal(size=(4, 6, 3)), rng.normal(size=7)):
+        with pytest.raises(ValueError):
+            procrustes_align(reference, other)
+    with pytest.raises(ValueError):
+        procrustes_align(rng.normal(size=(4, 7, 3)), rng.normal(size=(4, 7, 3)))
 
 
 # ---------------------------------------------------------------- queries
@@ -216,12 +266,12 @@ def test_query_results_are_deterministic(plume_db):
 
 
 def _aligned_sum(db, blocks, delta, ne, m):
-    """sum_k w_k * B_k @ Q_k in neighbor order, each Q_k computed on the spot."""
+    """sum_k w_k * (B_k @ Q_k) in neighbor order, each Q_k computed on the spot."""
     order = _nearest_first(db.params, delta)
     chosen = np.sort(order[:ne])
     reference = blocks[order[0]][:, :m]
     weights = lagrange_weights(db.params[chosen], delta)
-    return sum(w * blocks[k][:, :m] @ procrustes_align(reference, blocks[k][:, :m])
+    return sum(w * (blocks[k][:, :m] @ procrustes_align(reference, blocks[k][:, :m]))
                for w, k in zip(weights, chosen))
 
 
@@ -239,13 +289,13 @@ def _aligned_sum(db, blocks, delta, ne, m):
 )
 def test_shared_rotations_change_no_bit(plume_db, stream):
     # one dict serves the whole stream, as it serves a whole search: a query
-    # whose rotations an earlier query computed must still return the bits
-    # of a query that computes them all itself, and those are the bits of
-    # the weighted sum written out with (w * B) @ Q evaluated left to right
-    rotations: dict = {}
+    # whose aligned blocks an earlier query computed must still return the
+    # bits of a query that aligns them all itself, and those are the bits of
+    # the weighted sum written out with w * (B @ Q), summed in neighbor order
+    aligned: dict = {}
     for delta, ne_x, ne_t, m in stream:
         genes = dict(ne_x=ne_x, ne_t=ne_t, m=m)
-        shared = interpolate_reduced(plume_db, delta, **genes, rotations=rotations)
+        shared = interpolate_reduced(plume_db, delta, **genes, aligned=aligned)
         alone = interpolate_reduced(plume_db, delta, **genes)
         spatial = _aligned_sum(plume_db, plume_db.spatial_blocks, delta, ne_x, m)
         temporal = _aligned_sum(plume_db, plume_db.temporal_blocks, delta, ne_t, m)

@@ -408,49 +408,51 @@ def test_shared_rotations_change_no_cost(
     monkeypatch.setattr(genetic, "evaluate_population", record)
     cfg = GaConfig(SPACE, population_size=10, generations=6, rng_seed=3)
     run(cfg, plume_db, plume_target, plume_rows)
-    rotations: dict = {}
+    aligned: dict = {}
     for population in populations:
         alone = real(population, plume_db, plume_projection)
-        shared = real(population, plume_db, plume_projection, rotations=rotations)
+        shared = real(population, plume_db, plume_projection, aligned=aligned)
         assert np.array_equal(shared, alone)
 
 
-def _rotation_keys(db, delta, ne_x, ne_t, m):
-    """The (side, nearest, neighbor, m) keys of the rotations a query aligns with."""
+def _stack_keys(db, delta, ne_x, ne_t, m):
+    """The (side, nearest, neighbors, m) keys of the aligned stacks a query sums."""
     order = _nearest_first(db.params, delta)
     j = int(order[0])
-    return [("x", j, int(k), m) for k in order[:ne_x]] + [
-        ("t", j, int(k), m) for k in order[:ne_t]
+    return [
+        (side, j, tuple(sorted(order[:ne].tolist())), m) for side, ne in (("x", ne_x), ("t", ne_t))
     ]
 
 
 def test_run_computes_each_rotation_once(plume_db, plume_target, plume_rows, monkeypatch):
-    calls = []
+    aligned_stacks = []
     real_align = barycentric.procrustes_align
     monkeypatch.setattr(
-        barycentric, "procrustes_align", lambda a, b: calls.append(1) or real_align(a, b)
+        barycentric,
+        "procrustes_align",
+        lambda a, b: aligned_stacks.append(b.shape[0]) or real_align(a, b),
     )
     seen = []
     real_interp = genetic.interpolate_reduced
 
-    def interp(db, delta, *, rotations=None, **genes):
-        seen.append(((delta, genes), rotations))
-        return real_interp(db, delta, **genes, rotations=rotations)
+    def interp(db, delta, *, aligned=None, **genes):
+        seen.append(((delta, genes), aligned))
+        return real_interp(db, delta, **genes, aligned=aligned)
 
     monkeypatch.setattr(genetic, "interpolate_reduced", interp)
     cfg = GaConfig(SPACE, population_size=10, generations=6, rng_seed=3)
     for search in (1, 2):
         seen.clear()
         run(cfg, plume_db, plume_target, plume_rows)
-        (rotations,) = {id(d): d for _, d in seen}.values()  # one dict serves the search
-        used = [
-            key for (delta, genes), _ in seen for key in _rotation_keys(plume_db, delta, **genes)
-        ]
-        assert set(rotations) == set(used)
-        assert len(set(used)) < len(used)  # some chromosomes were served rotations
-        # each search computes its distinct rotations once; the second one
-        # starts empty, so nothing carried over from the first
-        assert len(calls) == search * len(set(used))
+        (aligned,) = {id(d): d for _, d in seen}.values()  # one dict serves the search
+        used = [key for (delta, genes), _ in seen for key in _stack_keys(plume_db, delta, **genes)]
+        assert set(aligned) == set(used)
+        assert len(set(used)) < len(used)  # some chromosomes were served aligned stacks
+        # each search aligns each distinct stack once, in one batched call of
+        # one rotation per neighbor; the second search starts empty, so
+        # nothing carried over from the first
+        assert len(aligned_stacks) == search * len(set(used))
+        assert sum(aligned_stacks) == search * sum(len(key[2]) for key in set(used))
 
 
 def test_rejected_requests_raise_and_name_the_gene(plume_db, plume_projection):

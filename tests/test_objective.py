@@ -63,6 +63,18 @@ def test_error_series_is_zero_on_a_perfect_match(rng):
     assert np.all(l2_error_series(target, target) == 0.0)
 
 
+def test_error_series_ignores_memory_order(rng):
+    # a column summed in another order rounds differently; C and F copies of
+    # one pair must give the same bits
+    target = rng.normal(size=(2304, 6)) * np.logspace(0, 6, 2304)[:, None] + 20.0
+    predicted = target + rng.normal(size=target.shape) * 1e-2
+    want = l2_error_series(np.asfortranarray(predicted), np.asfortranarray(target))
+    for order in ("C", "F"):
+        for other in ("C", "F"):
+            got = l2_error_series(np.asarray(predicted, order=order), np.asarray(target, order=other))
+            assert np.array_equal(got, want), (order, other)
+
+
 def test_error_series_validation():
     target = np.array([[3.0, 0.0], [4.0, 0.0]])  # second column all zero
     with pytest.raises(ValueError):

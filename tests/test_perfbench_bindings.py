@@ -55,7 +55,7 @@ def test_every_traced_binding_resolves(layers):
 
 
 def test_interp_annotates_a_keyword_gene_call(layers, plume_db):
-    args, kwargs = (plume_db, 0.375), dict(ne_x=3, ne_t=2, m=8, rotations={})
+    args, kwargs = (plume_db, 0.375), dict(ne_x=3, ne_t=2, m=8, aligned={})
     result = genetic.interpolate_reduced(*args, **kwargs)
     attrs: dict = {}
     layers._interp(attrs, args, kwargs, result)
