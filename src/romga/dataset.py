@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -31,6 +32,8 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIIIQdddBd")
 # Floats per step of _all_finite, which keeps its boolean mask at 64 KiB.
 _FINITE_CHUNK = 65536
+# errno values by which posix_fallocate says the filesystem cannot preallocate
+_NO_FALLOCATE = frozenset({errno.EOPNOTSUPP, errno.ENOTSUP, errno.ENOSYS, errno.EINVAL})
 
 
 class ParamKind(IntEnum):
@@ -151,18 +154,53 @@ def _file_bytes(a: np.ndarray, order: str) -> memoryview:
     return memoryview(a.astype("<f8", copy=False).ravel(order=order))
 
 
+def _preallocate(handle, nbytes: int) -> None:
+    """Reserve ``nbytes`` for the open file ``handle``, where the OS and filesystem can.
+
+    Without os.posix_fallocate (macOS, Windows), or when the filesystem
+    refuses it (EOPNOTSUPP/ENOTSUP, ENOSYS, EINVAL), the file is left as it
+    is; any other OSError, such as ENOSPC, propagates.
+    """
+    fallocate = getattr(os, "posix_fallocate", None)
+    if fallocate is None:
+        return
+    try:
+        fallocate(handle.fileno(), 0, nbytes)
+    except OSError as exc:
+        if exc.errno not in _NO_FALLOCATE:
+            raise
+
+
 def _write_file(path, what: str, chunks) -> None:
     """Write ``chunks`` to ``path`` atomically, or raise PersistenceError naming ``what``.
 
-    Each of the bytes-like ``chunks`` is written in turn without joining them.
-    The bytes go to a temporary file in the same directory, which os.replace
-    then moves onto ``path``. A failed write removes the temporary file and
-    leaves any existing file at ``path`` as it was.
+    ``chunks`` is a sequence of bytes-like objects, written in turn without
+    joining them. The bytes go to a temporary file in the same directory,
+    which os.replace then moves onto ``path``. A failed write removes the
+    temporary file and leaves any existing file at ``path`` as it was.
+
+    The temporary file is first preallocated to exactly the total byte count
+    (_preallocate), so it never keeps an allocated tail. The reason is ext4's
+    ``auto_da_alloc``: renaming a file whose blocks are still delayed-
+    allocation over an existing name makes the kernel allocate them and
+    start writeback inside the rename. On an ext4 root of a 2-core VM,
+    replacing a 2.76 MB cavity field took 2.7-3.9 ms that way and 1.1-1.2 ms
+    preallocated (traced runs in BENCH_24.json).
+    Where the OS or filesystem cannot preallocate, the bytes are written
+    without it.
+
+    The rename keeps the write atomic against a failed or killed process.
+    Nothing here calls fsync, so durability against power loss is not
+    promised: without the rename's flush, a file replaced just before a
+    power cut may read back as zeros. Every reader rejects such a file:
+    SNP1/ROM1 by their magic, a history CSV or manifest by its header or
+    line checks.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as handle:
+            _preallocate(handle, sum(memoryview(chunk).nbytes for chunk in chunks))
             for chunk in chunks:
                 handle.write(chunk)
         os.replace(tmp, path)

@@ -316,6 +316,8 @@ def read_history_csv(path) -> GaHistory:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise PersistenceError(path, f"cannot read history ({exc})") from exc
+    except csv.Error as exc:  # before Python 3.11, a NUL byte in the file
+        raise ValueError(f"{path}: not a search history file ({exc})") from exc
     if not rows or tuple(rows[0]) != HISTORY_COLUMNS:
         raise ValueError(f"{path}: not a search history file")
     if len(rows) == 1:  # write_csv records at least one generation

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from romga import (
     Chromosome,
     CorruptionError,
+    FormatError,
     GaHistory,
     Grid,
     ParamKind,
@@ -862,30 +864,79 @@ def test_failed_writes_keep_the_old_file_and_leave_no_temp(
         path.write_bytes(data)
 
     real_replace = os.replace
+    real_fallocate = os.posix_fallocate
 
     def replace_all_but_training_runs(src, dst):
         if Path(dst).name.startswith("train_"):
             return real_replace(src, dst)
-        raise OSError(28, "No space left on device")
+        raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr("romga.dataset.os.replace", replace_all_but_training_runs)
-    for name, write in writers.items():
-        with pytest.raises(PersistenceError, match="No space left"):
+    def no_space(fd, offset, length):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    # A failed rename spares the training runs, so datagen fails at its
+    # manifest; a failed preallocation fails every file, the first run too.
+    for call, fault, message in (
+        ("replace", replace_all_but_training_runs, "cannot write manifest"),
+        ("posix_fallocate", no_space, "cannot write snapshot file"),
+    ):
+        monkeypatch.setattr(f"romga.dataset.os.{call}", fault)
+        for name, write in writers.items():
+            with pytest.raises(PersistenceError, match="No space left"):
+                write(tmp_path / name)
+        assert cli.main(datagen) == 2
+        assert message in capsys.readouterr().err
+        for path, data in old.items():
+            assert path.read_bytes() == data, path.name
+        # no temp file, and datagen removed the training runs it had written
+        assert {p for p in tmp_path.rglob("*") if p.is_file()} == set(old)
+        monkeypatch.undo()
+
+    def write_all():
+        for name, write in writers.items():
             write(tmp_path / name)
-    assert cli.main(datagen) == 2
-    assert "cannot write manifest" in capsys.readouterr().err
-    for path, data in old.items():
-        assert path.read_bytes() == data, path.name
-    # no temp file, and datagen removed the training runs it had written
-    assert {p for p in tmp_path.rglob("*") if p.is_file()} == set(old)
+        assert cli.main(datagen) == 0
+        assert not list(tmp_path.rglob("*.tmp"))
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
 
+    # Without posix_fallocate nothing is preallocated, so these are the bytes written.
+    monkeypatch.delattr(os, "posix_fallocate")
+    expected = write_all()
     monkeypatch.undo()
-    for name, write in writers.items():
-        write(tmp_path / name)
-    assert cli.main(datagen) == 0
     for path, data in old.items():
-        assert path.read_bytes() != data, path.name
-    assert not list(tmp_path.rglob("*.tmp"))
+        assert expected[path] != data, path.name
+
+    def unsupported(fd, offset, length):
+        raise OSError(errno.EOPNOTSUPP, "Operation not supported")
+
+    lengths = []
+
+    def recording(fd, offset, length):
+        lengths.append((offset, length))
+        real_fallocate(fd, offset, length)
+
+    for fault in (unsupported, recording):
+        monkeypatch.setattr(os, "posix_fallocate", fault)
+        assert write_all() == expected
+        monkeypatch.undo()
+    # each file was preallocated to exactly its size, so no allocated tail is left
+    assert sorted(lengths) == sorted((0, len(data)) for data in expected.values())
+    for path, data in expected.items():
+        assert path.stat().st_size == len(data), path.name
+
+
+def test_a_zero_filled_artifact_is_rejected_by_its_reader(tmp_path):
+    # what a file replaced just before a power cut may read back as
+    zeros = tmp_path / "zeros"
+    zeros.write_bytes(bytes(4096))
+    with pytest.raises(FormatError, match="not an SNP1 file"):
+        read_snapshots(zeros)
+    with pytest.raises(FormatError, match="not a ROM1 file"):
+        read_rom(zeros)
+    with pytest.raises(ValueError, match="not a search history file"):
+        read_history_csv(zeros)
+    with pytest.raises(ValueError, match="expected 'kind,value,path'"):
+        cli._read_manifest(zeros)
 
 
 def test_argparse_surface(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from romga import (
     Chromosome,
+    EmptyMaskError,
     GaConfig,
     GaHistory,
     Grid,
@@ -546,6 +547,22 @@ def test_projection_rejects_what_it_cannot_score(plume_db, plume_target, plume_r
     poisoned = dataclasses.replace(plume_db, spatial_basis=broken)
     with pytest.raises(np.linalg.LinAlgError):
         project_target(poisoned, plume_target, plume_rows)
+    # rows build_mask cannot return: none would make every prediction cost
+    # the same, a repeated row would count its cell twice
+    empty = np.array([], dtype=np.int64)
+    with pytest.raises(EmptyMaskError):
+        project_target(plume_db, plume_target, empty)
+    with pytest.raises(EmptyMaskError):
+        run(cfg, plume_db, plume_target, empty)
+    for bad, message in (
+        (plume_rows.astype(float), "1D integer"),
+        (plume_rows[None, :], "1D integer"),
+        (plume_rows > 0, "1D integer"),
+        (np.repeat(plume_rows, 2), "strictly increasing"),
+        (plume_rows[::-1], "strictly increasing"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            project_target(plume_db, plume_target, bad)
 
 
 # ---------------------------------------------------------------- the driver
