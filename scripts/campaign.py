@@ -10,7 +10,8 @@ at the recovered genes and reports:
 
 Artifacts go to OUTDIR/<campaign>/, named after each target's %g form as
 datagen names the target files (--targets 0.540 reads target_0.54.snp1).
-Each campaign prints a recovery table; --digest prints one sorted
+Each campaign prints a recovery table and the wall times of its datagen and
+compress; --digest prints one sorted
 ``sha256  relative-path`` line per file under OUTDIR instead, so two
 checkouts wrote byte-identical artifacts exactly when their digests diff empty.
 
@@ -67,8 +68,15 @@ class Row(NamedTuple):
     seconds: float  # wall time of optimize
 
 
+class Campaign(NamedTuple):
+    datagen_s: float  # wall time of datagen, training runs and targets
+    compress_s: float  # wall time of compress
+    rows: list[Row]  # one per target
+
+
 HEADER = "{:>7}  recovered  miss % ne_t ne_x   m      cost  max L2 %  time s"
 ROW = "{:7.3f} {:10.4f} {:7.2f} {:4d} {:4d} {:3d} {:9.3e} {:9.3f} {:7.1f}"
+SETUP = "set-up: datagen {:.2f} s, compress {:.2f} s"
 
 
 def run_cli(argv: list[str]) -> str:
@@ -82,21 +90,30 @@ def run_cli(argv: list[str]) -> str:
     return buffer.getvalue().strip()
 
 
-def run_campaign(root: Path, name: str, targets=None) -> list[Row]:
+def _timed(argv: list[str]) -> tuple[str, float]:
+    """run_cli's output and its wall time in seconds."""
+    start = time.perf_counter()
+    out = run_cli(argv)
+    return out, time.perf_counter() - start
+
+
+def run_campaign(root: Path, name: str, targets=None) -> Campaign:
     """Run campaign ``name`` into ``root``, at its own targets unless ``targets`` are given."""
     datagen, default_targets, q, _ = CAMPAIGNS[name]
     targets = targets or default_targets
     root.mkdir(parents=True, exist_ok=True)
-    run_cli(["datagen", *datagen, "--target", ",".join(targets), "--out", str(root)])
+    _, datagen_s = _timed(["datagen", *datagen, "--target", ",".join(targets), "--out", str(root)])
     rom = str(root / "db.rom1")
-    run_cli(["compress", "--snapshots", str(root / "manifest.txt"), "--q", q, "--out", rom])
+    _, compress_s = _timed(
+        ["compress", "--snapshots", str(root / "manifest.txt"), "--q", q, "--out", rom]
+    )
     rows = []
     for value in targets:
         truth, tag = float(value), f"{float(value):g}"
         target, history = str(root / f"target_{tag}.snp1"), str(root / f"history_{tag}.csv")
-        start = time.perf_counter()
-        line = run_cli(["optimize", "--rom", rom, "--target", target, *GA_ARGS, "--out", history])
-        seconds = time.perf_counter() - start
+        line, seconds = _timed(
+            ["optimize", "--rom", rom, "--target", target, *GA_ARGS, "--out", history]
+        )
         genes = dict(token.split("=") for token in line.split())
         pred = str(root / f"pred_{tag}.snp1")
         run_cli(["predict", "--rom", rom, "--delta", genes["delta"], "--ne-x", genes["ne_x"],
@@ -110,7 +127,7 @@ def run_campaign(root: Path, name: str, targets=None) -> list[Row]:
         rows.append(Row(truth, delta, 100 * abs(delta - truth) / truth,
                         *(int(genes[k]) for k in ("ne_t", "ne_x", "m")), float(genes["cost"]),
                         max(float(r.split(",")[1]) for r in series), seconds))
-    return rows
+    return Campaign(datagen_s, compress_s, rows)
 
 
 # Bounds of the tolerance standard: how far an artifact may move from its
@@ -247,10 +264,11 @@ def main() -> None:
         raise SystemExit(1 if failed else 0)
     targets = [tok.strip() for tok in (args.targets or "").split(",") if tok.strip()]
     for name in [args.only] if args.only else CAMPAIGNS:
-        rows = run_campaign(args.outdir / name, name, targets)
+        done = run_campaign(args.outdir / name, name, targets)
         if not args.digest:
             print(name, HEADER.format(CAMPAIGNS[name][3]), sep="\n")
-            print("\n".join(ROW.format(*row) for row in rows) + "\n")
+            print(*(ROW.format(*row) for row in done.rows), sep="\n")
+            print(SETUP.format(done.datagen_s, done.compress_s) + "\n")
     if args.digest:
         files = {p.relative_to(args.outdir).as_posix(): p
                  for p in args.outdir.rglob("*") if p.is_file()}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -124,13 +124,29 @@ def solve_cavity(
     discrete maximum principle holds by construction. Dirichlet values enter
     through ghost cells set to the wall temperature.
 
-    All members advance together in one padded ``(k, ny + 2, nx + 2)``
+    Members that are equal in every field but ``inlet_temperature`` form a
+    group. The update is linear in the field and in the ghost values, and
+    only the inlet ghosts depend on the inlet temperature, so a group's runs
+    are affine in it. Of a group of three or more whose inlet temperatures
+    span a finite range, only the lowest- and highest-inlet members are
+    advanced; every other member is built in its own buffer as
+    ``f_lo + lam * (f_hi - f_lo)`` with
+    ``lam = (theta - theta_lo) / (theta_hi - theta_lo)`` in (0, 1). Cells
+    where the two extremes agree (the initial snapshot, cells the inlet has
+    not reached) stay exact, and the blend keeps the maximum principle to
+    rounding; elsewhere it differs from the member solved alone by rounding
+    only (about 1e-16 of the field's norm on the series-2 preset). A member
+    equal in every field to an advanced one gets its own copy of that
+    record.
+
+    The advanced members move together in one padded ``(k, ny + 2, nx + 2)``
     buffer, so each operation of a substep is one contiguous pass over every
     member. Each member keeps its own velocity, time step and substep count:
     in an interval where a member needs fewer substeps than another, it sits
     out the extra ones. Every operation keeps the operands and the order of
-    evaluation of a member solved alone, so a member's snapshots do not
-    depend on which other members share the call.
+    evaluation of a member solved alone, so an advanced member's snapshots,
+    and so every member of a group of one or two, are bit-identical to that
+    member solved alone, whichever other members share the call.
 
     Parameters
     ----------
@@ -170,12 +186,42 @@ def solve_cavity(
     else:
         raise ValueError("cavity runs vary either velocity or temperature")
 
-    records = _advance(members, grid, times, cfl)
+    records = _solve_groups(members, grid, times, cfl)
     # each SnapshotMatrix keeps its member's record, as a column-major view
     return [
         _adopt(grid, times, vary, value, record.reshape(times.n_steps, grid.n_cells).T)
         for value, record in zip(param_values, records)
     ]
+
+
+def _solve_groups(
+    members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis, cfl: float
+) -> list[np.ndarray]:
+    """One record per member: each group's extremes advanced, its other members blended."""
+    groups: dict[CavityParams, list[int]] = {}
+    for i, p in enumerate(members):
+        groups.setdefault(replace(p, inlet_temperature=0.0), []).append(i)
+    ends = {}  # blended member -> its group's lowest- and highest-inlet members
+    for group in groups.values():
+        temps = [members[i].inlet_temperature for i in group]
+        # a span that overflows would turn every lam into 0
+        if len(group) > 2 and math.isfinite(max(temps) - min(temps)):
+            lo, hi = group[temps.index(min(temps))], group[temps.index(max(temps))]
+            ends.update((i, (lo, hi)) for i in group if i not in (lo, hi))
+    advanced = [i for i in range(len(members)) if i not in ends]
+    records = dict(zip(advanced, _advance(tuple(members[i] for i in advanced), grid, times, cfl)))
+    for i, (lo, hi) in ends.items():
+        theta = members[i].inlet_temperature
+        theta_lo, theta_hi = members[lo].inlet_temperature, members[hi].inlet_temperature
+        if theta == theta_lo or theta == theta_hi:
+            records[i] = records[lo if theta == theta_lo else hi].copy()
+            continue
+        lam = (theta - theta_lo) / (theta_hi - theta_lo)
+        blend = np.subtract(records[hi], records[lo])
+        blend *= lam
+        blend += records[lo]
+        records[i] = blend
+    return [records[i] for i in range(len(members))]
 
 
 def _advance(

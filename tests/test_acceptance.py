@@ -51,13 +51,13 @@ def plume_assets(tmp_path_factory):
 @pytest.fixture(scope="module")
 def series1(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_series1")
-    return root, campaign.run_campaign(root, "series1")
+    return root, campaign.run_campaign(root, "series1").rows
 
 
 @pytest.fixture(scope="module")
 def series2(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_series2")
-    return root, campaign.run_campaign(root, "series2")
+    return root, campaign.run_campaign(root, "series2").rows
 
 
 # -------------------------------------------------------------- criterion 1

@@ -232,12 +232,13 @@ def test_predict_copies_neither_the_rom_nor_the_field_twice(tmp_path, capsys):
 
 
 def test_datagen_holds_at_most_one_field_beyond_its_runs(tmp_path, capsys):
-    # the series-2 preset solves its k = 5 training runs in one batch: 48x48
-    # cells and 150 instants, 2.76 MB per run. The solver records every run
+    # the series-2 preset solves its k = 5 training runs in one call: 48x48
+    # cells and 150 instants, 2.76 MB per run. The solver advances the 5 and
+    # 25 runs, blends the other three from them, each into its own record,
     # and each SnapshotMatrix keeps its record without a copy, so the k
-    # records and the solver's small work arrays are alive at the peak
-    # (measured 5.5 fields; 6.1 when each matrix took a copy); the target
-    # batch follows once the training runs are written and dropped.
+    # records and the work arrays of a two-member batch are alive at the peak
+    # (measured 5.0 fields); the target batch follows once the training runs
+    # are written and dropped.
     out = tmp_path / "series2"
     out.mkdir()
     datagen = ["datagen", "--preset", "series2-temperature", "--target", "17.5", "--out", str(out)]
@@ -252,6 +253,28 @@ def test_datagen_holds_at_most_one_field_beyond_its_runs(tmp_path, capsys):
     k, n_cells, n_steps = 5, 48 * 48, 150
     assert len(list(out.glob("*.snp1"))) == k + 1
     assert peak <= (k + 1) * n_cells * n_steps * 8, peak
+
+
+def test_datagen_theta_init_and_theta_cold_reach_every_cavity_run(tmp_path, capsys):
+    # of three inlet temperatures the solver advances 5 and 25 and blends 15
+    # from them, so both settings must reach the blended run too
+    datagen = ["datagen", "--family", "cavity", "--temperatures", "5,15,25",
+               "--nx", "12", "--ny", "12", "--snapshots", "6", "--tfinal", "3"]
+    runs = {}
+    for name, extra in (("default", []), ("init", ["--theta-init", "20"]),
+                        ("cold", ["--theta-cold", "10"])):
+        out = tmp_path / name
+        out.mkdir()
+        assert cli.main([*datagen, *extra, "--out", str(out)]) == 0
+        runs[name] = [read_snapshots(path) for path in sorted(out.glob("train_*.snp1"))]
+    capsys.readouterr()
+    assert [run.param_value for run in runs["default"]] == [5.0, 15.0, 25.0]
+    for ref, init, cold in zip(runs["default"], runs["init"], runs["cold"]):
+        assert np.all(ref.values[:, 0] == 15.0) and np.all(init.values[:, 0] == 20.0)
+        # a colder wall cools every cell it reaches and warms none
+        assert np.array_equal(cold.values[:, 0], ref.values[:, 0])
+        assert np.all(cold.values <= ref.values + 1e-12)
+        assert (cold.values < ref.values - 1e-3).any()
 
 
 def _compress_peak(manifest: Path, q: int, out: Path) -> int:

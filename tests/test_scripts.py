@@ -40,6 +40,9 @@ def test_series_script_recovers_a_target_named_with_trailing_zeros(tmp_path):
     row = lines[header + 1].split()
     assert row[0] == "0.540"
     assert 0.51 <= float(row[1]) <= 0.798  # inside the training hull
+    setup = lines[header + 2].split()
+    assert setup[:2] == ["set-up:", "datagen"] and setup[4] == "compress"
+    assert float(setup[2]) > 0.0 and float(setup[5]) > 0.0
     workdir = tmp_path / "runs" / "series1"
     for name in ("target_0.54.snp1", "history_0.54.csv", "pred_0.54.snp1",
                  "report_0.54/error_series.csv", "report_0.54/avg_cost.csv"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,10 @@ from romga import (
     PlumeParams,
     TimeAxis,
     analytic_plume,
+    cli,
     recirculating_velocity,
     solve_cavity,
+    surrogate,
 )
 
 
@@ -174,7 +177,9 @@ def test_cavity_fields_vary_smoothly_with_velocity():
 
 def test_cavity_inlet_temperature_enters_affinely():
     # the advected scalar is linear in its boundary data, so the solution at
-    # theta = 15 must equal the average of the theta = 5 and theta = 25 runs
+    # theta = 15 must equal the average of the theta = 5 and theta = 25 runs;
+    # the batched call blends its middle member from the other two, so the
+    # scheme is checked on theta = 15 solved alone
     grid = _grid(16, 16)
     times = TimeAxis(8, 5.0)
     low, mid, high = (
@@ -184,7 +189,9 @@ def test_cavity_inlet_temperature_enters_affinely():
             grid, times, vary=ParamKind.TEMPERATURE,
         )
     )
+    (alone,) = solve_cavity([CavityParams(0.57, 15.0)], grid, times, vary=ParamKind.TEMPERATURE)
     blend = 0.5 * (low + high)
+    assert np.abs(alone.values - blend).max() < 1e-10
     assert np.abs(mid - blend).max() < 1e-10
 
 
@@ -348,3 +355,101 @@ def test_cavity_validation():
             solve_cavity([params], grid, times, cfl=cfl)
     (full,) = solve_cavity([params], grid, times, cfl=1.0)
     assert full.values.shape == (16, 3)
+
+
+def _solo(params, grid, times):
+    (run,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
+    return run
+
+
+def _count_advanced(monkeypatch):
+    """Record the member count of every batched ``_advance`` call."""
+    seen = []
+    advance = surrogate._advance
+
+    def counting(members, *args):
+        seen.append(len(members))
+        return advance(members, *args)
+
+    monkeypatch.setattr(surrogate, "_advance", counting)
+    return seen
+
+
+def test_an_inlet_temperature_group_advances_its_extremes_and_blends_the_rest():
+    grid = Grid(14, 12, 1.04, 0.9)
+    times = TimeAxis(9, 6.0)
+    temps = (20.0, 5.0, 12.5, 25.0, 10.0)  # the extremes are neither first nor last
+    members = [CavityParams(0.57, t, theta_initial=17.0) for t in temps]
+    runs = solve_cavity(members, grid, times, vary=ParamKind.TEMPERATURE)
+    for params, run in zip(members, runs):
+        alone = _solo(params, grid, times)
+        assert run.param_value == params.inlet_temperature
+        if params.inlet_temperature in (5.0, 25.0):
+            assert run.equals(alone)
+        else:
+            scale = np.abs(alone.values).max()
+            assert np.abs(run.values - alone.values).max() <= 1e-13 * scale
+        # the extremes agree on the initial field, so the blend keeps it exactly
+        assert np.all(run.values[:, 0] == 17.0)
+        bounds = (35.0, 15.0, params.inlet_temperature, 17.0)
+        assert run.values.min() >= min(bounds) - 1e-12
+        assert run.values.max() <= max(bounds) + 1e-12
+
+
+def test_only_inlet_temperature_groups_are_blended(monkeypatch, tmp_path, capsys):
+    seen = _count_advanced(monkeypatch)
+    small = ["--nx", "12", "--ny", "12", "--snapshots", "6", "--tfinal", "3"]
+    for preset in ("series2-temperature", "series1-velocity"):
+        out = tmp_path / preset
+        out.mkdir()
+        assert cli.main(["datagen", "--preset", preset, *small, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert seen == [2, 3]  # five temperatures, then three velocities
+
+    seen.clear()
+    grid, times = Grid(14, 12, 1.04, 0.9), TimeAxis(7, 4.0)
+    solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
+    pair = [CavityParams(0.57, 5.0), CavityParams(0.57, 25.0)]
+    solve_cavity(pair, grid, times, vary=ParamKind.TEMPERATURE)
+    # two groups of three next to members that differ from the first group in
+    # one more field each: each group keeps its extremes, the others stay alone
+    mixed = [CavityParams(0.57, t) for t in (5.0, 15.0, 25.0)] + [
+        CavityParams(0.6, t) for t in (10.0, 20.0, 30.0)
+    ] + [
+        CavityParams(0.57, 15.0, **{name: value})
+        for name, value in (
+            ("theta_hot", 30.0), ("theta_cold", 10.0), ("theta_initial", 20.0), ("kappa", 3e-3)
+        )
+    ]
+    runs = solve_cavity(mixed, grid, times, vary=ParamKind.TEMPERATURE)
+    # a span of inlet temperatures beyond the float range is not blended
+    huge = [CavityParams(0.57, t) for t in (-1e308, 0.0, 1e308)]
+    middle = solve_cavity(huge, grid, times, vary=ParamKind.TEMPERATURE)[1]
+    assert seen == [5, 2, 8, 3]
+    assert middle.equals(_solo(huge[1], grid, times))
+    for params, run in zip(mixed, runs):
+        alone = _solo(params, grid, times)
+        assert np.abs(run.values - alone.values).max() <= 1e-13 * np.abs(alone.values).max()
+
+
+def test_equal_members_each_get_their_own_record(monkeypatch):
+    seen = _count_advanced(monkeypatch)
+    grid, times = Grid(12, 12, 1.04, 1.04), TimeAxis(6, 3.0)
+    # (inlet temperatures, members advanced, temperatures blended)
+    for temps, advanced, blended in (
+        ((15.0, 15.0, 15.0), 1, ()),
+        ((15.0, 15.0), 2, ()),
+        ((25.0, 5.0, 25.0, 5.0, 15.0, 15.0), 2, (15.0,)),
+    ):
+        seen.clear()
+        members = [CavityParams(0.57, t) for t in temps]
+        runs = solve_cavity(members, grid, times, vary=ParamKind.TEMPERATURE)
+        assert seen == [advanced]
+        for params, run in zip(members, runs):
+            alone = _solo(params, grid, times)
+            if params.inlet_temperature in blended:
+                assert np.abs(run.values - alone.values).max() <= 1e-13 * 35.0
+            else:
+                assert run.equals(alone)
+        for a, b in itertools.combinations(runs, 2):
+            assert not np.shares_memory(a.values, b.values)
