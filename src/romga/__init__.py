@@ -22,7 +22,6 @@ from .errors import (
     FormatError,
     PersistenceError,
     RomgaError,
-    StabilityError,
 )
 from .genetic import Chromosome, GaConfig, GaHistory, SearchSpace, read_history_csv, run
 from .objective import l2_error_series, project_target, reduced_cost

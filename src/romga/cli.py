@@ -1,11 +1,8 @@
 """Command line pipeline: datagen -> compress -> predict / optimize -> report.
 
-Every option can also be supplied through ``--config FILE`` where the file
-holds ``key = value`` lines (``#`` starts a comment, keys are the option
-names spelled in full without the leading dashes, ``preset`` is a key too).
-The preset's entries and the file's lines become ``--key=value`` flags ahead
-of the command line's, and argparse keeps the last value it reads: flags
-beat the config file, which beats the preset, which beats the defaults.
+``datagen --preset NAME`` puts the preset's flags ahead of the command
+line's, and argparse keeps the last value it reads: flags beat the preset,
+which beats the defaults.
 
 Exit codes: 0 success, 2 usage or validation problem, 3 numerical failure.
 """
@@ -33,25 +30,19 @@ from .dataset import (
     read_snapshots,
     write_snapshots,
 )
-from .errors import DivergenceError, PersistenceError, RomgaError, StabilityError
+from .errors import DivergenceError, PersistenceError, RomgaError
 from .objective import l2_error_series
 from .pod import compress_ensemble, read_rom, reconstruct_field, write_rom
 from .surrogate import CavityParams, PlumeParams, analytic_plume, solve_cavity
 
 MANIFEST_NAME = "manifest.txt"
+DOMAIN_SIDE = 1.04  # both families sample the square [0, 1.04 m]^2
 
-# Named experiment presets: training grids for the two cavity series.
+# Named experiment presets: the training grids of the two cavity series, as
+# the flags they stand for.
 PRESETS = {
-    "series1-velocity": {
-        "family": "cavity",
-        "velocities": "0.51,0.627,0.798",
-        "inlet-temp": "15",
-    },
-    "series2-temperature": {
-        "family": "cavity",
-        "temperatures": "5,10,15,20,25",
-        "velocity": "0.57",
-    },
+    "series1-velocity": ("--family=cavity", "--velocities=0.51,0.627,0.798", "--inlet-temp=15"),
+    "series2-temperature": ("--family=cavity", "--temperatures=5,10,15,20,25", "--velocity=0.57"),
 }
 
 
@@ -75,51 +66,27 @@ def _rect(raw: str) -> tuple[float, float, float, float]:
     return values  # type: ignore[return-value]
 
 
-def _read_config(path) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise PersistenceError(path, f"cannot read config file ({exc})") from exc
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
 @functools.cache
 def _build_preparser() -> argparse.ArgumentParser:
-    """The parser of --config and --preset alone, built once like _build_parser."""
+    """The parser of --preset alone, built once like _build_parser."""
     parser = argparse.ArgumentParser(prog="romga", add_help=False, allow_abbrev=False)
-    parser.add_argument("--config")
     parser.add_argument("--preset")
     return parser
 
 
 def _expand(argv: list[str]) -> list[str]:
-    """``argv`` with the preset's and the config file's options ahead of its own flags.
+    """``argv`` with the preset's flags ahead of its own.
 
-    Each entry becomes one ``--key=value`` token, which keeps a value such as
-    ``-5,0,5`` whole; the full parse rejects a key no option of the command has.
+    Only ``datagen`` has a ``--preset`` option, so the full parse rejects it
+    for any other command.
     """
     if not argv or argv[0].startswith("-"):
         return argv
     command, *flags = argv
-    known = _build_preparser().parse_known_args(flags)[0]
-    config = _read_config(known.config) if known.config else {}
-    if "config" in config:
-        # argparse would take --config=... as one more option and ignore it
-        raise ValueError(f"{known.config}: a config file cannot name another config file")
-    name = known.preset or config.get("preset")
+    name = _build_preparser().parse_known_args(flags)[0].preset
     if name is not None and name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {', '.join(sorted(PRESETS))}")
-    options = {**PRESETS.get(name, {}), **config}
-    return [command, *(f"--{key}={value}" for key, value in options.items()), *flags]
+    return [command, *PRESETS.get(name, ()), *flags]
 
 
 def _out_dir(out: str) -> Path:
@@ -144,8 +111,6 @@ _DATAGEN_OPTS = (
     ("--inlet-temp", float, 15.0, "fixed inlet temperature when velocities vary"),
     ("--nx", int, 48, "cells along x"),
     ("--ny", int, 48, "cells along y"),
-    ("--lx", float, 1.04, "domain extent along x (m)"),
-    ("--ly", float, 1.04, "domain extent along y (m)"),
     ("--snapshots", int, 150, "number of recorded instants"),
     ("--tfinal", float, 60.0, "simulated time span (s)"),
     ("--sigma", float, 0.25, "plume width (m)"),
@@ -153,14 +118,13 @@ _DATAGEN_OPTS = (
     ("--theta-hot", float, 35.0, "floor temperature (C)"),
     ("--theta-init", float, 15.0, "initial temperature (C)"),
     ("--kappa", float, 2.0e-3, "diffusivity (m^2/s)"),
-    ("--cfl", float, 0.9, "stability safety factor"),
     ("--out", str, ..., "existing output directory"),
 )
 
 
 def _cmd_datagen(ns: argparse.Namespace) -> int:
     out = _out_dir(ns.out)
-    grid = Grid(ns.nx, ns.ny, ns.lx, ns.ly)
+    grid = Grid(ns.nx, ns.ny, DOMAIN_SIDE, DOMAIN_SIDE)
     times = TimeAxis(ns.snapshots, ns.tfinal)
 
     if ns.family == "plume":
@@ -196,7 +160,7 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
                 )
                 for value in values
             ]
-            return solve_cavity(members, grid, times, cfl=ns.cfl, vary=kind)
+            return solve_cavity(members, grid, times, vary=kind)
 
     else:
         raise ValueError(f"unknown family {ns.family!r}")
@@ -326,16 +290,7 @@ _OPTIMIZE_OPTS = (
     ("--mask", _rect, (0.1, 0.9, 0.15, 0.7), "observation window x_min,x_max,y_min,y_max"),
     ("--pop", int, 20, "population size"),
     ("--gens", int, 30, "number of generations"),
-    ("--pc", float, 0.8, "crossover probability"),
-    ("--pm", float, 0.1, "mutation probability"),
-    ("--elite", int, 1, "elite carry-over count"),
     ("--seed", int, 0, "random seed"),
-    ("--delta-min", float, None, "search lower bound (default: hull)"),
-    ("--delta-max", float, None, "search upper bound (default: hull)"),
-    ("--ne-min", int, 2, "neighbor count lower bound"),
-    ("--ne-max", int, None, "neighbor count upper bound (default: sample count)"),
-    ("--m-min", int, None, "truncation lower bound (default: min(4, q))"),
-    ("--m-max", int, None, "truncation upper bound (default: q)"),
     ("--out", str, ..., "history CSV output file"),
 )
 
@@ -344,26 +299,11 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
     db = read_rom(ns.rom)
     target = read_snapshots(ns.target)
     rows = build_mask(db.grid, ns.mask)
-    hull = db.hull
     space = genetic.SearchSpace(
-        delta_bounds=(
-            hull[0] if ns.delta_min is None else ns.delta_min,
-            hull[1] if ns.delta_max is None else ns.delta_max,
-        ),
-        ne_bounds=(ns.ne_min, db.n_params if ns.ne_max is None else ns.ne_max),
-        m_bounds=(
-            min(4, db.q) if ns.m_min is None else ns.m_min,
-            db.q if ns.m_max is None else ns.m_max,
-        ),
+        delta_bounds=db.hull, ne_bounds=(2, db.n_params), m_bounds=(min(4, db.q), db.q)
     )
     cfg = genetic.GaConfig(
-        space=space,
-        population_size=ns.pop,
-        generations=ns.gens,
-        crossover_prob=ns.pc,
-        mutation_prob=ns.pm,
-        elite_count=ns.elite,
-        rng_seed=ns.seed,
+        space, population_size=ns.pop, generations=ns.gens, rng_seed=ns.seed
     )
     history = genetic.run(cfg, db, target, rows)
     history.write_csv(ns.out)
@@ -441,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 required=default is ...,
                 help=help_opt,
             )
-        sub.add_argument("--config", help="key = value options file")
         sub.set_defaults(_func=func)
     return parser
 
@@ -453,7 +392,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code) if exc.code else 0
     # LinAlgError subclasses ValueError, so it must be caught first
-    except (StabilityError, DivergenceError, np.linalg.LinAlgError) as exc:
+    except (DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, RomgaError) as exc:

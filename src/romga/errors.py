@@ -30,9 +30,5 @@ class EmptyMaskError(RomgaError):
     """Requested observation rectangle contains no cell centers."""
 
 
-class StabilityError(RomgaError):
-    """An internal solver step violated its stability bound."""
-
-
 class DivergenceError(RomgaError):
     """The solver produced non-finite values."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .dataset import Grid, ParamKind, SnapshotMatrix, TimeAxis, _adopt
-from .errors import DivergenceError, StabilityError
+from .errors import DivergenceError
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,6 @@ def solve_cavity(
 
     Raises
     ------
-    StabilityError
-        If an internal step exceeds its stability bound (defensive check).
     DivergenceError
         If any recorded snapshot contains non-finite values.
     """
@@ -224,6 +222,18 @@ def _solve_groups(
     return [records[i] for i in range(len(members))]
 
 
+def _aligned_zeros(*shape: int) -> np.ndarray:
+    """Zeros starting on a 64-byte boundary, wherever the heap puts the block.
+
+    The substep loop runs up to 1.5x slower when its arrays start at most other
+    offsets in a cache line, so its speed would otherwise follow heap history.
+    """
+    n = math.prod(shape)
+    raw = np.zeros(n + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + n].reshape(shape)
+
+
 def _advance(
     members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis, cfl: float
 ) -> list[np.ndarray]:
@@ -240,15 +250,15 @@ def _advance(
     # they are set once, and their neighbor rates are zero, so while the
     # field is finite every substep adds exactly zero to them and no
     # per-substep reset is needed.
-    buffer = np.zeros(size + 2 * row)
+    buffer = _aligned_zeros(size + 2 * row)
     padded = buffer[row : row + size].reshape(k, ny + 2, row)
     flat = (k, plane)
     center = buffer[row : row + size].reshape(flat)
 
     # Per-unit-time rates toward the west, east, south and north neighbors:
     # upwind advection plus centered diffusion, each nonnegative.
-    rates = np.zeros((4, k, ny + 2, row))
-    dt_stable, dt_target = [], []
+    rates = _aligned_zeros(4, k, ny + 2, row)
+    dt_target = []
     _, cy = grid.cell_centers()
     inlet_rows = cy.reshape(ny, nx)[:, 0] > 0.9 * grid.ly
     for i, p in enumerate(members):
@@ -262,8 +272,8 @@ def _advance(
         # Convex-combination stability: dt * (|u|/dx + |v|/dy + 2k/dx^2 + 2k/dy^2) <= 1,
         # which is dt times the sum of the four rates.
         rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * p.kappa * (1.0 / dx**2 + 1.0 / dy**2)
-        dt_stable.append(1.0 / float(rate.max()))
-        dt_target.append(cfl * dt_stable[-1])
+        dt_stable = 1.0 / float(rate.max())
+        dt_target.append(cfl * dt_stable)
         # inlet patch on the top 10% of the left wall
         padded[i, 1:-1, 0] = np.where(inlet_rows, p.inlet_temperature, p.theta_cold)
         padded[i, 1:-1, -1] = p.theta_cold
@@ -272,7 +282,7 @@ def _advance(
         padded[i, 1:-1, 1:-1] = p.theta_initial
     rates = rates.reshape(4, *flat)
     # Each interval scales the rates by its members' dt: cw, ce, cs, cn.
-    coefs = np.empty_like(rates)
+    coefs = _aligned_zeros(*rates.shape)
     cw, ce, cs, cn = coefs
 
     # One-sided differences: (center - west) and (east - center) are the same
@@ -280,46 +290,44 @@ def _advance(
     # (north - center) one row apart.
     x_hi, x_lo = buffer[row : row + size + 1], buffer[row - 1 : row + size]
     y_hi, y_lo = buffer[row : 2 * row + size], buffer[: row + size]
-    step_x = np.empty(size + 1)
-    step_y = np.empty(size + row)
+    step_x = _aligned_zeros(size + 1)
+    step_y = _aligned_zeros(size + row)
     c_minus_w = step_x[:size].reshape(flat)
     e_minus_c = step_x[1:].reshape(flat)
     c_minus_s = step_y[:size].reshape(flat)
     n_minus_c = step_y[row:].reshape(flat)
-    flux, term = np.empty((2, *flat))
+    flux, term = _aligned_zeros(2, *flat)
     dt = np.empty((k, 1))
 
     instants = times.instants()
     records = [np.empty((times.n_steps, ny, nx)) for _ in members]
     for i, record in enumerate(records):
         record[0] = padded[i, 1:-1, 1:-1]
-    for l in range(1, times.n_steps):
-        span = instants[l] - instants[l - 1]
-        n_sub = [max(1, math.ceil(span / target)) for target in dt_target]
-        for i, n in enumerate(n_sub):
-            dt[i, 0] = span / n
-            if dt[i, 0] > dt_stable[i] * (1.0 + 1e-12):
-                raise StabilityError(
-                    f"substep {dt[i, 0]:.3e}s exceeds stability bound {dt_stable[i]:.3e}s"
-                )
-        np.multiply(rates, dt, out=coefs)
-        counts, fewest = np.array(n_sub)[:, None], min(n_sub)
-        for j in range(max(n_sub)):
-            active = True if j < fewest else counts > j
-            np.subtract(x_hi, x_lo, out=step_x)
-            np.subtract(y_hi, y_lo, out=step_y)
-            # field += ce*(e - c) - cw*(c - w) + cn*(n - c) - cs*(c - s)
-            np.multiply(ce, e_minus_c, out=flux)
-            np.multiply(cw, c_minus_w, out=term)
-            np.subtract(flux, term, out=flux)
-            np.multiply(cn, n_minus_c, out=term)
-            np.add(flux, term, out=flux)
-            np.multiply(cs, c_minus_s, out=term)
-            np.subtract(flux, term, out=flux)
-            np.add(center, flux, out=center, where=active)
-        interior = padded[:, 1:-1, 1:-1]
-        if not np.isfinite(interior).all():
-            raise DivergenceError(f"non-finite values at t = {instants[l]:.6g}s")
-        for i, record in enumerate(records):
-            record[l] = interior[i]
+    # a field that leaves the finite range is reported by the check below,
+    # not by numpy's overflow warnings along the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(1, times.n_steps):
+            span = instants[l] - instants[l - 1]
+            n_sub = [max(1, math.ceil(span / target)) for target in dt_target]
+            dt[:, 0] = [span / n for n in n_sub]
+            np.multiply(rates, dt, out=coefs)
+            counts, fewest = np.array(n_sub)[:, None], min(n_sub)
+            for j in range(max(n_sub)):
+                active = True if j < fewest else counts > j
+                np.subtract(x_hi, x_lo, out=step_x)
+                np.subtract(y_hi, y_lo, out=step_y)
+                # field += ce*(e - c) - cw*(c - w) + cn*(n - c) - cs*(c - s)
+                np.multiply(ce, e_minus_c, out=flux)
+                np.multiply(cw, c_minus_w, out=term)
+                np.subtract(flux, term, out=flux)
+                np.multiply(cn, n_minus_c, out=term)
+                np.add(flux, term, out=flux)
+                np.multiply(cs, c_minus_s, out=term)
+                np.subtract(flux, term, out=flux)
+                np.add(center, flux, out=center, where=active)
+            interior = padded[:, 1:-1, 1:-1]
+            if not np.isfinite(interior).all():
+                raise DivergenceError(f"non-finite values at t = {instants[l]:.6g}s")
+            for i, record in enumerate(records):
+                record[l] = interior[i]
     return records

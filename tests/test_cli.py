@@ -18,14 +18,18 @@ from romga import (
     CorruptionError,
     FormatError,
     GaHistory,
+    GaConfig,
     Grid,
     ParamKind,
     PersistenceError,
     PlumeParams,
     RomDatabase,
+    SearchSpace,
     TimeAxis,
     analytic_plume,
+    build_mask,
     cli,
+    genetic,
     compress_ensemble,
     interpolate_reduced,
     read_history_csv,
@@ -35,7 +39,6 @@ from romga import (
     write_rom,
     write_snapshots,
 )
-from romga.errors import DivergenceError
 from romga.genetic import HISTORY_COLUMNS, GenerationRecord
 
 PLUME_ARGS = [
@@ -257,24 +260,32 @@ def test_datagen_holds_at_most_one_field_beyond_its_runs(tmp_path, capsys):
 
 def test_datagen_theta_init_and_theta_cold_reach_every_cavity_run(tmp_path, capsys):
     # of three inlet temperatures the solver advances 5 and 25 and blends 15
-    # from them, so both settings must reach the blended run too
+    # from them, so every setting must reach the blended run too
     datagen = ["datagen", "--family", "cavity", "--temperatures", "5,15,25",
                "--nx", "12", "--ny", "12", "--snapshots", "6", "--tfinal", "3"]
     runs = {}
     for name, extra in (("default", []), ("init", ["--theta-init", "20"]),
-                        ("cold", ["--theta-cold", "10"])):
+                        ("cold", ["--theta-cold", "10"]), ("hot", ["--theta-hot", "45"]),
+                        ("kappa", ["--kappa", "4e-3"])):
         out = tmp_path / name
         out.mkdir()
         assert cli.main([*datagen, *extra, "--out", str(out)]) == 0
         runs[name] = [read_snapshots(path) for path in sorted(out.glob("train_*.snp1"))]
     capsys.readouterr()
     assert [run.param_value for run in runs["default"]] == [5.0, 15.0, 25.0]
-    for ref, init, cold in zip(runs["default"], runs["init"], runs["cold"]):
+    for i, ref in enumerate(runs["default"]):
+        init, cold, hot, kappa = (runs[name][i] for name in ("init", "cold", "hot", "kappa"))
         assert np.all(ref.values[:, 0] == 15.0) and np.all(init.values[:, 0] == 20.0)
-        # a colder wall cools every cell it reaches and warms none
-        assert np.array_equal(cold.values[:, 0], ref.values[:, 0])
+        for run in (cold, hot, kappa):
+            assert np.array_equal(run.values[:, 0], ref.values[:, 0])
+        # a colder wall cools every cell it reaches and warms none; a hotter
+        # floor warms every cell it reaches and cools none
         assert np.all(cold.values <= ref.values + 1e-12)
         assert (cold.values < ref.values - 1e-3).any()
+        assert np.all(hot.values >= ref.values - 1e-12)
+        assert (hot.values > ref.values + 1e-3).any()
+        # a faster diffusion carries the walls' heat further, so it moves the field
+        assert np.abs(kappa.values - ref.values).max() > 1e-3
 
 
 def _compress_peak(manifest: Path, q: int, out: Path) -> int:
@@ -397,6 +408,28 @@ def test_optimize_reruns_are_byte_identical(pipeline, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_the_mask_window_steers_the_search(pipeline, tmp_path, capsys):
+    # the paper's "restricted area": the search sees the target through the window alone
+    rom, target = pipeline / "db.rom1", pipeline / "target_0.375.snp1"
+    args = ["optimize", "--rom", str(rom), "--target", str(target),
+            "--pop", "8", "--gens", "4", "--seed", "3"]
+    windows = {"unset": [], "default": ["--mask", "0.1,0.9,0.15,0.7"],
+               "upper": ["--mask", "0.5,0.9,0.5,0.9"]}
+    for name, extra in windows.items():
+        assert cli.main([*args, *extra, "--out", str(tmp_path / f"{name}.csv")]) == 0, name
+    capsys.readouterr()
+    history = {name: (tmp_path / f"{name}.csv").read_bytes() for name in windows}
+    assert history["default"] == history["unset"]
+    assert history["upper"] != history["default"]
+    # optimize searches the whole hull, every neighbor count and m in [min(4, q), q]
+    db = read_rom(rom)
+    space = SearchSpace(db.hull, (2, db.n_params), (min(4, db.q), db.q))
+    config = GaConfig(space, population_size=8, generations=4, rng_seed=3)
+    rows = build_mask(db.grid, (0.5, 0.9, 0.5, 0.9))
+    genetic.run(config, db, read_snapshots(target), rows).write_csv(tmp_path / "direct.csv")
+    assert (tmp_path / "direct.csv").read_bytes() == history["upper"]
+
+
 def test_report_writes_both_summaries(pipeline, tmp_path, capsys):
     history_path = tmp_path / "history.csv"
     pred_path = tmp_path / "pred.snp1"
@@ -451,50 +484,7 @@ def test_report_writes_both_summaries(pipeline, tmp_path, capsys):
     assert max(errors) < 5.0
 
 
-# ---------------------------------------------------------------- config
-
-
-def test_flags_override_config_file_values(tmp_path):
-    plain = tmp_path / "plain"
-    via_config = tmp_path / "via_config"
-    plain.mkdir()
-    via_config.mkdir()
-    config = tmp_path / "run.cfg"
-    config.write_text(
-        "family = plume\n"
-        "deltas = 0.3,0.4  # overridden by the flag below\n"
-        "sigma = 0.9\n"
-        "nx = 16\nny = 16\nsnapshots = 10\ntfinal = 4\n",
-        encoding="utf-8",
-    )
-    assert (
-        cli.main(
-            [
-                "datagen",
-                "--config", str(config),
-                "--sigma", "0.3",
-                "--deltas", "0.3,0.35,0.4",
-                "--out", str(via_config),
-            ]
-        )
-        == 0
-    )
-    assert (
-        cli.main(
-            [
-                "datagen",
-                "--family", "plume",
-                "--deltas", "0.3,0.35,0.4",
-                "--sigma", "0.3",
-                "--nx", "16", "--ny", "16",
-                "--snapshots", "10", "--tfinal", "4",
-                "--out", str(plain),
-            ]
-        )
-        == 0
-    )
-    name = "train_01_0.35.snp1"
-    assert (via_config / name).read_bytes() == (plain / name).read_bytes()
+# ---------------------------------------------------------------- presets
 
 
 def test_preset_fills_in_the_training_grid(tmp_path, capsys):
@@ -518,76 +508,56 @@ def test_preset_fills_in_the_training_grid(tmp_path, capsys):
     ]
 
 
-def test_config_file_can_name_the_preset_and_flags_still_win(tmp_path):
-    out = tmp_path / "series2"
-    out.mkdir()
-    config = tmp_path / "series2.cfg"
-    config.write_text(
-        "preset = series2-temperature\n"
-        "temperatures = 10,20\n"  # narrows the preset grid
-        "nx = 12\nny = 12\nsnapshots = 8\ntfinal = 4\n",
-        encoding="utf-8",
-    )
-    assert cli.main(["datagen", "--config", str(config), "--out", str(out)]) == 0
-    manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
-    assert manifest == [
-        "temperature,10.0,train_00_10.snp1",
-        "temperature,20.0,train_01_20.snp1",
-    ]
+def test_a_flag_beats_the_preset_wherever_it_stands(tmp_path, capsys):
+    sizes = ["--nx", "12", "--ny", "12", "--snapshots", "8", "--tfinal", "4"]
+    for order in ("after", "before"):
+        out = tmp_path / order
+        out.mkdir()
+        flags = ["--preset", "series2-temperature", "--temperatures", "10,20"]
+        if order == "before":
+            flags = flags[2:] + flags[:2]
+        assert cli.main(["datagen", *flags, *sizes, "--out", str(out)]) == 0, order
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        assert manifest == [
+            "temperature,10.0,train_00_10.snp1",
+            "temperature,20.0,train_01_20.snp1",
+        ], order
+    capsys.readouterr()
 
 
-def test_a_required_value_can_come_from_the_config_file_alone(pipeline, tmp_path, capsys):
-    out = tmp_path / "pred.snp1"
-    config = tmp_path / "predict.cfg"
-    config.write_text(
-        f"rom = {pipeline / 'db.rom1'}\ndelta = 0.375\nout = {out}\n", encoding="utf-8"
-    )
-    assert cli.main(["predict", "--config", str(config)]) == 0
-    assert read_snapshots(out).param_value == 0.375
-
-
-def test_a_negative_list_in_a_config_file_reaches_the_solver(tmp_path, capsys):
-    # on the command line the same list must be written --temperatures=-5,0,5
+def test_a_negative_list_joined_to_its_flag_reaches_the_solver(tmp_path, capsys):
     out = tmp_path / "cold"
     out.mkdir()
-    config = tmp_path / "cold.cfg"
-    config.write_text(
-        "family = cavity\ntemperatures = -5,0,5\nnx = 8\nny = 8\nsnapshots = 4\ntfinal = 1\n",
-        encoding="utf-8",
-    )
-    assert cli.main(["datagen", "--config", str(config), "--out", str(out)]) == 0
+    datagen = ["datagen", "--family", "cavity", "--nx", "8", "--ny", "8",
+               "--snapshots", "4", "--tfinal", "1", "--out", str(out)]
+    # written apart from its flag, argparse takes the list for a flag
+    assert cli.main([*datagen, "--temperatures", "-5,0,5"]) == 2
+    assert "--temperatures: expected one argument" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert cli.main([*datagen, "--temperatures=-5,0,5"]) == 0
     manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
     assert [line.split(",")[1] for line in manifest] == ["-5.0", "0.0", "5.0"]
 
 
-def test_the_preset_flag_beats_the_config_files_preset(tmp_path, capsys):
-    out = tmp_path / "series1"
-    out.mkdir()
-    config = tmp_path / "series2.cfg"
-    config.write_text(
-        "preset = series2-temperature\nnx = 12\nny = 12\nsnapshots = 8\ntfinal = 4\n",
-        encoding="utf-8",
-    )
-    argv = ["datagen", "--config", str(config), "--preset", "series1-velocity", "--out", str(out)]
-    assert cli.main(argv) == 0
-    manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
-    assert [line.split(",")[:2] for line in manifest] == [
-        ["velocity", "0.51"], ["velocity", "0.627"], ["velocity", "0.798"],
-    ]
+def test_a_preset_given_to_another_command_exits_two(pipeline, tmp_path, capsys):
+    rom = tmp_path / "db.rom1"
+    compress = ["compress", "--preset", "series1-velocity",
+                "--snapshots", str(pipeline / "manifest.txt"), "--q", "4", "--out", str(rom)]
+    assert cli.main(compress) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " in err and "--preset series1-velocity" in err
+    assert not rom.exists()
 
 
 def test_the_module_runs_as_a_program(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    config = tmp_path / "plume.cfg"
-    config.write_text(
-        "family = plume\ndeltas = 0.3,0.4\nnx = 8\nny = 8\nsnapshots = 4\ntfinal = 1\n",
-        encoding="utf-8",
-    )
+    datagen = ["datagen", "--family", "plume", "--deltas", "0.3,0.4", "--nx", "8", "--ny", "8",
+               "--snapshots", "4", "--tfinal", "1", "--out", str(out)]
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     done = subprocess.run(
-        [sys.executable, "-m", "romga.cli", "datagen", "--config", str(config), "--out", str(out)],
+        [sys.executable, "-m", "romga.cli", *datagen],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -676,22 +646,22 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
         (cavity, ["--velocities", "0.5", "--inlet-temp", "nan"], "inlet_temperature"),
         (cavity, ["--velocities", "0.5", "--theta-hot", "nan"], "theta_hot"),
         (cavity, ["--velocities", "0.5", "--tfinal", "inf"], "t_final"),
-        (cavity, ["--velocities", "0.5", "--lx", "inf"], "lx"),
         (plume, ["--deltas", "0.3,0.4", "--sigma", "inf"], "sigma"),
         (plume, ["--deltas", "0.3,nan"], "delta"),
     ]
     for base, flags, field in nonfinite:
         assert cli.main([*base, *flags]) == 2, flags
         assert f"{field} must be finite" in capsys.readouterr().err, flags
+    # an unknown family, and a training value given twice
+    for flags, message in (
+        (["--family", "fog"], "unknown family 'fog'"),
+        (["--family", "plume", "--deltas", "0.4,0.3,0.4"], "must be pairwise distinct"),
+    ):
+        assert cli.main(["datagen", *flags, *sizes]) == 2, flags
+        assert message in capsys.readouterr().err, flags
     assert list(tmp_path.glob("*.snp1")) == []
 
-    # a NaN search bound is rejected by name, not as a query outside the hull
-    target = str(pipeline / "target_0.375.snp1")
     optimize = ["optimize", "--rom", rom, "--out", str(tmp_path / "h.csv")]
-    assert cli.main([*optimize, "--target", target, "--delta-min", "nan"]) == 2
-    assert "delta_bounds must be finite" in capsys.readouterr().err
-    assert not (tmp_path / "h.csv").exists()
-
     # a target sampled on another grid or at other instants than the ROM's
     plume = PlumeParams(0.375, sigma=0.3)
     for name, grid, times in (
@@ -721,15 +691,6 @@ def test_datagen_rejects_targets_that_would_share_a_file(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
-def test_unknown_config_keys_are_rejected(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("family = plume\nwavelength = 3\n", encoding="utf-8")
-    out = tmp_path / "out"
-    out.mkdir()
-    assert cli.main(["datagen", "--config", str(config), "--out", str(out)]) == 2
-    assert "wavelength" in capsys.readouterr().err
-
-
 def test_a_failed_report_writes_nothing(pipeline, tmp_path, capsys):
     history = tmp_path / "history.csv"
     history.write_text(",".join(HISTORY_COLUMNS) + "\n1,0.4,3,2,5,0.25,1.5\n", encoding="utf-8")
@@ -739,10 +700,17 @@ def test_a_failed_report_writes_nothing(pipeline, tmp_path, capsys):
         "report", "--history", str(history),
         "--predicted", str(pipeline / "target_0.375.snp1"), "--out", str(report_dir),
     ]
-    # a lone --predicted, then a --target that does not exist
-    for extra in ([], ["--target", str(tmp_path / "missing.snp1")]):
+    other_grid = tmp_path / "other_grid.snp1"
+    write_snapshots(analytic_plume(PlumeParams(0.375, sigma=0.3), Grid(20, 20, 1.04, 1.04),
+                                   TimeAxis(40, 10.0)), other_grid)
+    # a lone --predicted, a --target that does not exist, one on another grid
+    for extra, message in (
+        ([], "must be given together"),
+        (["--target", str(tmp_path / "missing.snp1")], "cannot read snapshot file"),
+        (["--target", str(other_grid)], "predicted and target snapshots do not match"),
+    ):
         assert cli.main([*report, *extra]) == 2, extra
-        assert capsys.readouterr().err.strip() != ""
+        assert message in capsys.readouterr().err, extra
         assert list(report_dir.iterdir()) == [], extra
 
 
@@ -751,51 +719,33 @@ def test_a_missing_out_exits_two_and_names_it(pipeline, capsys):
     assert "--out" in capsys.readouterr().err
 
 
-def test_abbreviated_flags_and_config_keys_are_rejected(tmp_path, capsys):
+def test_abbreviated_and_removed_flags_are_rejected(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    config = tmp_path / "snap.cfg"
-    config.write_text("snap = 10\n", encoding="utf-8")
     datagen = ["datagen", "--family", "plume", "--deltas", "0.3,0.4", "--nx", "8", "--ny", "8",
                "--tfinal", "1", "--out", str(out)]
     assert cli.main([*datagen, "--snap", "10"]) == 2
-    assert "--snap" in capsys.readouterr().err
-    assert cli.main([*datagen, "--config", str(config)]) == 2
-    assert "--snap=10" in capsys.readouterr().err
+    assert "unrecognized arguments: --snap" in capsys.readouterr().err
+    # neither the grid extents, the stability factor, the GA's rates and
+    # bounds nor an options file can be set on the command line
+    optimize = ["optimize", "--rom", "db.rom1", "--target", "t.snp1", "--out", str(out / "h.csv")]
+    removed = [(datagen, flag) for flag in ("--lx", "--ly", "--cfl", "--config")]
+    removed += [(optimize, flag) for flag in ("--pc", "--pm", "--elite", "--delta-min",
+                                              "--delta-max", "--ne-min", "--ne-max", "--m-min",
+                                              "--m-max", "--config")]
+    for base, flag in removed:
+        assert cli.main([*base, flag, "1"]) == 2, flag
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err, flag
     assert list(out.iterdir()) == []
 
 
 def test_a_malformed_number_in_a_list_is_named(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    assert cli.main(["datagen", "--family", "plume", "--deltas", "0.3,x", "--out", str(out)]) == 2
-    assert "--deltas: not a number: 'x'" in capsys.readouterr().err
+    for deltas, message in (("0.3,x", "not a number: 'x'"), (" , ", "empty value list")):
+        assert cli.main(["datagen", "--family", "plume", "--deltas", deltas, "--out", str(out)]) == 2
+        assert f"--deltas: {message}" in capsys.readouterr().err, deltas
     assert list(out.iterdir()) == []
-
-
-def test_config_files_cannot_nest_or_give_another_command_a_preset(pipeline, tmp_path, capsys):
-    out = tmp_path / "out"
-    out.mkdir()
-    other = tmp_path / "other.cfg"
-    other.write_text("nx = 9\n", encoding="utf-8")
-    # a complete plume run, which would go ahead if the config key were ignored
-    nested = tmp_path / "nested.cfg"
-    nested.write_text(
-        f"config = {other}\nfamily = plume\ndeltas = 0.3,0.4\nnx = 8\nny = 8\nsnapshots = 4\n",
-        encoding="utf-8",
-    )
-    assert cli.main(["datagen", "--config", str(nested), "--out", str(out)]) == 2
-    assert "cannot name another config file" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
-
-    preset = tmp_path / "preset.cfg"
-    preset.write_text("preset = series1-velocity\n", encoding="utf-8")
-    rom = tmp_path / "db.rom1"
-    compress = ["compress", "--config", str(preset), "--snapshots", str(pipeline / "manifest.txt"),
-                "--q", "4", "--out", str(rom)]
-    assert cli.main(compress) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
-    assert not rom.exists()
 
 
 def test_tampered_manifest_is_rejected(pipeline, tmp_path, capsys):
@@ -805,28 +755,42 @@ def test_tampered_manifest_is_rejected(pipeline, tmp_path, capsys):
     manifest.write_text("\n".join(f"{ln}" for ln in lines) + "\n", encoding="utf-8")
     for name in pipeline.glob("train_*.snp1"):
         (tmp_path / name.name).write_bytes(name.read_bytes())
-    code = cli.main(
-        ["compress", "--snapshots", str(manifest), "--q", "4",
-         "--out", str(tmp_path / "db.rom1")]
-    )
+    rom = tmp_path / "db.rom1"
+    code = cli.main(["compress", "--snapshots", str(manifest), "--q", "4", "--out", str(rom)])
     assert code == 2
     assert "manifest" in capsys.readouterr().err
+    # a manifest that cannot be read, names an unknown kind or lists no run
+    unknown = tmp_path / "unknown.txt"
+    unknown.write_text(lines[0].replace("synthetic", "pressure", 1) + "\n", encoding="utf-8")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n  \n", encoding="utf-8")
+    for path, message in (
+        (tmp_path / "absent.txt", "cannot read manifest"),
+        (unknown, "unknown parameter kind 'pressure'"),
+        (empty, "manifest lists no runs"),
+    ):
+        code = cli.main(["compress", "--snapshots", str(path), "--q", "4", "--out", str(rom)])
+        assert code == 2, path.name
+        assert message in capsys.readouterr().err, path.name
+    assert not rom.exists()
 
 
-def test_numerical_failures_exit_with_three(tmp_path, monkeypatch, capsys):
-    def blow_up(*args, **kwargs):
-        raise DivergenceError("field left the finite range")
-
-    monkeypatch.setattr(cli, "solve_cavity", blow_up)
+def test_numerical_failures_exit_with_three(tmp_path, capsys):
+    # walls at +-1e308 overflow the first substep's differences: the solver
+    # stops at the first instant it records, with no numpy warning on the way
+    # (pytest turns any warning into an error)
     out = tmp_path / "out"
     out.mkdir()
     code = cli.main(
-        ["datagen", "--family", "cavity", "--velocities", "0.5",
+        ["datagen", "--family", "cavity", "--velocities", "0.5", "--inlet-temp", "0",
+         "--theta-hot=1e308", "--theta-cold=-1e308",
          "--nx", "8", "--ny", "8", "--snapshots", "4", "--tfinal", "1",
          "--out", str(out)]
     )
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: non-finite values at t = 0.333333s\n"
+    assert list(out.iterdir()) == []
 
 
 def test_nan_in_a_stored_block_is_rejected_at_load(pipeline, tmp_path, capsys):
@@ -962,8 +926,13 @@ def test_a_zero_filled_artifact_is_rejected_by_its_reader(tmp_path):
         cli._read_manifest(zeros)
 
 
-def test_argparse_surface(capsys):
+def test_argparse_surface(monkeypatch, capsys):
     assert cli.main([]) == 2  # a command is required
     capsys.readouterr()
     assert cli.main(["--help"]) == 0
     assert "datagen" in capsys.readouterr().out
+    # the installed entry point exits with main's code
+    monkeypatch.setattr(sys, "argv", ["romga"])
+    with pytest.raises(SystemExit) as stop:
+        cli.entry()
+    assert stop.value.code == 2

@@ -198,6 +198,21 @@ def test_read_rejects_truncated_payload(tmp_path):
         read_snapshots(path)
 
 
+def test_read_rejects_a_non_finite_extent_in_the_header(tmp_path):
+    # no command line option sets the extents: a file header is the way a
+    # non-finite extent reaches Grid's check
+    path = tmp_path / "m.snp1"
+    write_snapshots(make_matrix(), path)
+    blob = bytearray(path.read_bytes())
+    header = struct.Struct("<4sIIIQdddBd")
+    fields = list(header.unpack_from(blob))
+    fields[5] = float("inf")  # lx
+    header.pack_into(blob, 0, *fields)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match="lx must be finite"):
+        read_snapshots(path)
+
+
 def test_missing_file_raises_persistence_error(tmp_path):
     with pytest.raises(PersistenceError):
         read_snapshots(tmp_path / "absent.snp1")
