@@ -1,9 +1,5 @@
 """Command line pipeline: datagen -> compress -> predict / optimize -> report.
 
-``datagen --preset NAME`` puts the preset's flags ahead of the command
-line's, and argparse keeps the last value it reads: flags beat the preset,
-which beats the defaults.
-
 Exit codes: 0 success, 2 usage or validation problem, 3 numerical failure.
 """
 
@@ -39,10 +35,10 @@ MANIFEST_NAME = "manifest.txt"
 DOMAIN_SIDE = 1.04  # both families sample the square [0, 1.04 m]^2
 
 # Named experiment presets: the training grids of the two cavity series, as
-# the flags they stand for.
+# the datagen options they set. Each fixed inlet value is the option default.
 PRESETS = {
-    "series1-velocity": ("--family=cavity", "--velocities=0.51,0.627,0.798", "--inlet-temp=15"),
-    "series2-temperature": ("--family=cavity", "--temperatures=5,10,15,20,25", "--velocity=0.57"),
+    "series1-velocity": {"family": "cavity", "velocities": (0.51, 0.627, 0.798)},
+    "series2-temperature": {"family": "cavity", "temperatures": (5.0, 10.0, 15.0, 20.0, 25.0)},
 }
 
 
@@ -66,29 +62,6 @@ def _rect(raw: str) -> tuple[float, float, float, float]:
     return values  # type: ignore[return-value]
 
 
-@functools.cache
-def _build_preparser() -> argparse.ArgumentParser:
-    """The parser of --preset alone, built once like _build_parser."""
-    parser = argparse.ArgumentParser(prog="romga", add_help=False, allow_abbrev=False)
-    parser.add_argument("--preset")
-    return parser
-
-
-def _expand(argv: list[str]) -> list[str]:
-    """``argv`` with the preset's flags ahead of its own.
-
-    Only ``datagen`` has a ``--preset`` option, so the full parse rejects it
-    for any other command.
-    """
-    if not argv or argv[0].startswith("-"):
-        return argv
-    command, *flags = argv
-    name = _build_preparser().parse_known_args(flags)[0].preset
-    if name is not None and name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(sorted(PRESETS))}")
-    return [command, *PRESETS.get(name, ()), *flags]
-
-
 def _out_dir(out: str) -> Path:
     path = Path(out)
     if not path.is_dir():
@@ -101,7 +74,7 @@ def _out_dir(out: str) -> Path:
 # (flag, type, default, help); a default of ... marks a required option
 
 _DATAGEN_OPTS = (
-    ("--family", str, ..., "plume or cavity"),
+    ("--family", str, None, "plume or cavity"),
     ("--preset", str, None, "named experiment preset"),
     ("--deltas", _floats, None, "plume training parameters"),
     ("--velocities", _floats, None, "cavity training velocities (m/s)"),
@@ -123,6 +96,14 @@ _DATAGEN_OPTS = (
 
 
 def _cmd_datagen(ns: argparse.Namespace) -> int:
+    if ns.preset is not None and ns.preset not in PRESETS:
+        raise ValueError(f"unknown preset {ns.preset!r}; choose from {', '.join(sorted(PRESETS))}")
+    # a flag beats the preset, which beats the defaults
+    for name, value in PRESETS.get(ns.preset, {}).items():
+        if getattr(ns, name) is None:
+            setattr(ns, name, value)
+    if ns.family is None:
+        raise ValueError("datagen needs --family or --preset")
     out = _out_dir(ns.out)
     grid = Grid(ns.nx, ns.ny, DOMAIN_SIDE, DOMAIN_SIDE)
     times = TimeAxis(ns.snapshots, ns.tfinal)
@@ -387,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(_expand(sys.argv[1:] if argv is None else list(argv)))
+        args = _build_parser().parse_args(argv)
         return args._func(args)
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code) if exc.code else 0

@@ -25,6 +25,7 @@ from romga import (
     PlumeParams,
     RomDatabase,
     SearchSpace,
+    SnapshotMatrix,
     TimeAxis,
     analytic_plume,
     build_mask,
@@ -525,6 +526,28 @@ def test_a_flag_beats_the_preset_wherever_it_stands(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_each_preset_equals_the_flags_it_stands_for(tmp_path, capsys):
+    sizes = ["--nx", "8", "--ny", "8", "--snapshots", "4", "--tfinal", "1"]
+    # (preset, the flags it stands for, its number of training runs)
+    spelled = (
+        ("series1-velocity", ["--family", "cavity", "--velocities", "0.51,0.627,0.798",
+                              "--inlet-temp", "15"], 3),
+        ("series2-temperature", ["--family", "cavity", "--temperatures", "5,10,15,20,25",
+                                 "--velocity", "0.57"], 5),
+    )
+    for preset, flags, n_runs in spelled:
+        runs = {}
+        for how, args in (("preset", ["--preset", preset]), ("flags", flags)):
+            out = tmp_path / preset / how
+            out.mkdir(parents=True)
+            assert cli.main(["datagen", *args, *sizes, "--out", str(out)]) == 0, (preset, how)
+            runs[how] = {path.name: path.read_bytes() for path in out.iterdir()}
+        # the manifest and every SNP1 file, byte for byte
+        assert len(runs["preset"]) == n_runs + 1, preset
+        assert runs["preset"] == runs["flags"], preset
+    capsys.readouterr()
+
+
 def test_a_negative_list_joined_to_its_flag_reaches_the_solver(tmp_path, capsys):
     out = tmp_path / "cold"
     out.mkdir()
@@ -545,7 +568,10 @@ def test_a_preset_given_to_another_command_exits_two(pipeline, tmp_path, capsys)
                 "--snapshots", str(pipeline / "manifest.txt"), "--q", "4", "--out", str(rom)]
     assert cli.main(compress) == 2
     err = capsys.readouterr().err
-    assert "unrecognized arguments: " in err and "--preset series1-velocity" in err
+    assert "unrecognized arguments: --preset series1-velocity" in err
+    # the message names only what was typed, none of the preset's own settings
+    for flag in ("--family=", "--velocities=", "--inlet-temp="):
+        assert flag not in err, flag
     assert not rom.exists()
 
 
@@ -655,6 +681,7 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
     # an unknown family, and a training value given twice
     for flags, message in (
         (["--family", "fog"], "unknown family 'fog'"),
+        ([], "datagen needs --family or --preset"),
         (["--family", "plume", "--deltas", "0.4,0.3,0.4"], "must be pairwise distinct"),
     ):
         assert cli.main(["datagen", *flags, *sizes]) == 2, flags
@@ -764,10 +791,26 @@ def test_tampered_manifest_is_rejected(pipeline, tmp_path, capsys):
     unknown.write_text(lines[0].replace("synthetic", "pressure", 1) + "\n", encoding="utf-8")
     empty = tmp_path / "empty.txt"
     empty.write_text("\n  \n", encoding="utf-8")
+    # runs that each match their own manifest line but not each other
+    times = TimeAxis(6, 1.0)
+    for name, kind, value, nx in (
+        ("grid8", ParamKind.SYNTHETIC, 0.3, 8),
+        ("grid10", ParamKind.SYNTHETIC, 0.4, 10),
+        ("velocity", ParamKind.VELOCITY, 0.5, 8),
+    ):
+        run = analytic_plume(PlumeParams(value, sigma=0.3), Grid(nx, 8, 1.04, 1.04), times)
+        write_snapshots(SnapshotMatrix(run.grid, times, kind, value, run.values),
+                        tmp_path / f"{name}.snp1")
+    mixed_grids = tmp_path / "mixed_grids.txt"
+    mixed_grids.write_text("synthetic,0.3,grid8.snp1\nsynthetic,0.4,grid10.snp1\n", encoding="utf-8")
+    mixed_kinds = tmp_path / "mixed_kinds.txt"
+    mixed_kinds.write_text("synthetic,0.3,grid8.snp1\nvelocity,0.5,velocity.snp1\n", encoding="utf-8")
     for path, message in (
         (tmp_path / "absent.txt", "cannot read manifest"),
         (unknown, "unknown parameter kind 'pressure'"),
         (empty, "manifest lists no runs"),
+        (mixed_grids, "all samples must share grid and time axis"),
+        (mixed_kinds, "all samples must share the parameter kind"),
     ):
         code = cli.main(["compress", "--snapshots", str(path), "--q", "4", "--out", str(rom)])
         assert code == 2, path.name

@@ -655,6 +655,11 @@ def test_history_reader_rejects_foreign_files(tmp_path):
     wrong.write_text("alpha,beta\n1,2\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_history_csv(wrong)
+    # Python 3.10's csv module raises on a NUL byte; later ones read it as text
+    nul = tmp_path / "nul.csv"
+    nul.write_text("gener\0ation" + ",".join(HISTORY_COLUMNS)[10:] + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"nul\.csv: not a search history file"):
+        read_history_csv(nul)
     short_row = tmp_path / "short.csv"
     short_row.write_text(",".join(HISTORY_COLUMNS) + "\n1,0.4,3\n", encoding="utf-8")
     with pytest.raises(ValueError):

@@ -134,6 +134,12 @@ def test_factorization_rejects_bad_orders(rng):
         pod_factorize(matrix, 0)
     with pytest.raises(ValueError):
         pod_factorize(matrix, 13)
+    # a pair built by hand is held to the shapes pod_factorize returns
+    pair = pod_factorize(matrix, 4)
+    with pytest.raises(ValueError, match="malformed factor shapes"):
+        dataclasses.replace(pair, spatial_modes=pair.spatial_modes[:, 0])
+    with pytest.raises(ValueError, match="factor ranks disagree"):
+        dataclasses.replace(pair, temporal_coeffs=pair.temporal_coeffs[:, 1:])
 
 
 # ---------------------------------------------------------------- level two
@@ -392,6 +398,16 @@ def test_rom_read_rejects_damage(tmp_path, rng):
     stub.write_bytes(blob[:20])
     with pytest.raises(CorruptionError):
         read_rom(stub)
+
+    # a header with no samples, its payload sized to match: the two bases alone
+    fields = list(HEADER.unpack(blob[: HEADER.size]))
+    fields[5] = 0  # n_params
+    n_bases = db.grid.n_cells * db.r + db.times.n_steps * db.s
+    no_samples = tmp_path / "no_samples.rom1"
+    payload = blob[HEADER.size + 8 : HEADER.size + 8 * (1 + n_bases)]
+    no_samples.write_bytes(HEADER.pack(*fields) + payload)
+    with pytest.raises(CorruptionError, match=r"params must be a nonempty 1D array"):
+        read_rom(no_samples)
 
     with pytest.raises(PersistenceError):
         read_rom(tmp_path / "absent.rom1")
