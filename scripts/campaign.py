@@ -134,13 +134,12 @@ def run_campaign(root: Path, name: str, targets=None) -> Campaign:
                  "--ne-t", genes["ne_t"], "--m", genes["m"], "--out", pred])
         report = root / f"report_{tag}"
         report.mkdir(exist_ok=True)
-        run_cli(["report", "--history", history, "--predicted", pred, "--target", target,
-                 "--out", str(report)])
-        series = (report / "error_series.csv").read_text(encoding="utf-8").splitlines()[1:]
+        run_cli(["report", "--predicted", pred, "--target", target, "--out", str(report)])
+        _, errors = _series(report / "error_series.csv")
         delta = float(genes["delta"])
         rows.append(Row(truth, delta, 100 * abs(delta - truth) / truth,
                         *(int(genes[k]) for k in ("ne_t", "ne_x", "m")), float(genes["cost"]),
-                        max(float(r.split(",")[1]) for r in series), seconds))
+                        float(errors.max()), seconds))
     return Campaign(datagen_s, compress_s, rows)
 
 
@@ -148,7 +147,7 @@ def run_campaign(root: Path, name: str, targets=None) -> Campaign:
 # reference when it is not byte-identical.
 TOLERANCES = {
     "delta": 1e-9,  # history best_delta, relative
-    "cost": 1e-9,  # history best_cost and avg_cost, avg_cost.csv values, relative
+    "cost": 1e-9,  # history best_cost and avg_cost, relative
     "error": 1e-9,  # error_series.csv values, absolute percentage points
     "field": 1e-12,  # SNP1 fields and ROM1 reconstructions, relative to the reference's norm
 }
@@ -181,13 +180,11 @@ def _series(path: Path) -> tuple[list[str], np.ndarray]:
     return [i for i, _ in rows], np.array([float(v) for _, v in rows])
 
 
-def _series_gaps(new: Path, ref: Path, absolute: bool) -> dict[str, float]:
+def _series_gaps(new: Path, ref: Path) -> dict[str, float]:
     (new_index, new_values), (ref_index, ref_values) = _series(new), _series(ref)
     if new_index != ref_index:
         raise ValueError("row indices differ")
-    if absolute:
-        return {"error": float(np.abs(new_values - ref_values).max(initial=0.0))}
-    return {"cost": _relative(new_values, ref_values)}
+    return {"error": float(np.abs(new_values - ref_values).max(initial=0.0))}
 
 
 def _snapshot_gaps(new: Path, ref: Path) -> dict[str, float]:
@@ -221,10 +218,8 @@ def _gaps(new: Path, ref: Path) -> tuple[dict[str, float], str]:
         return _rom_gaps(new, ref)
     if new.name.startswith("history_") and new.suffix == ".csv":
         return _history_gaps(new, ref), ""
-    if new.name == "avg_cost.csv":
-        return _series_gaps(new, ref, absolute=False), ""
     if new.name == "error_series.csv":
-        return _series_gaps(new, ref, absolute=True), ""
+        return _series_gaps(new, ref), ""
     if new.suffix == ".snp1":
         return _snapshot_gaps(new, ref), ""
     raise ValueError("no tolerance applies; the bytes must match")

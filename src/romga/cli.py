@@ -43,11 +43,13 @@ PRESETS = {
 
 
 def _floats(raw: str) -> tuple[float, ...]:
-    parts = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not parts:
+    parts = [tok.strip() for tok in raw.split(",")]
+    if not any(parts):
         raise argparse.ArgumentTypeError("empty value list")
     values = []
     for tok in parts:
+        if not tok:
+            raise argparse.ArgumentTypeError(f"empty item in list {raw!r}")
         try:
             values.append(float(tok))
         except ValueError:
@@ -301,35 +303,22 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- report
 
 _REPORT_OPTS = (
-    ("--history", str, None, "search history CSV"),
-    ("--predicted", str, None, "predicted snapshot file"),
-    ("--target", str, None, "target snapshot file"),
+    ("--predicted", str, ..., "predicted snapshot file"),
+    ("--target", str, ..., "target snapshot file"),
     ("--out", str, ..., "existing output directory"),
 )
 
 
 def _cmd_report(ns: argparse.Namespace) -> int:
     out = _out_dir(ns.out)
-    if (ns.predicted is None) != (ns.target is None):
-        raise ValueError("--predicted and --target must be given together")
-    if ns.history is None and ns.predicted is None:
-        raise ValueError("nothing to report: pass --history and/or --predicted/--target")
-    # every input is read and checked before either summary is written
-    tables = {}
-    if ns.history is not None:
-        history = genetic.read_history_csv(ns.history)
-        tables["avg_cost.csv"] = [(rec.generation, rec.avg_cost) for rec in history.records]
-    if ns.predicted is not None:
-        predicted = read_snapshots(ns.predicted)
-        target = read_snapshots(ns.target)
-        if predicted.grid != target.grid or predicted.times != target.times:
-            raise ValueError("predicted and target snapshots do not match")
-        tables["error_series.csv"] = list(
-            enumerate(l2_error_series(predicted.values, target.values))
-        )
-    for name, rows in tables.items():
-        _write_csv(out / name, [("index", "value"), *((i, repr(float(v))) for i, v in rows)])
-        print(f"wrote {out / name}")
+    predicted = read_snapshots(ns.predicted)
+    target = read_snapshots(ns.target)
+    if predicted.grid != target.grid or predicted.times != target.times:
+        raise ValueError("predicted and target snapshots do not match")
+    errors = l2_error_series(predicted.values, target.values)
+    path = out / "error_series.csv"
+    _write_csv(path, [("index", "value"), *((i, repr(float(v))) for i, v in enumerate(errors))])
+    print(f"wrote {path}")
     return 0
 
 
@@ -340,7 +329,7 @@ _COMMANDS = (
     ("compress", _cmd_compress, _COMPRESS_OPTS, "build a ROM database from a manifest"),
     ("predict", _cmd_predict, _PREDICT_OPTS, "interpolate the field at a new parameter"),
     ("optimize", _cmd_optimize, _OPTIMIZE_OPTS, "search for the parameter matching a target"),
-    ("report", _cmd_report, _REPORT_OPTS, "derive CSV summaries from run artifacts"),
+    ("report", _cmd_report, _REPORT_OPTS, "write the per-instant error of a prediction"),
 )
 
 

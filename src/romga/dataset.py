@@ -275,13 +275,16 @@ class SnapshotMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        value = float(self.param_value)
+        if not math.isfinite(value):
+            raise ValueError(f"param_value must be finite, got {value!r}")
         shape = (self.grid.n_cells, self.times.n_steps)
         vals = _frozen_array(self.values, shape, order="K")
         if not _all_finite(vals):
             raise ValueError("snapshot values must all be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "param_kind", ParamKind(self.param_kind))
-        object.__setattr__(self, "param_value", float(self.param_value))
+        object.__setattr__(self, "param_value", value)
 
     def equals(self, other: "SnapshotMatrix") -> bool:
         """Exact equality of metadata and payload (used by round-trip tests)."""

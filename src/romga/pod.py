@@ -146,6 +146,8 @@ class RomDatabase:
         params = _frozen_array(self.params)
         if params.ndim != 1 or params.size < 1:
             raise ValueError("params must be a nonempty 1D array")
+        if not np.isfinite(params).all():
+            raise ValueError("params must be finite")
         if np.any(np.diff(params) <= 0.0):
             raise ValueError("params must be strictly increasing")
         names = ("spatial_basis", "temporal_basis", "spatial_blocks", "temporal_blocks")

@@ -170,7 +170,8 @@ def solve_cavity(
     Raises
     ------
     DivergenceError
-        If any recorded snapshot contains non-finite values.
+        If any recorded snapshot contains non-finite values, or a member's
+        stability rate or substep count overflows.
     """
     members = tuple(members)
     if not members:
@@ -265,15 +266,19 @@ def _advance(
         u_flat, v_flat = recirculating_velocity(p.inlet_velocity, grid)
         u = u_flat.reshape(ny, nx)
         v = v_flat.reshape(ny, nx)
-        rates[0, i, 1:-1, 1:-1] = p.kappa / dx**2 + np.maximum(u, 0.0) / dx
-        rates[1, i, 1:-1, 1:-1] = p.kappa / dx**2 - np.minimum(u, 0.0) / dx
-        rates[2, i, 1:-1, 1:-1] = p.kappa / dy**2 + np.maximum(v, 0.0) / dy
-        rates[3, i, 1:-1, 1:-1] = p.kappa / dy**2 - np.minimum(v, 0.0) / dy
-        # Convex-combination stability: dt * (|u|/dx + |v|/dy + 2k/dx^2 + 2k/dy^2) <= 1,
-        # which is dt times the sum of the four rates.
-        rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * p.kappa * (1.0 / dx**2 + 1.0 / dy**2)
-        dt_stable = 1.0 / float(rate.max())
-        dt_target.append(cfl * dt_stable)
+        # a rate that overflows is reported below, not by numpy's warning
+        with np.errstate(over="ignore"):
+            rates[0, i, 1:-1, 1:-1] = p.kappa / dx**2 + np.maximum(u, 0.0) / dx
+            rates[1, i, 1:-1, 1:-1] = p.kappa / dx**2 - np.minimum(u, 0.0) / dx
+            rates[2, i, 1:-1, 1:-1] = p.kappa / dy**2 + np.maximum(v, 0.0) / dy
+            rates[3, i, 1:-1, 1:-1] = p.kappa / dy**2 - np.minimum(v, 0.0) / dy
+            # Convex-combination stability: dt * (|u|/dx + |v|/dy + 2k/dx^2 + 2k/dy^2) <= 1,
+            # which is dt times the sum of the four rates.
+            rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * p.kappa * (1.0 / dx**2 + 1.0 / dy**2)
+        target = cfl * (1.0 / float(rate.max()))
+        if not target > 0.0:
+            raise DivergenceError("the stability rate overflows, so no time step is stable")
+        dt_target.append(target)
         # inlet patch on the top 10% of the left wall
         padded[i, 1:-1, 0] = np.where(inlet_rows, p.inlet_temperature, p.theta_cold)
         padded[i, 1:-1, -1] = p.theta_cold
@@ -308,7 +313,10 @@ def _advance(
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(1, times.n_steps):
             span = instants[l] - instants[l - 1]
-            n_sub = [max(1, math.ceil(span / target)) for target in dt_target]
+            ratios = [span / target for target in dt_target]
+            if not math.isfinite(max(ratios)):
+                raise DivergenceError(f"substep count overflows at t = {instants[l]:.6g}s")
+            n_sub = [max(1, math.ceil(ratio)) for ratio in ratios]
             dt[:, 0] = [span / n for n in n_sub]
             np.multiply(rates, dt, out=coefs)
             counts, fewest = np.array(n_sub)[:, None], min(n_sub)

@@ -431,21 +431,8 @@ def test_the_mask_window_steers_the_search(pipeline, tmp_path, capsys):
     assert (tmp_path / "direct.csv").read_bytes() == history["upper"]
 
 
-def test_report_writes_both_summaries(pipeline, tmp_path, capsys):
-    history_path = tmp_path / "history.csv"
+def test_report_writes_the_error_series(pipeline, tmp_path, capsys):
     pred_path = tmp_path / "pred.snp1"
-    assert (
-        cli.main(
-            [
-                "optimize",
-                "--rom", str(pipeline / "db.rom1"),
-                "--target", str(pipeline / "target_0.375.snp1"),
-                "--pop", "8", "--gens", "3", "--seed", "2",
-                "--out", str(history_path),
-            ]
-        )
-        == 0
-    )
     assert (
         cli.main(
             [
@@ -463,20 +450,14 @@ def test_report_writes_both_summaries(pipeline, tmp_path, capsys):
     code = cli.main(
         [
             "report",
-            "--history", str(history_path),
             "--predicted", str(pred_path),
             "--target", str(pipeline / "target_0.375.snp1"),
             "--out", str(report_dir),
         ]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert "avg_cost.csv" in out and "error_series.csv" in out
-
-    avg = (report_dir / "avg_cost.csv").read_text(encoding="utf-8").splitlines()
-    assert avg[0] == "index,value"
-    assert len(avg) == 4  # header + one row per generation
-    assert int(avg[1].split(",")[0]) == 1
+    assert capsys.readouterr().out == f"wrote {report_dir / 'error_series.csv'}\n"
+    assert [p.name for p in report_dir.iterdir()] == ["error_series.csv"]
 
     series = (report_dir / "error_series.csv").read_text(encoding="utf-8").splitlines()
     assert series[0] == "index,value"
@@ -594,31 +575,13 @@ def test_the_module_runs_as_a_program(tmp_path):
 # ---------------------------------------------------------------- failures
 
 
-def test_report_on_a_history_without_records_exits_two_and_writes_nothing(tmp_path, capsys):
-    history = tmp_path / "history.csv"
-    history.write_text(",".join(HISTORY_COLUMNS) + "\n", encoding="utf-8")
-    report_dir = tmp_path / "report"
-    report_dir.mkdir()
-    assert cli.main(["report", "--history", str(history), "--out", str(report_dir)]) == 2
-    assert f"{history}: history holds no records" in capsys.readouterr().err
-    assert list(report_dir.iterdir()) == []
-
-
 def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
     rom = str(pipeline / "db.rom1")
-    history = tmp_path / "history.csv"
-    history.write_text(",".join(HISTORY_COLUMNS) + "\n1,0.4,3,2,5,0.25,1.5\n", encoding="utf-8")
+    target = str(pipeline / "target_0.375.snp1")
     blocked_report = tmp_path / "blocked_report"
-    (blocked_report / "avg_cost.csv").mkdir(parents=True)
+    (blocked_report / "error_series.csv").mkdir(parents=True)
     blocked_datagen = tmp_path / "blocked_datagen"
     (blocked_datagen / "manifest.txt").mkdir(parents=True)
-    non_finite = tmp_path / "non_finite.csv"
-    non_finite.write_text(
-        ",".join(HISTORY_COLUMNS) + "\n1,nan,3,2,5,0.25,1.5\n2,0.4,3,2,5,0.25,inf\n",
-        encoding="utf-8",
-    )
-    non_finite_report = tmp_path / "non_finite_report"
-    non_finite_report.mkdir()
     cases = [
         # missing output directory
         ["datagen", *PLUME_ARGS, "--out", str(tmp_path / "missing")],
@@ -634,30 +597,25 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
             "--velocities", "0.5", "--temperatures", "10",
             "--out", str(tmp_path),
         ],
-        # report without inputs
+        # report without its two snapshot files
         ["report", "--out", str(tmp_path)],
         # report with a lone --predicted
         ["report", "--predicted", str(tmp_path / "p.snp1"), "--out", str(tmp_path)],
         # malformed mask rectangle
-        [
-            "optimize", "--rom", rom,
-            "--target", str(pipeline / "target_0.375.snp1"),
-            "--mask", "0.1,0.9", "--out", str(tmp_path / "h.csv"),
-        ],
+        ["optimize", "--rom", rom, "--target", target, "--mask", "0.1,0.9",
+         "--out", str(tmp_path / "h.csv")],
         # missing rom file
         ["predict", "--rom", str(tmp_path / "ghost.rom1"), "--delta", "0.4",
          "--out", str(tmp_path / "p.snp1")],
-        # a directory sits where report writes avg_cost.csv
-        ["report", "--history", str(history), "--out", str(blocked_report)],
+        # a directory sits where report writes error_series.csv
+        ["report", "--predicted", target, "--target", target, "--out", str(blocked_report)],
         # a directory sits where datagen writes manifest.txt
         ["datagen", *PLUME_ARGS, "--out", str(blocked_datagen)],
-        # a history holding a NaN and an infinity
-        ["report", "--history", str(non_finite), "--out", str(non_finite_report)],
     ]
     for argv in cases:
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.strip() != ""
-    assert list(non_finite_report.iterdir()) == []
+    assert [p.name for p in blocked_report.iterdir()] == ["error_series.csv"]
     # the blocked manifest fails the run, which takes its snapshot files with it
     assert [p.name for p in blocked_datagen.iterdir()] == ["manifest.txt"]
 
@@ -723,16 +681,16 @@ def test_a_failed_report_writes_nothing(pipeline, tmp_path, capsys):
     history.write_text(",".join(HISTORY_COLUMNS) + "\n1,0.4,3,2,5,0.25,1.5\n", encoding="utf-8")
     report_dir = tmp_path / "report"
     report_dir.mkdir()
-    report = [
-        "report", "--history", str(history),
-        "--predicted", str(pipeline / "target_0.375.snp1"), "--out", str(report_dir),
-    ]
+    target = str(pipeline / "target_0.375.snp1")
+    report = ["report", "--predicted", target, "--out", str(report_dir)]
     other_grid = tmp_path / "other_grid.snp1"
     write_snapshots(analytic_plume(PlumeParams(0.375, sigma=0.3), Grid(20, 20, 1.04, 1.04),
                                    TimeAxis(40, 10.0)), other_grid)
-    # a lone --predicted, a --target that does not exist, one on another grid
+    # a lone --predicted, a history (no longer an input), a --target that does
+    # not exist, one on another grid
     for extra, message in (
-        ([], "must be given together"),
+        ([], "the following arguments are required: --target"),
+        (["--target", target, "--history", str(history)], "unrecognized arguments: --history"),
         (["--target", str(tmp_path / "missing.snp1")], "cannot read snapshot file"),
         (["--target", str(other_grid)], "predicted and target snapshots do not match"),
     ):
@@ -769,7 +727,11 @@ def test_abbreviated_and_removed_flags_are_rejected(tmp_path, capsys):
 def test_a_malformed_number_in_a_list_is_named(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    for deltas, message in (("0.3,x", "not a number: 'x'"), (" , ", "empty value list")):
+    for deltas, message in (
+        ("0.3,x", "not a number: 'x'"),
+        (" , ", "empty value list"),
+        ("0.3,,0.5", "empty item in list '0.3,,0.5'"),
+    ):
         assert cli.main(["datagen", "--family", "plume", "--deltas", deltas, "--out", str(out)]) == 2
         assert f"--deltas: {message}" in capsys.readouterr().err, deltas
     assert list(out.iterdir()) == []
@@ -805,12 +767,19 @@ def test_tampered_manifest_is_rejected(pipeline, tmp_path, capsys):
     mixed_grids.write_text("synthetic,0.3,grid8.snp1\nsynthetic,0.4,grid10.snp1\n", encoding="utf-8")
     mixed_kinds = tmp_path / "mixed_kinds.txt"
     mixed_kinds.write_text("synthetic,0.3,grid8.snp1\nvelocity,0.5,velocity.snp1\n", encoding="utf-8")
+    # a run whose header holds an infinite parameter value, listed as such
+    blob = bytearray((tmp_path / "grid8.snp1").read_bytes())
+    blob[49:57] = struct.pack("<d", float("inf"))  # param_value ends the 57-byte header
+    (tmp_path / "infinite.snp1").write_bytes(bytes(blob))
+    infinite = tmp_path / "infinite.txt"
+    infinite.write_text("synthetic,0.3,grid8.snp1\nsynthetic,inf,infinite.snp1\n", encoding="utf-8")
     for path, message in (
         (tmp_path / "absent.txt", "cannot read manifest"),
         (unknown, "unknown parameter kind 'pressure'"),
         (empty, "manifest lists no runs"),
         (mixed_grids, "all samples must share grid and time axis"),
         (mixed_kinds, "all samples must share the parameter kind"),
+        (infinite, "param_value must be finite, got inf"),
     ):
         code = cli.main(["compress", "--snapshots", str(path), "--q", "4", "--out", str(rom)])
         assert code == 2, path.name
@@ -833,6 +802,18 @@ def test_numerical_failures_exit_with_three(tmp_path, capsys):
     assert code == 3
     captured = capsys.readouterr()
     assert captured.err == "numerical failure: non-finite values at t = 0.333333s\n"
+    assert list(out.iterdir()) == []
+    # finite inputs whose stability rate or substep count overflows stop
+    # before the first substep
+    cavity = ["datagen", "--family", "cavity", "--nx", "8", "--ny", "8", "--snapshots", "3"]
+    no_step = "the stability rate overflows, so no time step is stable"
+    for flags, message in (
+        (["--velocities", "0.5", "--kappa", "1e308"], no_step),
+        (["--velocities", "1e308"], no_step),
+        (["--velocities", "0.5", "--tfinal", "1e308"], "substep count overflows at t = 5e+307s"),
+    ):
+        assert cli.main([*cavity, *flags, "--out", str(out)]) == 3, flags
+        assert capsys.readouterr().err == f"numerical failure: {message}\n", flags
     assert list(out.iterdir()) == []
 
 

@@ -199,18 +199,24 @@ def test_read_rejects_truncated_payload(tmp_path):
 
 
 def test_read_rejects_a_non_finite_extent_in_the_header(tmp_path):
-    # no command line option sets the extents: a file header is the way a
-    # non-finite extent reaches Grid's check
+    # no command line option sets the extents or a stored parameter value: a
+    # file header is the way a non-finite one reaches the constructors' checks
     path = tmp_path / "m.snp1"
     write_snapshots(make_matrix(), path)
-    blob = bytearray(path.read_bytes())
+    original = path.read_bytes()
     header = struct.Struct("<4sIIIQdddBd")
-    fields = list(header.unpack_from(blob))
-    fields[5] = float("inf")  # lx
-    header.pack_into(blob, 0, *fields)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CorruptionError, match="lx must be finite"):
-        read_snapshots(path)
+    for index, value, message in (
+        (5, float("inf"), "lx must be finite"),
+        (9, float("nan"), "param_value must be finite, got nan"),
+        (9, float("-inf"), "param_value must be finite, got -inf"),
+    ):
+        blob = bytearray(original)
+        fields = list(header.unpack_from(blob))
+        fields[index] = value  # 5 is lx, 9 the parameter value
+        header.pack_into(blob, 0, *fields)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match=message):
+            read_snapshots(path)
 
 
 def test_missing_file_raises_persistence_error(tmp_path):

@@ -673,6 +673,11 @@ def test_history_reader_rejects_foreign_files(tmp_path):
         read_history_csv(garbled)
     with pytest.raises(PersistenceError):
         read_history_csv(tmp_path / "absent.csv")
+    # write_csv records at least one generation, so a bare header is foreign
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(",".join(HISTORY_COLUMNS) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"header_only\.csv: history holds no records"):
+        read_history_csv(header_only)
     # a NaN best_delta, then an infinite avg_cost, on the second record
     for row in ("2,nan,3,2,5,0.25,1.5", "2,0.4,3,2,5,0.25,inf"):
         non_finite = tmp_path / "non_finite.csv"

@@ -408,6 +408,11 @@ def test_rom_read_rejects_damage(tmp_path, rng):
     no_samples.write_bytes(HEADER.pack(*fields) + payload)
     with pytest.raises(CorruptionError, match=r"params must be a nonempty 1D array"):
         read_rom(no_samples)
+    # read_rom stops a non-finite payload first; a database built in memory
+    # with such a parameter is refused before it can be written
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="params must be finite"):
+            dataclasses.replace(db, params=np.array([value]))
 
     with pytest.raises(PersistenceError):
         read_rom(tmp_path / "absent.rom1")

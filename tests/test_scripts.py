@@ -45,14 +45,8 @@ def test_series_script_recovers_a_target_named_with_trailing_zeros(tmp_path):
     assert float(setup[2]) > 0.0 and float(setup[5]) > 0.0
     workdir = tmp_path / "runs" / "series1"
     for name in ("target_0.54.snp1", "history_0.54.csv", "pred_0.54.snp1",
-                 "report_0.54/error_series.csv", "report_0.54/avg_cost.csv"):
+                 "report_0.54/error_series.csv"):
         assert (workdir / name).is_file(), name
-
-
-def test_plume_study_runs(tmp_path):
-    out = _run_script("plume_interpolation_study.py", "--sweep", "1", cwd=tmp_path)
-    assert "leave-one-out" in out
-    assert out.count("delta 0.400:") == 1  # the one unseen sweep query
 
 
 def test_campaign_targets_without_a_campaign_exit_two_and_create_nothing(tmp_path):
@@ -73,7 +67,7 @@ def test_campaign_digest_lists_every_artifact(tmp_path):
         per_target = [
             f"{stem}_{t}{ext}" for t in targets
             for stem, ext in (("target", ".snp1"), ("history", ".csv"), ("pred", ".snp1"))
-        ] + [f"report_{t}/{csv}" for t in targets for csv in ("avg_cost.csv", "error_series.csv")]
+        ] + [f"report_{t}/error_series.csv" for t in targets]
         return {f"{name}/{f}" for f in common + per_target}
 
     expected = (
