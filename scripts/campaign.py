@@ -31,6 +31,7 @@ import argparse
 import csv
 import hashlib
 import io
+import math
 import sys
 import time
 from contextlib import redirect_stdout
@@ -248,11 +249,19 @@ def compare_artifacts(outdir: Path, refdir: Path) -> list[tuple[str, str, bool]]
     return rows
 
 
+def _targets(raw: str) -> list[str]:
+    """The values of --targets as typed, once they pass as a list of finite numbers."""
+    if not all(math.isfinite(v) for v in cli._floats(raw)):
+        raise argparse.ArgumentTypeError(f"non-finite value in {raw!r}")
+    return [tok.strip() for tok in raw.split(",")]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path, help="artifact directory, one subdirectory per campaign")
     parser.add_argument("--only", choices=list(CAMPAIGNS), help="run this campaign alone")
-    parser.add_argument("--targets", help="comma-separated held-out values for --only's campaign")
+    parser.add_argument("--targets", type=_targets,
+                        help="comma-separated held-out values for --only's campaign")
     parser.add_argument("--digest", action="store_true", help="print artifact sha256s, not tables")
     parser.add_argument("--against", type=Path, metavar="REFDIR",
                         help="run nothing; compare OUTDIR's artifacts with REFDIR's")
@@ -271,10 +280,9 @@ def main() -> None:
         failed = sum(not ok for *_, ok in rows)
         print(f"{len(rows)} artifacts differ from {args.against}, {failed} out of bounds")
         raise SystemExit(1 if failed else 0)
-    targets = [tok.strip() for tok in (args.targets or "").split(",") if tok.strip()]
     _warm_up()
     for name in [args.only] if args.only else CAMPAIGNS:
-        done = run_campaign(args.outdir / name, name, targets)
+        done = run_campaign(args.outdir / name, name, args.targets)
         if not args.digest:
             print(name, HEADER.format(CAMPAIGNS[name][3]), sep="\n")
             print(*(ROW.format(*row) for row in done.rows), sep="\n")

@@ -23,7 +23,7 @@ from .errors import (
     PersistenceError,
     RomgaError,
 )
-from .genetic import Chromosome, GaConfig, GaHistory, SearchSpace, read_history_csv, run
+from .genetic import Chromosome, GaConfig, GaHistory, read_history_csv, run
 from .objective import l2_error_series, project_target, reduced_cost
 from .pod import (
     PodPair,

@@ -282,12 +282,7 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
     db = read_rom(ns.rom)
     target = read_snapshots(ns.target)
     rows = build_mask(db.grid, ns.mask)
-    space = genetic.SearchSpace(
-        delta_bounds=db.hull, ne_bounds=(2, db.n_params), m_bounds=(min(4, db.q), db.q)
-    )
-    cfg = genetic.GaConfig(
-        space, population_size=ns.pop, generations=ns.gens, rng_seed=ns.seed
-    )
+    cfg = genetic.GaConfig(population_size=ns.pop, generations=ns.gens, rng_seed=ns.seed)
     history = genetic.run(cfg, db, target, rows)
     history.write_csv(ns.out)
     # the first generation to reach the least cost holds the overall best

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +30,13 @@ from .pod import (
 
 # Additive guard in the roulette weight 1 / (cost + guard) keeps a perfect match finite.
 FITNESS_GUARD = 1.0e-12
+# Operator rates: the chance a pair crosses over, the chance a child mutates,
+# and how many of the best members pass to the next generation unchanged.
+CROSSOVER_PROB = 0.8
+MUTATION_PROB = 0.1
+ELITE_COUNT = 1
+# The lowest truncation order a search tries, or q when q is lower.
+MIN_ORDER = 4
 
 HISTORY_COLUMNS = (
     "generation",
@@ -52,57 +58,36 @@ class Chromosome(NamedTuple):
     m: int
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Inclusive per-gene bounds. ne_bounds applies to ne_t and ne_x alike."""
+def search_bounds(db: RomDatabase) -> tuple:
+    """Inclusive (lo, hi) of every gene, in Chromosome order, as ``db`` allows them.
 
-    delta_bounds: tuple[float, float]
-    ne_bounds: tuple[int, int]
-    m_bounds: tuple[int, int]
+    delta spans the training hull, ne_t and ne_x run from 2 to the sample
+    count, and m from MIN_ORDER (or q, when q is lower) to q.
+    """
+    if db.n_params < 2:
+        raise ValueError("a search needs at least two training samples")
+    ne = (2, db.n_params)
+    return (db.hull, ne, ne, (min(MIN_ORDER, db.q), db.q))
 
-    def __post_init__(self) -> None:
-        d = (float(self.delta_bounds[0]), float(self.delta_bounds[1]))
-        n = (int(self.ne_bounds[0]), int(self.ne_bounds[1]))
-        m = (int(self.m_bounds[0]), int(self.m_bounds[1]))
-        if not np.isfinite(d).all():
-            raise ValueError(f"delta_bounds must be finite, got {self.delta_bounds!r}")
-        if d[0] > d[1] or n[0] > n[1] or m[0] > m[1]:
-            raise ValueError("each bounds pair must satisfy lo <= hi")
-        if n[0] < 2:
-            raise ValueError("neighbor counts below 2 cannot interpolate")
-        if m[0] < 1:
-            raise ValueError("truncation order must be at least 1")
-        object.__setattr__(self, "delta_bounds", d)
-        object.__setattr__(self, "ne_bounds", n)
-        object.__setattr__(self, "m_bounds", m)
 
-    @cached_property
-    def bounds(self) -> tuple:
-        """(lo, hi) of every gene, in Chromosome order."""
-        return (self.delta_bounds, self.ne_bounds, self.ne_bounds, self.m_bounds)
+def _draw(bounds, gene: int, rng: np.random.Generator) -> float | int:
+    """Uniform draw of the gene at index ``gene`` inside its bounds."""
+    lo, hi = bounds[gene]
+    if gene == 0:
+        return float(rng.uniform(lo, hi))
+    return int(rng.integers(lo, hi + 1))
 
-    def draw(self, gene: int, rng: np.random.Generator) -> float | int:
-        """Uniform draw of the gene at index ``gene``; a pinned delta takes no draw."""
-        lo, hi = self.bounds[gene]
-        if gene == 0:
-            return float(rng.uniform(lo, hi)) if lo < hi else lo
-        return int(rng.integers(lo, hi + 1))
 
-    def contains(self, c: Chromosome) -> bool:
-        return all(lo <= g <= hi for g, (lo, hi) in zip(c, self.bounds))
-
-    def clamp(self, c: Chromosome) -> Chromosome:
-        return Chromosome._make(min(max(g, lo), hi) for g, (lo, hi) in zip(c, self.bounds))
+def _clamp(bounds, c: Chromosome) -> Chromosome:
+    return Chromosome._make(min(max(g, lo), hi) for g, (lo, hi) in zip(c, bounds))
 
 
 @dataclass(frozen=True)
 class GaConfig:
-    space: SearchSpace
+    """The settings a caller chooses; the gene bounds come from the database searched."""
+
     population_size: int = 20
     generations: int = 30
-    crossover_prob: float = 0.8
-    mutation_prob: float = 0.1
-    elite_count: int = 1
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -110,12 +95,6 @@ class GaConfig:
             raise ValueError("population_size must be at least 2")
         if self.generations < 0:
             raise ValueError("generations must be nonnegative")
-        for name in ("crossover_prob", "mutation_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if not 0 <= self.elite_count < self.population_size:
-            raise ValueError("elite_count must lie in [0, population_size)")
 
 
 @dataclass(frozen=True)
@@ -152,12 +131,11 @@ class GaHistory:
         _write_csv(path, [HISTORY_COLUMNS, *rows], "history")
 
 
-def init_population(cfg: GaConfig, rng: np.random.Generator | None = None) -> list[Chromosome]:
-    """Uniform random population inside the search space."""
-    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
+def init_population(bounds, size: int, rng: np.random.Generator) -> list[Chromosome]:
+    """``size`` chromosomes drawn uniformly inside ``bounds``."""
     return [
-        Chromosome._make(cfg.space.draw(gene, rng) for gene in range(len(Chromosome._fields)))
-        for _ in range(cfg.population_size)
+        Chromosome._make(_draw(bounds, gene, rng) for gene in range(len(Chromosome._fields)))
+        for _ in range(size)
     ]
 
 
@@ -172,14 +150,15 @@ def evaluate_population(
 
     Each chromosome is scored in the reduced space against ``projection``,
     the target as project_target prepared it for ``db``. A request the
-    database rejects raises ValueError naming the offending gene; run's
-    bound checks keep every chromosome it breeds inside the database's
-    limits. Identical chromosomes always score identically, so ``cache``
-    maps each chromosome scored so far to its cost and a repeat, within the
-    population or across generations, is served from it; None starts an
-    empty one. ``aligned`` is handed to interpolate_reduced, so the aligned
-    neighbor blocks computed for one chromosome serve every later one on the
-    same database that shares its nearest sample, neighbor sets and m.
+    database rejects raises ValueError naming the offending gene; run
+    breeds every chromosome inside the bounds search_bounds derives from
+    the database, so none of its requests is rejected. Identical
+    chromosomes always score identically, so ``cache`` maps each chromosome
+    scored so far to its cost and a repeat, within the population or across
+    generations, is served from it; None starts an empty one. ``aligned``
+    is handed to interpolate_reduced, so the aligned neighbor blocks
+    computed for one chromosome serve every later one on the same database
+    that shares its nearest sample, neighbor sets and m.
     """
     cache = {} if cache is None else cache
     costs = np.empty(len(population))
@@ -208,17 +187,17 @@ def roulette_select(fitnesses: np.ndarray, count: int, rng: np.random.Generator)
 
 
 def crossover(
-    parent_a: Chromosome, parent_b: Chromosome, rng: np.random.Generator, cfg: GaConfig
+    parent_a: Chromosome, parent_b: Chromosome, rng: np.random.Generator, bounds
 ) -> tuple[Chromosome, Chromosome]:
     """Blend-and-exchange crossover.
 
-    With probability 1 - crossover_prob the parents pass through unchanged.
+    With probability 1 - CROSSOVER_PROB the parents pass through unchanged.
     Otherwise the float gene is blended arithmetically with a uniform
     coefficient (children stay inside the parents' span) and the integer
     genes (ne_t, ne_x, m) swap their tails at a uniformly chosen boundary.
-    Children are clamped to the search space.
+    Children are clamped to ``bounds``.
     """
-    if rng.random() > cfg.crossover_prob:
+    if rng.random() > CROSSOVER_PROB:
         return parent_a, parent_b
     beta = rng.random()
     delta_a = beta * parent_a.delta + (1.0 - beta) * parent_b.delta
@@ -226,24 +205,24 @@ def crossover(
     cut = 1 + int(rng.integers(1, 3))  # tails start at ne_x or at m
     child_a = Chromosome(delta_a, *parent_a[1:cut], *parent_b[cut:])
     child_b = Chromosome(delta_b, *parent_b[1:cut], *parent_a[cut:])
-    return cfg.space.clamp(child_a), cfg.space.clamp(child_b)
+    return _clamp(bounds, child_a), _clamp(bounds, child_b)
 
 
-def mutate(c: Chromosome, rng: np.random.Generator, cfg: GaConfig) -> Chromosome:
-    """With probability mutation_prob resample one uniformly chosen gene."""
-    if rng.random() >= cfg.mutation_prob:
+def mutate(c: Chromosome, rng: np.random.Generator, bounds) -> Chromosome:
+    """With probability MUTATION_PROB resample one uniformly chosen gene inside ``bounds``."""
+    if rng.random() >= MUTATION_PROB:
         return c
     gene = int(rng.integers(0, len(Chromosome._fields)))
-    return c._replace(**{Chromosome._fields[gene]: cfg.space.draw(gene, rng)})
+    return c._replace(**{Chromosome._fields[gene]: _draw(bounds, gene, rng)})
 
 
 def step_generation(
     population,
     costs: np.ndarray,
     rng: np.random.Generator,
-    cfg: GaConfig,
+    bounds,
 ) -> list[Chromosome]:
-    """Produce the next population: elites pass through, the rest is bred.
+    """Produce the next population: ELITE_COUNT elites pass through, the rest is bred.
 
     Offspring parents come from roulette selection weighted by
     1 / (cost + FITNESS_GUARD), so an exact match (cost 0) keeps a finite
@@ -252,16 +231,16 @@ def step_generation(
     preserved.
     """
     order = np.argsort(costs, kind="stable")
-    elites = [population[i] for i in order[: cfg.elite_count]]
-    n_offspring = cfg.population_size - cfg.elite_count
+    elites = [population[i] for i in order[:ELITE_COUNT]]
+    n_offspring = len(population) - ELITE_COUNT
     n_selected = n_offspring + (n_offspring % 2)
     selected = roulette_select(1.0 / (costs + FITNESS_GUARD), n_selected, rng)
     children: list[Chromosome] = []
     for i in range(0, n_selected, 2):
         a, b = population[selected[i]], population[selected[i + 1]]
-        child_a, child_b = crossover(a, b, rng, cfg)
-        children.append(mutate(child_a, rng, cfg))
-        children.append(mutate(child_b, rng, cfg))
+        child_a, child_b = crossover(a, b, rng, bounds)
+        children.append(mutate(child_a, rng, bounds))
+        children.append(mutate(child_b, rng, bounds))
     return elites + children[:n_offspring]
 
 
@@ -269,31 +248,22 @@ def run(cfg: GaConfig, db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray
     """Full search for the ``rows`` of ``target``: returns each generation's leader in the history.
 
     The initial random population counts as generation 1; each later
-    generation evaluates the population bred from the previous one. With
-    elitism enabled the per-generation best cost never increases. A
+    generation evaluates the population bred from the previous one, so
+    with the elite kept the per-generation best cost never increases. A
     ``generations`` of 0 degenerates to evaluating the initial population
-    only. The target is projected onto the database's bases once, before
-    the first generation, and every chromosome is scored against that.
+    only. Every gene is drawn inside search_bounds(db). The target is
+    projected onto the database's bases once, before the first generation,
+    and every chromosome is scored against that.
     The cost cache and the aligned blocks live for this call only, so
     nothing carries over from one search or database to the next.
     """
-    d_lo, d_hi = cfg.space.delta_bounds
-    hull_lo, hull_hi = db.hull
-    if d_lo < hull_lo or d_hi > hull_hi:
-        raise ValueError(
-            f"delta bounds [{d_lo!r}, {d_hi!r}] leave the training hull"
-            f" [{hull_lo!r}, {hull_hi!r}]"
-        )
-    if cfg.space.ne_bounds[1] > db.n_params:
-        raise ValueError("neighbor bound exceeds the number of training samples")
-    if cfg.space.m_bounds[1] > db.q:
-        raise ValueError("truncation bound exceeds the database order q")
+    bounds = search_bounds(db)
     projection = project_target(db, target, rows)
 
     rng = np.random.default_rng(cfg.rng_seed)
     cache: dict = {}
     aligned: dict = {}
-    population = init_population(cfg, rng)
+    population = init_population(bounds, cfg.population_size, rng)
     records = []
     total = max(cfg.generations, 1)
     for generation in range(1, total + 1):
@@ -305,7 +275,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray
             )
         )
         if generation < total:
-            population = step_generation(population, costs, rng, cfg)
+            population = step_generation(population, costs, rng, bounds)
     return GaHistory(tuple(records))
 
 

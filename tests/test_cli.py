@@ -24,7 +24,6 @@ from romga import (
     PersistenceError,
     PlumeParams,
     RomDatabase,
-    SearchSpace,
     SnapshotMatrix,
     TimeAxis,
     analytic_plume,
@@ -396,6 +395,20 @@ def test_optimize_recovers_the_target_parameter(pipeline, tmp_path, capsys):
     assert Chromosome(float(fields["delta"]), *genes) == best.best
 
 
+def test_optimize_on_a_one_sample_rom_exits_two_and_writes_nothing(pipeline, tmp_path, capsys):
+    first = (pipeline / "manifest.txt").read_text(encoding="utf-8").splitlines()[0]
+    manifest = tmp_path / "one.txt"
+    manifest.write_text(first.replace(",train", f",{pipeline}/train") + "\n", encoding="utf-8")
+    rom, history = tmp_path / "one.rom1", tmp_path / "history.csv"
+    assert cli.main(["compress", "--snapshots", str(manifest), "--q", "8", "--out", str(rom)]) == 0
+    assert read_rom(rom).n_params == 1
+    target = str(pipeline / "target_0.375.snp1")
+    code = cli.main(["optimize", "--rom", str(rom), "--target", target, "--out", str(history)])
+    assert code == 2
+    assert "error: a search needs at least two training samples" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.rom1", "one.txt"]  # no history
+
+
 def test_optimize_reruns_are_byte_identical(pipeline, tmp_path):
     args = [
         "optimize",
@@ -422,10 +435,9 @@ def test_the_mask_window_steers_the_search(pipeline, tmp_path, capsys):
     history = {name: (tmp_path / f"{name}.csv").read_bytes() for name in windows}
     assert history["default"] == history["unset"]
     assert history["upper"] != history["default"]
-    # optimize searches the whole hull, every neighbor count and m in [min(4, q), q]
+    # optimize is the library search with the command line's three settings
     db = read_rom(rom)
-    space = SearchSpace(db.hull, (2, db.n_params), (min(4, db.q), db.q))
-    config = GaConfig(space, population_size=8, generations=4, rng_seed=3)
+    config = GaConfig(population_size=8, generations=4, rng_seed=3)
     rows = build_mask(db.grid, (0.5, 0.9, 0.5, 0.9))
     genetic.run(config, db, read_snapshots(target), rows).write_csv(tmp_path / "direct.csv")
     assert (tmp_path / "direct.csv").read_bytes() == history["upper"]

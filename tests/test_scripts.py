@@ -54,6 +54,14 @@ def test_campaign_targets_without_a_campaign_exit_two_and_create_nothing(tmp_pat
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("targets", [",", "0.375,,0.425", "0.375,nan"])
+def test_malformed_campaign_targets_exit_two_and_create_nothing(tmp_path, targets):
+    # an empty list would fall back to the campaign's own targets, a dropped item skip a run
+    _run_script("campaign.py", "runs", "--only", "plume", "--targets", targets,
+                cwd=tmp_path, code=2)
+    assert not (tmp_path / "runs").exists()
+
+
 def test_campaign_digest_lists_every_artifact(tmp_path):
     out = _run_script("campaign.py", "campaign", "--digest", cwd=tmp_path)
     lines = out.splitlines()
