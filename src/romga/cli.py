@@ -34,8 +34,11 @@ from .surrogate import CavityParams, PlumeParams, analytic_plume, solve_cavity
 MANIFEST_NAME = "manifest.txt"
 DOMAIN_SIDE = 1.04  # both families sample the square [0, 1.04 m]^2
 
+# A cavity series varies one inlet quantity and holds the other at this value.
+FIXED_INLET = {"inlet_velocity": 0.57, "inlet_temperature": 15.0}
+
 # Named experiment presets: the training grids of the two cavity series, as
-# the datagen options they set. Each fixed inlet value is the option default.
+# the datagen options they set.
 PRESETS = {
     "series1-velocity": {"family": "cavity", "velocities": (0.51, 0.627, 0.798)},
     "series2-temperature": {"family": "cavity", "temperatures": (5.0, 10.0, 15.0, 20.0, 25.0)},
@@ -82,17 +85,11 @@ _DATAGEN_OPTS = (
     ("--velocities", _floats, None, "cavity training velocities (m/s)"),
     ("--temperatures", _floats, None, "cavity training inlet temperatures (C)"),
     ("--target", _floats, None, "held-out parameter values to also generate"),
-    ("--velocity", float, 0.57, "fixed velocity when temperatures vary"),
-    ("--inlet-temp", float, 15.0, "fixed inlet temperature when velocities vary"),
     ("--nx", int, 48, "cells along x"),
     ("--ny", int, 48, "cells along y"),
     ("--snapshots", int, 150, "number of recorded instants"),
     ("--tfinal", float, 60.0, "simulated time span (s)"),
     ("--sigma", float, 0.25, "plume width (m)"),
-    ("--theta-cold", float, 15.0, "cold wall temperature (C)"),
-    ("--theta-hot", float, 35.0, "floor temperature (C)"),
-    ("--theta-init", float, 15.0, "initial temperature (C)"),
-    ("--kappa", float, 2.0e-3, "diffusivity (m^2/s)"),
     ("--out", str, ..., "existing output directory"),
 )
 
@@ -116,10 +113,7 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
         train_values = ns.deltas
 
         def make(values) -> list[SnapshotMatrix]:
-            return [
-                analytic_plume(PlumeParams(v, ns.theta_cold, ns.theta_hot, ns.sigma), grid, times)
-                for v in values
-            ]
+            return [analytic_plume(PlumeParams(v, sigma=ns.sigma), grid, times) for v in values]
 
         kind = ParamKind.SYNTHETIC
     elif ns.family == "cavity":
@@ -129,20 +123,10 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
             train_values, kind, varied = ns.velocities, ParamKind.VELOCITY, "inlet_velocity"
         else:
             train_values, kind, varied = ns.temperatures, ParamKind.TEMPERATURE, "inlet_temperature"
-        inlet = {"inlet_velocity": ns.velocity, "inlet_temperature": ns.inlet_temp}
 
         def make(values) -> list[SnapshotMatrix]:
             # one solver call advances every run of the group together
-            members = [
-                CavityParams(
-                    **{**inlet, varied: value},
-                    theta_hot=ns.theta_hot,
-                    theta_cold=ns.theta_cold,
-                    theta_initial=ns.theta_init,
-                    kappa=ns.kappa,
-                )
-                for value in values
-            ]
+            members = [CavityParams(**{**FIXED_INLET, varied: value}) for value in values]
             return solve_cavity(members, grid, times, vary=kind)
 
     else:
@@ -202,7 +186,11 @@ def _read_manifest(path: Path) -> list[tuple[ParamKind, float, Path]]:
             kind = ParamKind[kind_name.upper()]
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: unknown parameter kind {kind_name!r}") from exc
-        entries.append((kind, float(value), path.parent / rel))
+        try:
+            number = float(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a number: {value!r}") from None
+        entries.append((kind, number, path.parent / rel))
     if not entries:
         raise ValueError(f"{path}: manifest lists no runs")
     return entries
@@ -213,8 +201,6 @@ def _read_manifest(path: Path) -> list[tuple[ParamKind, float, Path]]:
 _COMPRESS_OPTS = (
     ("--snapshots", str, ..., "manifest file listing the training runs"),
     ("--q", int, 60, "per-sample truncation order"),
-    ("--r", int, None, "global spatial rank (default: numerical rank of the stacked modes)"),
-    ("--s", int, None, "global temporal rank (default: numerical rank of the stacked coeffs)"),
     ("--out", str, ..., "ROM output file"),
 )
 
@@ -234,7 +220,7 @@ def _manifest_samples(entries):
 def _cmd_compress(ns: argparse.Namespace) -> int:
     entries = _read_manifest(Path(ns.snapshots))
     # the samples stream from disk: compress holds one of them at a time
-    db = compress_ensemble(_manifest_samples(entries), q=ns.q, r=ns.r, s=ns.s)
+    db = compress_ensemble(_manifest_samples(entries), q=ns.q)
     write_rom(db, ns.out)
     print(
         f"compressed {db.n_params} samples at q={db.q}, r={db.r}, s={db.s} -> {ns.out}"

@@ -57,7 +57,9 @@ def project_target(db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray) ->
     root_w = np.sqrt(db.grid.cell_area)
     q, factor = np.linalg.qr(root_w * db.spatial_basis[rows])
     weighted = root_w * target.values[rows]
-    projected = (q.T @ weighted) @ temporal
+    # einsum sums over the mask rows in one fixed order; a threaded BLAS
+    # product would split them by thread count and move the search's costs
+    projected = np.einsum("ki,kj->ij", q, weighted @ temporal)
     leftover = weighted - (q @ projected) @ temporal.T
     residual = float(np.sum(leftover * leftover))
     pieces = (gram, factor, projected, residual)

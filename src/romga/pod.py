@@ -13,9 +13,9 @@ each sample is reduced to the pair of small projection blocks
 
 so that Y_k ~ spatial_basis @ spatial_block_k @ temporal_block_k.T
 @ temporal_basis.T. The blocks are what the barycentric interpolation
-operates on; the two global bases never change between queries. By default
-r and s are the numerical ranks of the two stacked matrices: the directions
-whose singular values lie at rounding level are dropped, since every sample
+operates on; the two global bases never change between queries. r and s
+are the numerical ranks of the two stacked matrices: the directions whose
+singular values lie at rounding level are dropped, since every sample
 rebuilds to rounding without them and every lift and search cost would
 carry them.
 
@@ -191,8 +191,14 @@ def _numerical_rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
     return max(1, int(np.count_nonzero(sv > sv[0] * max(shape) * np.finfo(sv.dtype).eps)))
 
 
-def two_level_compress(pairs, r: int | None = None, s: int | None = None) -> RomDatabase:
+def two_level_compress(pairs) -> RomDatabase:
     """Compress an ensemble of per-sample factorizations into a RomDatabase.
+
+    The ranks r and s of the global spatial and temporal bases are the
+    numerical ranks of the stacked spatial modes and temporal coefficients:
+    the count of singular values above sigma_1 * max(rows, cols) * eps, the
+    default tolerance of np.linalg.matrix_rank, and at least 1. That keeps
+    the stacked column spaces to rounding.
 
     Parameters
     ----------
@@ -200,14 +206,6 @@ def two_level_compress(pairs, r: int | None = None, s: int | None = None) -> Rom
         One factorization per sample, all with identical grid, time axis,
         parameter kind and order q, listed in strictly increasing order of
         their parameter values.
-    r, s : int or None
-        Ranks of the global spatial and temporal bases,
-        1 <= r <= min(q * n_params, n_cells) and
-        1 <= s <= min(q * n_params, n_steps). None takes the numerical rank
-        of the stacked spatial modes or temporal coefficients: the count of
-        singular values above sigma_1 * max(rows, cols) * eps, the default
-        tolerance of np.linalg.matrix_rank, and at least 1. That keeps the
-        stacked column spaces to rounding.
     """
     pairs = list(pairs)
     if not pairs:
@@ -222,19 +220,13 @@ def two_level_compress(pairs, r: int | None = None, s: int | None = None) -> Rom
         if p.param_kind != first.param_kind:
             raise ValueError("all samples must share the parameter kind")
     params = np.array([p.param_value for p in pairs])  # RomDatabase checks the order
-    r_max = min(q * len(pairs), first.grid.n_cells)
-    s_max = min(q * len(pairs), first.times.n_steps)
-    if r is not None and not 1 <= r <= r_max:
-        raise ValueError(f"r must lie in [1, {r_max}], got {r}")
-    if s is not None and not 1 <= s <= s_max:
-        raise ValueError(f"s must lie in [1, {s_max}], got {s}")
 
     stacked_spatial = np.hstack([p.spatial_modes for p in pairs])
     stacked_temporal = np.hstack([p.temporal_coeffs for p in pairs])
     us, svs, vts = np.linalg.svd(stacked_spatial, full_matrices=False)
     ut, svt, vtt = np.linalg.svd(stacked_temporal, full_matrices=False)
-    r = _numerical_rank(svs, stacked_spatial.shape) if r is None else r
-    s = _numerical_rank(svt, stacked_temporal.shape) if s is None else s
+    r = _numerical_rank(svs, stacked_spatial.shape)
+    s = _numerical_rank(svt, stacked_temporal.shape)
     spatial_basis, temporal_basis = us[:, :r], ut[:, :s]
     _fix_svd_signs(spatial_basis, vts[:r])
     _fix_svd_signs(temporal_basis, vtt[:s])
@@ -250,18 +242,17 @@ def two_level_compress(pairs, r: int | None = None, s: int | None = None) -> Rom
     )
 
 
-def compress_ensemble(matrices, q: int, r: int | None = None, s: int | None = None) -> RomDatabase:
+def compress_ensemble(matrices, q: int) -> RomDatabase:
     """Factorize and compress an ensemble of SnapshotMatrix in one call.
 
     ``matrices`` may be any iterable, a generator included: each matrix is
     factorized as it arrives and dropped, so only its PodPair stays alive
     and a generator that reads samples from disk holds one at a time. The
-    pairs are sorted by parameter value and handed to two_level_compress
-    with ``r`` and ``s``, whose defaults keep the stacked column spaces
-    to rounding.
+    pairs are sorted by parameter value and handed to two_level_compress,
+    which derives the ranks r and s.
     """
     pairs = sorted((pod_factorize(m, q) for m in matrices), key=lambda p: p.param_value)
-    return two_level_compress(pairs, r, s)
+    return two_level_compress(pairs)
 
 
 def reconstruct_field(db: RomDatabase, spatial: np.ndarray, temporal: np.ndarray) -> np.ndarray:

@@ -20,6 +20,10 @@ import numpy as np
 from .dataset import Grid, ParamKind, SnapshotMatrix, TimeAxis, _adopt
 from .errors import DivergenceError
 
+# Safety factor on each member's stability bound: a substep is at most 0.9 of
+# the largest step the convex-combination form allows.
+CFL = 0.9
+
 
 @dataclass(frozen=True)
 class PlumeParams:
@@ -109,7 +113,6 @@ def solve_cavity(
     members: Sequence[CavityParams],
     grid: Grid,
     times: TimeAxis,
-    cfl: float = 0.9,
     vary: ParamKind = ParamKind.VELOCITY,
 ) -> list[SnapshotMatrix]:
     """Integrate the passive temperature equation on the cavity for every member.
@@ -154,10 +157,8 @@ def solve_cavity(
         Physical configuration of each run (velocity scale, boundary
         temperatures, kappa); at least one.
     grid, times : Grid, TimeAxis
-        Output sampling. Internal substeps are sized from each member's
-        stability bound and land exactly on each sampling instant.
-    cfl : float
-        Safety factor in (0, 1] on each member's stability bound.
+        Output sampling. Internal substeps are sized from ``CFL`` times each
+        member's stability bound and land exactly on each sampling instant.
     vary : ParamKind
         Which knob the enclosing ensemble varies; decides the parameter value
         stored in each returned SnapshotMatrix.
@@ -176,8 +177,6 @@ def solve_cavity(
     members = tuple(members)
     if not members:
         raise ValueError("solve_cavity needs at least one member")
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError("cfl must lie in (0, 1]")
     if vary == ParamKind.VELOCITY:
         param_values = [p.inlet_velocity for p in members]
     elif vary == ParamKind.TEMPERATURE:
@@ -185,7 +184,7 @@ def solve_cavity(
     else:
         raise ValueError("cavity runs vary either velocity or temperature")
 
-    records = _solve_groups(members, grid, times, cfl)
+    records = _solve_groups(members, grid, times)
     # each SnapshotMatrix keeps its member's record, as a column-major view
     return [
         _adopt(grid, times, vary, value, record.reshape(times.n_steps, grid.n_cells).T)
@@ -194,7 +193,7 @@ def solve_cavity(
 
 
 def _solve_groups(
-    members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis, cfl: float
+    members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis
 ) -> list[np.ndarray]:
     """One record per member: each group's extremes advanced, its other members blended."""
     groups: dict[CavityParams, list[int]] = {}
@@ -208,7 +207,7 @@ def _solve_groups(
             lo, hi = group[temps.index(min(temps))], group[temps.index(max(temps))]
             ends.update((i, (lo, hi)) for i in group if i not in (lo, hi))
     advanced = [i for i in range(len(members)) if i not in ends]
-    records = dict(zip(advanced, _advance(tuple(members[i] for i in advanced), grid, times, cfl)))
+    records = dict(zip(advanced, _advance(tuple(members[i] for i in advanced), grid, times)))
     for i, (lo, hi) in ends.items():
         theta = members[i].inlet_temperature
         theta_lo, theta_hi = members[lo].inlet_temperature, members[hi].inlet_temperature
@@ -236,7 +235,7 @@ def _aligned_zeros(*shape: int) -> np.ndarray:
 
 
 def _advance(
-    members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis, cfl: float
+    members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis
 ) -> list[np.ndarray]:
     """The batched kernel of ``solve_cavity``: one (n_steps, ny, nx) record per member."""
     k = len(members)
@@ -275,7 +274,7 @@ def _advance(
             # Convex-combination stability: dt * (|u|/dx + |v|/dy + 2k/dx^2 + 2k/dy^2) <= 1,
             # which is dt times the sum of the four rates.
             rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * p.kappa * (1.0 / dx**2 + 1.0 / dy**2)
-        target = cfl * (1.0 / float(rate.max()))
+        target = CFL * (1.0 / float(rate.max()))
         if not target > 0.0:
             raise DivergenceError("the stability rate overflows, so no time step is stable")
         dt_target.append(target)

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from romga import cli, read_rom
+from romga import read_rom, write_rom
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,16 +124,25 @@ def test_against_passes_a_copy_and_a_cost_moved_within_bounds(plume_campaign, tm
 
 
 def test_against_names_a_rank_change(plume_campaign, tmp_path):
+    # a temporal basis grown by one orthonormal column, met by a zero row in
+    # every temporal block, rebuilds every sample as before
     reference = read_rom(plume_campaign / "plume" / "db.rom1")
-    # the default keeps every spatial column but only the temporal ones above rounding
-    assert reference.r == 50 and reference.s < 50
-    copy = shutil.copytree(plume_campaign, tmp_path / "full") / "plume"
-    assert cli.main(["compress", "--snapshots", str(copy / "manifest.txt"), "--q", "10",
-                     "--r", "50", "--s", "50", "--out", str(copy / "db.rom1")]) == 0
-    out = _run_script("campaign.py", "full", "--against", str(plume_campaign), cwd=tmp_path)
+    basis = reference.temporal_basis
+    extra = np.random.default_rng(0).standard_normal(basis.shape[0])
+    for _ in range(2):  # the second pass takes out what rounding left of the first
+        extra -= basis @ (basis.T @ extra)
+    zero_rows = np.zeros((reference.n_params, 1, reference.q))
+    grown = dataclasses.replace(
+        reference,
+        temporal_basis=np.column_stack([basis, extra / np.linalg.norm(extra)]),
+        temporal_blocks=np.concatenate([reference.temporal_blocks, zero_rows], axis=1),
+    )
+    copy = shutil.copytree(plume_campaign, tmp_path / "grown") / "plume"
+    write_rom(grown, copy / "db.rom1")
+    out = _run_script("campaign.py", "grown", "--against", str(plume_campaign), cwd=tmp_path)
     first, last = out.splitlines()
     assert first.startswith("within  plume/db.rom1: field ")
-    assert first.endswith(f"(bound 1e-12), s {reference.s}→50")
+    assert first.endswith(f"(bound 1e-12), s {reference.s}→{reference.s + 1}")
     assert last == f"1 artifacts differ from {plume_campaign}, 0 out of bounds"
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from romga import (
     CavityParams,
+    DivergenceError,
     Grid,
     ParamKind,
     PlumeParams,
@@ -310,18 +311,19 @@ def test_members_agree_with_the_textbook_scheme():
         assert np.abs(run.values - textbook).max() <= 1e-13 * np.abs(textbook).max()
 
 
-def test_full_cfl_keeps_the_maximum_principle_and_batched_equality():
+def test_full_cfl_keeps_the_maximum_principle_and_batched_equality(monkeypatch):
     # at cfl = 1 a cell's own weight 1 - (cw + ce + cs + cn) can reach zero
+    monkeypatch.setattr(surrogate, "CFL", 1.0)
     grid = Grid(14, 12, 1.04, 0.9)
     times = TimeAxis(7, 4.0)
-    batched = solve_cavity(MIXED_ENSEMBLE, grid, times, cfl=1.0, vary=ParamKind.TEMPERATURE)
+    batched = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
     for params, run in zip(MIXED_ENSEMBLE, batched):
         bounds = (
             params.theta_hot, params.theta_cold, params.inlet_temperature, params.theta_initial
         )
         assert run.values.min() >= min(bounds) - 1e-9
         assert run.values.max() <= max(bounds) + 1e-9
-        (alone,) = solve_cavity([params], grid, times, cfl=1.0, vary=ParamKind.TEMPERATURE)
+        (alone,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
         assert run.equals(alone)
         assert np.array_equal(alone.values, _reference_cavity(params, grid, times, cfl=1.0))
 
@@ -361,12 +363,15 @@ def test_cavity_validation():
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 CavityParams(**{"inlet_velocity": 0.5, "inlet_temperature": 15.0, name: bad})
-    grid, times, params = _grid(4, 4), TimeAxis(3, 1.0), CavityParams(0.5, 15.0)
-    for cfl in (0.0, -0.5, 1.5, math.nan):
-        with pytest.raises(ValueError, match=r"cfl must lie in \(0, 1\]"):
-            solve_cavity([params], grid, times, cfl=cfl)
-    (full,) = solve_cavity([params], grid, times, cfl=1.0)
-    assert full.values.shape == (16, 3)
+
+
+def test_a_field_that_overflows_stops_the_solver():
+    # walls at +-1e308 overflow the first substep's differences: the solver
+    # stops at the first instant it records, with no numpy warning on the way
+    # (pytest turns any warning into an error)
+    params = CavityParams(0.5, 0.0, theta_hot=1e308, theta_cold=-1e308)
+    with pytest.raises(DivergenceError, match=r"^non-finite values at t = 0\.333333s$"):
+        solve_cavity([params], _grid(8, 8), TimeAxis(4, 1.0))
 
 
 def _solo(params, grid, times):
@@ -391,21 +396,37 @@ def test_an_inlet_temperature_group_advances_its_extremes_and_blends_the_rest():
     grid = Grid(14, 12, 1.04, 0.9)
     times = TimeAxis(9, 6.0)
     temps = (20.0, 5.0, 12.5, 25.0, 10.0)  # the extremes are neither first nor last
-    members = [CavityParams(0.57, t, theta_initial=17.0) for t in temps]
-    runs = solve_cavity(members, grid, times, vary=ParamKind.TEMPERATURE)
-    for params, run in zip(members, runs):
-        alone = _solo(params, grid, times)
-        assert run.param_value == params.inlet_temperature
-        if params.inlet_temperature in (5.0, 25.0):
-            assert run.equals(alone)
-        else:
-            scale = np.abs(alone.values).max()
-            assert np.abs(run.values - alone.values).max() <= 1e-13 * scale
-        # the extremes agree on the initial field, so the blend keeps it exactly
-        assert np.all(run.values[:, 0] == 17.0)
-        bounds = (35.0, 15.0, params.inlet_temperature, 17.0)
-        assert run.values.min() >= min(bounds) - 1e-12
-        assert run.values.max() <= max(bounds) + 1e-12
+    # the members of each group share one setting besides the velocity, which
+    # must reach the blended members as it reaches the advanced ones
+    shared = {"default": {}, "init": {"theta_initial": 17.0}, "cold": {"theta_cold": 10.0},
+              "hot": {"theta_hot": 45.0}, "kappa": {"kappa": 4e-3}}
+    runs = {}
+    for name, setting in shared.items():
+        members = [CavityParams(0.57, t, **setting) for t in temps]
+        runs[name] = solve_cavity(members, grid, times, vary=ParamKind.TEMPERATURE)
+        for params, run in zip(members, runs[name]):
+            alone = _solo(params, grid, times)
+            assert run.param_value == params.inlet_temperature
+            if params.inlet_temperature in (5.0, 25.0):
+                assert run.equals(alone), name
+            else:
+                scale = np.abs(alone.values).max()
+                assert np.abs(run.values - alone.values).max() <= 1e-13 * scale, name
+            # the extremes agree on the initial field, so the blend keeps it exactly
+            assert np.all(run.values[:, 0] == params.theta_initial), name
+            bounds = (params.theta_hot, params.theta_cold, params.inlet_temperature,
+                      params.theta_initial)
+            assert run.values.min() >= min(bounds) - 1e-12, name
+            assert run.values.max() <= max(bounds) + 1e-12, name
+    for i, default in enumerate(runs["default"]):
+        ref = default.values
+        cold, hot, kappa = (runs[name][i].values for name in ("cold", "hot", "kappa"))
+        # a colder wall cools every cell it reaches and warms none; a hotter
+        # floor warms every cell it reaches and cools none
+        assert np.all(cold <= ref + 1e-12) and (cold < ref - 1e-3).any()
+        assert np.all(hot >= ref - 1e-12) and (hot > ref + 1e-3).any()
+        # a faster diffusion carries the walls' heat further, so it moves the field
+        assert np.abs(kappa - ref).max() > 1e-3
 
 
 def test_only_inlet_temperature_groups_are_blended(monkeypatch, tmp_path, capsys):
