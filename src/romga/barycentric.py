@@ -13,16 +13,17 @@ and temporal factors are interpolated this way independently.
 This is reference-point interpolation (Amsallem & Farhat, AIAA J. 46(7),
 2008), and it is the first sweep of the Riemannian barycentric fixed point
 that realigns the blocks to each new weighted sum until the rotations settle.
-A query placed exactly at a training node reproduces that node's blocks: all
-Lagrange weights collapse onto it and its self-alignment is the identity.
-No re-orthonormalization happens; the factors are the weighted sums as they
-come.
+The nearest sample's block is the reference frame and enters the sum as it
+is, unrotated. A query placed exactly at a training node therefore
+reproduces that node's blocks bit for bit: all Lagrange weights collapse
+onto it. No re-orthonormalization happens; the factors are the weighted
+sums as they come.
 
-An aligned block depends only on its factor, the nearest sample j, the
-neighbor set and m, never on the query's parameter value. Queries sharing
-an ``aligned`` dict align each (side, j, neighbors, m) stack once, in one
-batched Procrustes SVD; a search then scores most chromosomes as a weighted
-sum (cavity-temperature identify_s 0.152 -> 0.102 s, ``BENCH_23.json``).
+A rotation depends only on the side, the nearest sample j, the neighbor k
+and m, never on the query's parameter value. Queries sharing an ``aligned``
+dict compute each (side, j, k, m) rotation once, and keep each neighbor
+set's aligned blocks as one flat (ne, rows * m) stack, so a query met
+before is one weighted sum ``weights @ flat``.
 """
 
 from __future__ import annotations
@@ -71,8 +72,12 @@ def lagrange_weights(nodes, delta_new: float) -> np.ndarray:
     values = nodes.tolist()
     if len(set(values)) != len(values):
         raise ValueError("nodes must be pairwise distinct")
+    return _weights(values, float(delta_new))
+
+
+def _weights(values: list, delta_new: float) -> np.ndarray:
+    """lagrange_weights of the distinct Python floats ``values``, unchecked."""
     # Python floats round like float64 and skip numpy's per-call overhead on a few nodes
-    delta_new = float(delta_new)
     return np.array([
         math.prod((delta_new - x_i) / (x_k - x_i) for i, x_i in enumerate(values) if i != k)
         for k, x_k in enumerate(values)
@@ -103,20 +108,44 @@ def procrustes_align(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.swapaxes(right_t, -1, -2) @ np.swapaxes(left, -1, -2)
 
 
-def _interpolate_factor(side: str, stack: np.ndarray, nearest, params, delta, m: int, aligned):
-    """sum_k w_k * (B_k @ Q_k) over ``nearest`` in increasing k, B_k = stack[k, :, :m].
+def _aligned_stack(side: str, stack: np.ndarray, j: int, neighbors: tuple, m: int, aligned):
+    """The flat (ne, rows * m) stack of B_k @ Q_k over ``neighbors``, B_k = stack[k, :, :m].
 
-    w_k are Lagrange weights; Q_k aligns B_k onto the block of nearest[0].
-    ``aligned`` holds the stack of B_k @ Q_k under (side, nearest[0], neighbors, m).
+    Q_j is the identity: the nearest block B_j is copied as it is. Every
+    other Q_k aligns B_k onto B_j and is read from ``aligned`` under
+    (side, j, k, m); the missing ones are added, all from one batched
+    Procrustes call.
     """
-    j = int(nearest[0])
-    neighbors = np.sort(nearest)
-    key = (side, j, tuple(neighbors.tolist()), m)
-    if key not in aligned:
-        blocks = stack[neighbors, :, :m]
-        aligned[key] = blocks @ procrustes_align(stack[j, :, :m], blocks)
-    weights = lagrange_weights(params[neighbors], delta)
-    return (weights[:, None, None] * aligned[key]).sum(axis=0)
+    reference = stack[j, :, :m]
+    missing = [k for k in neighbors if k != j and (side, j, k, m) not in aligned]
+    if missing:
+        for k, rotation in zip(missing, procrustes_align(reference, stack[missing, :, :m])):
+            aligned[side, j, k, m] = rotation
+    flat = np.empty((len(neighbors), reference.size))
+    for row, k in zip(flat, neighbors):
+        block = row.reshape(reference.shape)
+        if k == j:
+            block[...] = reference
+        else:
+            np.matmul(stack[k, :, :m], aligned[side, j, k, m], out=block)
+    return flat
+
+
+def _interpolate_factor(side: str, stack: np.ndarray, j: int, neighbors: tuple, values: list,
+                        delta: float, m: int, aligned) -> np.ndarray:
+    """sum_k w_k * (B_k @ Q_k) over ``neighbors``, as the product ``weights @ flat``.
+
+    ``neighbors`` are sample indices in increasing order, j the nearest of
+    them and ``values`` all the parameter values; w_k are the Lagrange
+    weights on the neighbors' values. ``aligned`` holds the flat stack of
+    the B_k @ Q_k under (side, j, neighbors, m), see _aligned_stack.
+    """
+    key = (side, j, neighbors, m)
+    flat = aligned.get(key)
+    if flat is None:
+        flat = aligned[key] = _aligned_stack(side, stack, j, neighbors, m, aligned)
+    weights = _weights([values[k] for k in neighbors], delta)
+    return (weights @ flat).reshape(-1, m)
 
 
 def interpolate_reduced(
@@ -137,31 +166,38 @@ def interpolate_reduced(
     genes are keyword-only, so the two neighbor counts cannot be swapped by
     position.
 
-    ``aligned`` holds earlier queries' aligned neighbor blocks on the same
-    database, one stack per ``(side, nearest, neighbors, m)``, side ``"x"``
-    or ``"t"`` and neighbors an increasing tuple; missing stacks are added.
-    A query served from it returns the bits of one that aligns every block.
-    None starts an empty dict.
+    ``aligned`` holds what earlier queries on the same database computed:
+    one m x m rotation per ``(side, nearest, neighbor, m)`` and one flat
+    aligned stack per ``(side, nearest, neighbors, m)``, side ``"x"`` or
+    ``"t"`` and neighbors an increasing tuple; missing entries are added. A
+    query served from it returns the bits of one that computes everything
+    itself. None starts an empty dict.
 
-    Raises ValueError naming the gene that does not fit the database:
-    neighbor counts outside [2, n_params], m outside [1, q], or a query
-    outside the training hull.
+    Raises ValueError when the database holds fewer than two samples, and
+    otherwise naming the gene that does not fit it: neighbor counts
+    outside [2, n_params], m outside [1, q], or a query outside the
+    training hull.
     """
     params = db.params
+    n = db.n_params
     lo, hi = db.hull
-    if not 2 <= ne_x <= db.n_params:
-        raise ValueError(f"ne_x must lie in [2, {db.n_params}], got {ne_x}")
-    if not 2 <= ne_t <= db.n_params:
-        raise ValueError(f"ne_t must lie in [2, {db.n_params}], got {ne_t}")
+    if n < 2:
+        raise ValueError("interpolation needs at least two training samples")
+    if not 2 <= ne_x <= n:
+        raise ValueError(f"ne_x must lie in [2, {n}], got {ne_x}")
+    if not 2 <= ne_t <= n:
+        raise ValueError(f"ne_t must lie in [2, {n}], got {ne_t}")
     if not 1 <= m <= db.q:
         raise ValueError(f"m must lie in [1, {db.q}], got {m}")
     if not lo <= delta <= hi:
         raise ValueError(f"query {delta!r} outside the training hull [{lo!r}, {hi!r}]")
 
     aligned = {} if aligned is None else aligned
-    order = _nearest_first(params, delta)
+    order = _nearest_first(params, delta).tolist()
+    values = params.tolist()
     sides = (("x", db.spatial_blocks, ne_x), ("t", db.temporal_blocks, ne_t))
     return BarycentricResult(*[
-        _interpolate_factor(side, stack, order[:ne], params, delta, m, aligned)
+        _interpolate_factor(side, stack, order[0], tuple(sorted(order[:ne])), values,
+                            float(delta), m, aligned)
         for side, stack, ne in sides
     ])

@@ -44,6 +44,9 @@ PRESETS = {
     "series2-temperature": {"family": "cavity", "temperatures": (5.0, 10.0, 15.0, 20.0, 25.0)},
 }
 
+# The datagen options only one family reads, by family.
+_FAMILY_OPTIONS = {"plume": ("deltas", "sigma"), "cavity": ("velocities", "temperatures")}
+
 
 def _floats(raw: str) -> tuple[float, ...]:
     parts = [tok.strip() for tok in raw.split(",")]
@@ -89,7 +92,7 @@ _DATAGEN_OPTS = (
     ("--ny", int, 48, "cells along y"),
     ("--snapshots", int, 150, "number of recorded instants"),
     ("--tfinal", float, 60.0, "simulated time span (s)"),
-    ("--sigma", float, 0.25, "plume width (m)"),
+    ("--sigma", float, None, "plume width (m), default 0.25"),
     ("--out", str, ..., "existing output directory"),
 )
 
@@ -103,6 +106,15 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
             setattr(ns, name, value)
     if ns.family is None:
         raise ValueError("datagen needs --family or --preset")
+    if ns.family not in _FAMILY_OPTIONS:
+        raise ValueError(f"unknown family {ns.family!r}")
+    foreign = [
+        name
+        for family, names in _FAMILY_OPTIONS.items() if family != ns.family
+        for name in names if getattr(ns, name) is not None
+    ]
+    if foreign:
+        raise ValueError(f"--{foreign[0]} does not apply to the {ns.family} family")
     out = _out_dir(ns.out)
     grid = Grid(ns.nx, ns.ny, DOMAIN_SIDE, DOMAIN_SIDE)
     times = TimeAxis(ns.snapshots, ns.tfinal)
@@ -112,11 +124,13 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
             raise ValueError("the plume family needs --deltas")
         train_values = ns.deltas
 
+        width = {} if ns.sigma is None else {"sigma": ns.sigma}
+
         def make(values) -> list[SnapshotMatrix]:
-            return [analytic_plume(PlumeParams(v, sigma=ns.sigma), grid, times) for v in values]
+            return [analytic_plume(PlumeParams(v, **width), grid, times) for v in values]
 
         kind = ParamKind.SYNTHETIC
-    elif ns.family == "cavity":
+    else:
         if (ns.velocities is None) == (ns.temperatures is None):
             raise ValueError("cavity runs need exactly one of --velocities/--temperatures")
         if ns.velocities is not None:
@@ -128,9 +142,6 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
             # one solver call advances every run of the group together
             members = [CavityParams(**{**FIXED_INLET, varied: value}) for value in values]
             return solve_cavity(members, grid, times, vary=kind)
-
-    else:
-        raise ValueError(f"unknown family {ns.family!r}")
 
     train_values = tuple(sorted(train_values))
     if len(set(train_values)) != len(train_values):
@@ -174,6 +185,7 @@ def _read_manifest(path: Path) -> list[tuple[ParamKind, float, Path]]:
     except OSError as exc:
         raise PersistenceError(path, f"cannot read manifest ({exc})") from exc
     entries = []
+    first_lines: dict = {}  # value -> the line that first lists it
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped:
@@ -190,6 +202,9 @@ def _read_manifest(path: Path) -> list[tuple[ParamKind, float, Path]]:
             number = float(value)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not a number: {value!r}") from None
+        first = first_lines.setdefault(number, lineno)
+        if first != lineno:
+            raise ValueError(f"{path}: lines {first} and {lineno} both list the value {number!r}")
         entries.append((kind, number, path.parent / rel))
     if not entries:
         raise ValueError(f"{path}: manifest lists no runs")
@@ -348,6 +363,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, RomgaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array the inputs ask for does not fit
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -94,7 +94,9 @@ def reduced_cost(
         )
     with np.errstate(over="ignore", invalid="ignore"):
         diff = (projection.factor @ spatial_factor) @ temporal_factor.T - projection.projected
-        cost = float((np.sum(diff * diff) + projection.residual) / projection.n_steps)
+        # einsum sums in one fixed order without a temporary; a BLAS dot would
+        # split the sum by thread count
+        cost = float((np.einsum("ij,ij->", diff, diff) + projection.residual) / projection.n_steps)
     if not math.isfinite(cost):
         raise np.linalg.LinAlgError("search cost is not finite")
     return cost

@@ -10,6 +10,7 @@ from hypothesis import assume, given, strategies as st
 
 from romga import (
     Grid,
+    cli,
     ParamKind,
     PlumeParams,
     SnapshotMatrix,
@@ -19,7 +20,9 @@ from romga import (
     interpolate_reduced,
     lagrange_weights,
     procrustes_align,
+    read_rom,
     reconstruct_field,
+    reconstruct_sample,
 )
 from romga.barycentric import _nearest_first
 
@@ -42,13 +45,15 @@ def reduced_matrix(result):
 def _neighbor_choice(db, delta, ne_x, ne_t, m=2):
     """(nearest sample, spatial neighbors, temporal neighbors) a query aligned.
 
-    Read from the keys (side, nearest, neighbors, m) of the aligned stacks
-    the query computed.
+    Read from the keys (side, nearest, neighbors, m) of the flat aligned
+    stacks the query computed; its rotations sit under (side, nearest,
+    neighbor, m), an int where the stacks hold a tuple.
     """
     aligned: dict = {}
     interpolate_reduced(db, delta, ne_x=ne_x, ne_t=ne_t, m=m, aligned=aligned)
-    (nearest,) = {j for _, j, _, _ in aligned}
-    side = {s: list(neighbors) for s, _, neighbors, _ in aligned}
+    stacks = [key for key in aligned if isinstance(key[2], tuple)]
+    (nearest,) = {j for _, j, _, _ in stacks}
+    side = {s: list(neighbors) for s, _, neighbors, _ in stacks}
     return nearest, side["x"], side["t"]
 
 
@@ -229,6 +234,34 @@ def test_query_on_a_training_node_reproduces_its_blocks(plume_db):
     assert rel <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def velocity_db(tmp_path_factory):
+    """The series1-velocity ROM at q=30, as the velocity campaign builds it."""
+    out = tmp_path_factory.mktemp("series1")
+    assert cli.main(["datagen", "--preset", "series1-velocity", "--out", str(out)]) == 0
+    rom = out / "db.rom1"
+    manifest = str(out / "manifest.txt")
+    assert cli.main(["compress", "--snapshots", manifest, "--q", "30", "--out", str(rom)]) == 0
+    return read_rom(rom)
+
+
+@pytest.mark.parametrize("rom", ["plume_db", "velocity_db"])
+def test_node_queries_reproduce_their_training_run_bit_for_bit(rom, request):
+    # the weights collapse onto the node and the node's block is the frame,
+    # summed unrotated, so no rounding is left; a rotation of the node's
+    # block onto itself used to leave up to 3.1e-9 at m = 30 on the velocity
+    # ROM, whose temporal cross products span about 1e16
+    db = request.getfixturevalue(rom)
+    for k, delta in enumerate(db.params.tolist()):
+        for ne_x in range(2, db.n_params + 1):
+            ne_t = db.n_params + 2 - ne_x
+            for m in (1, db.q):
+                result = interpolate_reduced(db, delta, ne_x=ne_x, ne_t=ne_t, m=m)
+                lifted = reconstruct_field(db, result.spatial_factor, result.temporal_factor)
+                want = reconstruct_sample(db, k, m).values
+                assert np.array_equal(lifted, want), (k, ne_x, ne_t, m)
+
+
 def test_midway_query_tracks_the_generating_family(plume_db, plume_grid, plume_times):
     result = interpolate_reduced(plume_db, 0.375, ne_x=3, ne_t=3, m=10)
     predicted = reconstruct_field(plume_db, result.spatial_factor, result.temporal_factor)
@@ -266,13 +299,22 @@ def test_query_results_are_deterministic(plume_db):
 
 
 def _aligned_sum(db, blocks, delta, ne, m):
-    """sum_k w_k * (B_k @ Q_k) in neighbor order, each Q_k computed on the spot."""
+    """weights @ flat, with the flat stack written out row by row in neighbor order.
+
+    Row k is B_k @ Q_k, each Q_k computed on the spot, but the nearest
+    block's row, which is B_j as it is.
+    """
     order = _nearest_first(db.params, delta)
     chosen = np.sort(order[:ne])
     reference = blocks[order[0]][:, :m]
+
+    def row(k):
+        block = blocks[k][:, :m]
+        return block if k == order[0] else block @ procrustes_align(reference, block)
+
+    rows = [row(k) for k in chosen]
     weights = lagrange_weights(db.params[chosen], delta)
-    return sum(w * (blocks[k][:, :m] @ procrustes_align(reference, blocks[k][:, :m]))
-               for w, k in zip(weights, chosen))
+    return (weights @ np.stack(rows).reshape(ne, -1)).reshape(-1, m)
 
 
 @given(
@@ -289,9 +331,9 @@ def _aligned_sum(db, blocks, delta, ne, m):
 )
 def test_shared_rotations_change_no_bit(plume_db, stream):
     # one dict serves the whole stream, as it serves a whole search: a query
-    # whose aligned blocks an earlier query computed must still return the
-    # bits of a query that aligns them all itself, and those are the bits of
-    # the weighted sum written out with w * (B @ Q), summed in neighbor order
+    # whose rotations or aligned stack an earlier query computed must still
+    # return the bits of a query that computes them all itself, and those
+    # are the bits of weights @ flat over the stack written out row by row
     aligned: dict = {}
     for delta, ne_x, ne_t, m in stream:
         genes = dict(ne_x=ne_x, ne_t=ne_t, m=m)
@@ -358,7 +400,10 @@ def test_query_matches_the_reference_point_interpolation():
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), delta
 
 
-def test_request_validation(plume_db):
+def test_request_validation(plume_db, plume_matrices):
+    one_sample = compress_ensemble(plume_matrices[:1], q=3)
+    with pytest.raises(ValueError, match="interpolation needs at least two training samples"):
+        interpolate_reduced(one_sample, 0.3, ne_x=2, ne_t=2, m=3)
     with pytest.raises(ValueError):
         interpolate_reduced(plume_db, 0.4, ne_x=1, ne_t=3, m=5)
     with pytest.raises(ValueError):

@@ -386,7 +386,9 @@ def test_optimize_reruns_are_byte_identical(pipeline, tmp_path):
 
 def test_optimize_history_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
     # a threaded BLAS product splits a sum over the mask rows by thread
-    # count, so a search that took one would write other cost digits
+    # count, so a search that took one would write other cost digits; the
+    # prediction's weighted sums of five aligned blocks, 5 x 2610 each at
+    # m = 30, are large enough for OpenBLAS to split them over two threads
     assert cli.main(["datagen", "--preset", "series2-temperature", "--target", "7.5",
                      "--out", str(tmp_path)]) == 0
     rom = tmp_path / "db.rom1"
@@ -397,15 +399,19 @@ def test_optimize_history_bytes_do_not_depend_on_the_blas_thread_count(tmp_path,
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     optimize = ["optimize", "--rom", str(rom), "--target", str(tmp_path / "target_7.5.snp1"),
                 "--pop", "6", "--gens", "2", "--seed", "3"]
+    predict = ["predict", "--rom", str(rom), "--delta", "7.5", "--ne-x", "5", "--ne-t", "5",
+               "--m", "30"]
     for threads in ("1", "2"):
-        history = str(tmp_path / f"{threads}.csv")
-        done = subprocess.run(
-            [sys.executable, "-m", "romga.cli", *optimize, "--out", history],
-            env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+        runs = ([*optimize, "--out", f"{threads}.csv"], [*predict, "--out", f"{threads}.snp1"])
+        for argv in runs:
+            done = subprocess.run(
+                [sys.executable, "-m", "romga.cli", *argv],
+                env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+                timeout=120, cwd=tmp_path,
+            )
+            assert done.returncode == 0, done.stderr
+    for name in ("csv", "snp1"):
+        assert (tmp_path / f"1.{name}").read_bytes() == (tmp_path / f"2.{name}").read_bytes()
 
 
 def test_the_mask_window_steers_the_search(pipeline, tmp_path, capsys):
@@ -773,6 +779,9 @@ def test_tampered_manifest_is_rejected(pipeline, tmp_path, capsys):
     infinite.write_text("synthetic,0.3,grid8.snp1\nsynthetic,inf,infinite.snp1\n", encoding="utf-8")
     not_a_number = tmp_path / "not_a_number.txt"
     not_a_number.write_text("synthetic,abc,x.snp1\n", encoding="utf-8")
+    # one run listed twice, with another between
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text(f"{lines[0]}\n{lines[2]}\n{lines[0]}\n", encoding="utf-8")
     for path, message in (
         (tmp_path / "absent.txt", "cannot read manifest"),
         (unknown, "unknown parameter kind 'pressure'"),
@@ -781,11 +790,54 @@ def test_tampered_manifest_is_rejected(pipeline, tmp_path, capsys):
         (mixed_kinds, "all samples must share the parameter kind"),
         (infinite, "param_value must be finite, got inf"),
         (not_a_number, f"error: {not_a_number}:1: not a number: 'abc'\n"),
+        (repeated, f"error: {repeated}: lines 1 and 3 both list the value 0.3\n"),
     ):
         code = cli.main(["compress", "--snapshots", str(path), "--q", "4", "--out", str(rom)])
         assert code == 2, path.name
         assert message in capsys.readouterr().err, path.name
     assert not rom.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--family", "plume", "--deltas", "0.3,0.4", "--velocities", "1,2"], "--velocities"),
+        (["--family", "plume", "--deltas", "0.3,0.4", "--temperatures", "10,20"], "--temperatures"),
+        (["--family", "cavity", "--velocities", "0.5,0.6", "--sigma", "0.3"], "--sigma"),
+        (["--family", "cavity", "--temperatures", "10,20", "--deltas", "0.3,0.4"], "--deltas"),
+        (["--preset", "series1-velocity", "--sigma", "0.3"], "--sigma"),
+    ],
+)
+def test_an_option_of_the_other_family_exits_two(flags, named, tmp_path, monkeypatch, capsys):
+    # an option the chosen family never reads is named, not silently dropped
+    def no_run(*args, **kwargs):
+        raise AssertionError("nothing may run before the options are checked")
+
+    monkeypatch.setattr(cli, "solve_cavity", no_run)
+    monkeypatch.setattr(cli, "analytic_plume", no_run)
+    assert cli.main(["datagen", *flags, "--out", str(tmp_path)]) == 2
+    family = "plume" if "plume" in flags else "cavity"
+    assert capsys.readouterr().err == f"error: {named} does not apply to the {family} family\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_allocation_that_does_not_fit_exits_two(tmp_path, monkeypatch, capsys):
+    # numpy raises MemoryError for an array larger than memory, as a huge
+    # --nx and --ny ask for; the refusal is stood in for, nothing is allocated
+    refusals = (
+        MemoryError("Unable to allocate 7.28 TiB for an array with shape (10, 10)"),
+        MemoryError(),
+    )
+    for refusal in refusals:
+        def refuse(*args, **kwargs):
+            raise refusal
+
+        monkeypatch.setattr(cli, "analytic_plume", refuse)
+        argv = ["datagen", "--family", "plume", "--deltas", "0.3,0.4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        want = str(refusal) or "out of memory"
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failures_exit_with_three(tmp_path, capsys):

@@ -371,7 +371,7 @@ def test_shared_rotations_change_no_cost(
 
 
 def _stack_keys(db, delta, ne_x, ne_t, m):
-    """The (side, nearest, neighbors, m) keys of the aligned stacks a query sums."""
+    """The (side, nearest, neighbors, m) keys of the flat aligned stacks a query sums."""
     order = _nearest_first(db.params, delta)
     j = int(order[0])
     return [
@@ -379,14 +379,27 @@ def _stack_keys(db, delta, ne_x, ne_t, m):
     ]
 
 
+def _rotation_keys(db, delta, ne_x, ne_t, m):
+    """The (side, nearest, neighbor, m) keys of the rotations a query applies, nearest excluded."""
+    return [
+        (side, j, k, m)
+        for side, j, neighbors, m in _stack_keys(db, delta, ne_x, ne_t, m)
+        for k in neighbors
+        if k != j
+    ]
+
+
 def test_run_computes_each_rotation_once(plume_db, plume_target, plume_rows, monkeypatch):
-    aligned_stacks = []
+    rotated = []  # per Procrustes call, the number of blocks it rotates
     real_align = barycentric.procrustes_align
-    monkeypatch.setattr(
-        barycentric,
-        "procrustes_align",
-        lambda a, b: aligned_stacks.append(b.shape[0]) or real_align(a, b),
-    )
+
+    def align(reference, blocks):
+        # the nearest block is the frame: it is summed as it is, never aligned
+        assert not any(np.array_equal(block, reference) for block in blocks)
+        rotated.append(blocks.shape[0])
+        return real_align(reference, blocks)
+
+    monkeypatch.setattr(barycentric, "procrustes_align", align)
     seen = []
     real_interp = genetic.interpolate_reduced
 
@@ -400,14 +413,19 @@ def test_run_computes_each_rotation_once(plume_db, plume_target, plume_rows, mon
         seen.clear()
         run(cfg, plume_db, plume_target, plume_rows)
         (aligned,) = {id(d): d for _, d in seen}.values()  # one dict serves the search
-        used = [key for (delta, genes), _ in seen for key in _stack_keys(plume_db, delta, **genes)]
-        assert set(aligned) == set(used)
-        assert len(set(used)) < len(used)  # some chromosomes were served aligned stacks
-        # each search aligns each distinct stack once, in one batched call of
-        # one rotation per neighbor; the second search starts empty, so
-        # nothing carried over from the first
-        assert len(aligned_stacks) == search * len(set(used))
-        assert sum(aligned_stacks) == search * sum(len(key[2]) for key in set(used))
+        queries = [(delta, genes) for (delta, genes), _ in seen]
+        stacks = [key for delta, genes in queries for key in _stack_keys(plume_db, delta, **genes)]
+        turns = [key for delta, genes in queries for key in _rotation_keys(plume_db, delta, **genes)]
+        assert set(aligned) == set(stacks) | set(turns)
+        assert len(set(stacks)) < len(stacks)  # some chromosomes were served aligned stacks
+        # a new stack shares rotations with stacks met before, so the search
+        # rotates fewer blocks than its stacks hold
+        assert len(set(turns)) < sum(len(key[2]) - 1 for key in set(stacks))
+        # each search computes each rotation once, in at most one batched call
+        # per new stack; the second search starts empty, so nothing carried
+        # over from the first
+        assert sum(rotated) == search * len(set(turns))
+        assert len(rotated) <= search * len(set(stacks))
 
 
 def test_rejected_requests_raise_and_name_the_gene(plume_db, plume_projection):
