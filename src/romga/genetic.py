@@ -95,6 +95,8 @@ class GaConfig:
             raise ValueError("population_size must be at least 2")
         if self.generations < 0:
             raise ValueError("generations must be nonnegative")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
 
 
 @dataclass(frozen=True)

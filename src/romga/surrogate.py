@@ -38,8 +38,12 @@ class PlumeParams:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        # sigma**2 divides the plume's exponent, so it must neither overflow
+        # nor underflow to zero
+        if not (self.sigma > 0.0 and 0.0 < self.sigma * self.sigma < math.inf):
+            raise ValueError(
+                f"sigma must be positive with a positive finite square, got {self.sigma!r}"
+            )
         if not self.theta_hot > self.theta_cold:
             raise ValueError("theta_hot must exceed theta_cold")
 
@@ -57,13 +61,20 @@ def analytic_plume(params: PlumeParams, grid: Grid, times: TimeAxis) -> Snapshot
     """
     cx, cy = grid.cell_centers()
     t = times.instants()
-    phase = 2.0 * math.pi * params.delta * t / times.t_final
-    xc = 0.5 * grid.lx * (1.0 + 0.8 * np.sin(phase))
-    yc = grid.ly * (0.2 + 0.6 * t / times.t_final)
+    # a phase that overflows is reported below, not by numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 2.0 * math.pi * params.delta * t / times.t_final
+        xc = 0.5 * grid.lx * (1.0 + 0.8 * np.sin(phase))
+        yc = grid.ly * (0.2 + 0.6 * t / times.t_final)
+    if not (np.isfinite(xc).all() and np.isfinite(yc).all()):
+        raise DivergenceError(f"the plume's centre path is not finite at delta = {params.delta!r}")
     r2 = (cx[:, None] - xc[None, :]) ** 2 + (cy[:, None] - yc[None, :]) ** 2
-    values = params.theta_cold + (params.theta_hot - params.theta_cold) * np.exp(
-        -r2 / params.sigma**2
-    )
+    # a width so narrow that r2 / sigma**2 overflows gives exp(-inf) = 0, the exact limit
+    # (one expression, so numpy reuses its temporaries in place)
+    with np.errstate(over="ignore"):
+        values = params.theta_cold + (params.theta_hot - params.theta_cold) * np.exp(
+            -r2 / params.sigma**2
+        )
     return SnapshotMatrix(grid, times, ParamKind.SYNTHETIC, params.delta, values)
 
 

@@ -635,6 +635,10 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
     for base, flags, field in nonfinite:
         assert cli.main([*base, *flags]) == 2, flags
         assert f"{field} must be finite" in capsys.readouterr().err, flags
+    # a plume width whose square overflows, or underflows to zero
+    for sigma in ("1e300", "1e-200"):
+        assert cli.main([*plume, "--deltas", "0.3,0.4", "--sigma", sigma]) == 2, sigma
+        assert "sigma must be positive with a positive finite square" in capsys.readouterr().err
     # an unknown family, and a training value given twice
     for flags, message in (
         (["--family", "fog"], "unknown family 'fog'"),
@@ -657,6 +661,10 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
         assert cli.main([*optimize, "--target", str(foreign)]) == 2, name
         assert "target snapshot grid/time axis does not match the ROM" in capsys.readouterr().err
         assert not (tmp_path / "h.csv").exists()
+    # a negative seed is named, not left to numpy's generator
+    assert cli.main([*optimize, "--target", target, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: rng_seed must be nonnegative\n"
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_datagen_rejects_targets_that_would_share_a_file(tmp_path, monkeypatch, capsys):
@@ -841,18 +849,24 @@ def test_an_allocation_that_does_not_fit_exits_two(tmp_path, monkeypatch, capsys
 
 
 def test_numerical_failures_exit_with_three(tmp_path, capsys):
-    # finite inputs whose stability rate or substep count overflows stop
-    # before the first substep, with no numpy warning on the way (pytest
-    # turns any warning into an error)
+    # finite inputs whose stability rate, substep count or plume phase
+    # overflows stop before any field is computed, with no numpy warning on
+    # the way (pytest turns any warning into an error)
     out = tmp_path / "out"
     out.mkdir()
-    cavity = ["datagen", "--family", "cavity", "--nx", "8", "--ny", "8", "--snapshots", "3"]
+    sizes = ["--nx", "8", "--ny", "8", "--snapshots", "3"]
+    cavity = ["datagen", "--family", "cavity", *sizes]
+    plume = ["datagen", "--family", "plume", *sizes]
     no_step = "the stability rate overflows, so no time step is stable"
-    for flags, message in (
-        (["--velocities", "1e308"], no_step),
-        (["--velocities", "0.5", "--tfinal", "1e308"], "substep count overflows at t = 5e+307s"),
+    for base, flags, message in (
+        (cavity, ["--velocities", "1e308"], no_step),
+        (cavity, ["--velocities", "0.5", "--tfinal", "1e308"],
+         "substep count overflows at t = 5e+307s"),
+        # the plume's phase overflows; the runs are ordered, so -1e308 comes first
+        (plume, ["--deltas", "1e308,-1e308"],
+         "the plume's centre path is not finite at delta = -1e+308"),
     ):
-        assert cli.main([*cavity, *flags, "--out", str(out)]) == 3, flags
+        assert cli.main([*base, *flags, "--out", str(out)]) == 3, flags
         assert capsys.readouterr().err == f"numerical failure: {message}\n", flags
     assert list(out.iterdir()) == []
 

@@ -91,6 +91,8 @@ def test_config_validation():
         GaConfig(population_size=1)
     with pytest.raises(ValueError):
         GaConfig(generations=-1)
+    with pytest.raises(ValueError, match="rng_seed must be nonnegative"):
+        GaConfig(rng_seed=-1)
 
 
 # ---------------------------------------------------------------- init

@@ -91,6 +91,17 @@ def test_plume_params_validation():
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 PlumeParams(**{"delta": 0.4, name: bad})
+    # a width whose square overflows or underflows to zero
+    for bad in (1e300, 1e-200):
+        with pytest.raises(ValueError, match="sigma must be positive with a positive finite"):
+            PlumeParams(0.4, sigma=bad)
+
+
+def test_a_narrow_plume_is_cold_wherever_its_exponent_overflows():
+    # r2 / sigma**2 overflows away from the centre; exp(-inf) = 0 is the exact
+    # limit, reached without a numpy warning (pytest turns one into an error)
+    field = analytic_plume(PlumeParams(0.4, sigma=1e-160), _grid(), TimeAxis(4, 1.0)).values
+    assert np.all(field == 15.0)
 
 
 # ---------------------------------------------------------------- velocity
