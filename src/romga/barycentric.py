@@ -21,9 +21,9 @@ sums as they come.
 
 A rotation depends only on the side, the nearest sample j, the neighbor k
 and m, never on the query's parameter value. Queries sharing an ``aligned``
-dict compute each (side, j, k, m) rotation once, and keep each neighbor
-set's aligned blocks as one flat (ne, rows * m) stack, so a query met
-before is one weighted sum ``weights @ flat``.
+dict keep one (n, rows * m) table per (side, j, m), its row k the flattened
+B_k @ Q_k once a query needed it. The parameters are sorted, so a query's
+neighbors are a contiguous window of rows, summed as one slice.
 """
 
 from __future__ import annotations
@@ -108,44 +108,42 @@ def procrustes_align(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.swapaxes(right_t, -1, -2) @ np.swapaxes(left, -1, -2)
 
 
-def _aligned_stack(side: str, stack: np.ndarray, j: int, neighbors: tuple, m: int, aligned):
-    """The flat (ne, rows * m) stack of B_k @ Q_k over ``neighbors``, B_k = stack[k, :, :m].
+def _window(values: list, j: int, delta: float, ne: int) -> tuple[int, int]:
+    """[lo, hi): the ``ne`` sorted ``values`` nearest ``delta``, grown from the nearest, j.
 
-    Q_j is the identity: the nearest block B_j is copied as it is. Every
-    other Q_k aligns B_k onto B_j and is read from ``aligned`` under
-    (side, j, k, m); the missing ones are added, all from one batched
-    Procrustes call.
+    Each step takes the side nearer ``delta``, the left one on a tie.
+    """
+    lo, hi = j, j + 1
+    while hi - lo < ne:
+        if hi == len(values) or (lo > 0 and abs(values[lo - 1] - delta) <= abs(values[hi] - delta)):
+            lo -= 1
+        else:
+            hi += 1
+    return lo, hi
+
+
+def _interpolate_factor(side: str, stack: np.ndarray, j: int, ne: int, values: list,
+                        delta: float, m: int, aligned) -> np.ndarray:
+    """sum_k w_k * (B_k @ Q_k) over the window [lo, hi) of ``ne`` neighbors, B_k = stack[k, :, :m].
+
+    w_k are the Lagrange weights on ``values[lo:hi]``. ``aligned`` holds
+    (flat, filled) under (side, j, m): row k of flat is B_k @ Q_k for each
+    k in filled, Q_j the identity. The window rows not yet filled are
+    aligned onto B_j in one batched Procrustes call.
     """
     reference = stack[j, :, :m]
-    missing = [k for k in neighbors if k != j and (side, j, k, m) not in aligned]
+    if (side, j, m) not in aligned:
+        flat = np.empty((len(stack), reference.size))
+        flat[j] = reference.ravel()
+        aligned[side, j, m] = flat, {j}
+    flat, filled = aligned[side, j, m]
+    lo, hi = _window(values, j, delta, ne)
+    missing = [k for k in range(lo, hi) if k not in filled]
     if missing:
         for k, rotation in zip(missing, procrustes_align(reference, stack[missing, :, :m])):
-            aligned[side, j, k, m] = rotation
-    flat = np.empty((len(neighbors), reference.size))
-    for row, k in zip(flat, neighbors):
-        block = row.reshape(reference.shape)
-        if k == j:
-            block[...] = reference
-        else:
-            np.matmul(stack[k, :, :m], aligned[side, j, k, m], out=block)
-    return flat
-
-
-def _interpolate_factor(side: str, stack: np.ndarray, j: int, neighbors: tuple, values: list,
-                        delta: float, m: int, aligned) -> np.ndarray:
-    """sum_k w_k * (B_k @ Q_k) over ``neighbors``, as the product ``weights @ flat``.
-
-    ``neighbors`` are sample indices in increasing order, j the nearest of
-    them and ``values`` all the parameter values; w_k are the Lagrange
-    weights on the neighbors' values. ``aligned`` holds the flat stack of
-    the B_k @ Q_k under (side, j, neighbors, m), see _aligned_stack.
-    """
-    key = (side, j, neighbors, m)
-    flat = aligned.get(key)
-    if flat is None:
-        flat = aligned[key] = _aligned_stack(side, stack, j, neighbors, m, aligned)
-    weights = _weights([values[k] for k in neighbors], delta)
-    return (weights @ flat).reshape(-1, m)
+            np.matmul(stack[k, :, :m], rotation, out=flat[k].reshape(reference.shape))
+        filled.update(missing)
+    return (_weights(values[lo:hi], delta) @ flat[lo:hi]).reshape(-1, m)
 
 
 def interpolate_reduced(
@@ -167,18 +165,15 @@ def interpolate_reduced(
     position.
 
     ``aligned`` holds what earlier queries on the same database computed:
-    one m x m rotation per ``(side, nearest, neighbor, m)`` and one flat
-    aligned stack per ``(side, nearest, neighbors, m)``, side ``"x"`` or
-    ``"t"`` and neighbors an increasing tuple; missing entries are added. A
-    query served from it returns the bits of one that computes everything
-    itself. None starts an empty dict.
+    one aligned-block table per ``(side, nearest, m)``, side ``"x"`` or
+    ``"t"``; missing tables and rows are added. A query served from it
+    returns the bits of one that computes everything itself. None starts an empty dict.
 
     Raises ValueError when the database holds fewer than two samples, and
     otherwise naming the gene that does not fit it: neighbor counts
     outside [2, n_params], m outside [1, q], or a query outside the
     training hull.
     """
-    params = db.params
     n = db.n_params
     lo, hi = db.hull
     if n < 2:
@@ -193,11 +188,10 @@ def interpolate_reduced(
         raise ValueError(f"query {delta!r} outside the training hull [{lo!r}, {hi!r}]")
 
     aligned = {} if aligned is None else aligned
-    order = _nearest_first(params, delta).tolist()
-    values = params.tolist()
+    j = int(_nearest_first(db.params, delta)[0])
+    values = db.params.tolist()
     sides = (("x", db.spatial_blocks, ne_x), ("t", db.temporal_blocks, ne_t))
     return BarycentricResult(*[
-        _interpolate_factor(side, stack, order[0], tuple(sorted(order[:ne])), values,
-                            float(delta), m, aligned)
+        _interpolate_factor(side, stack, j, ne, values, float(delta), m, aligned)
         for side, stack, ne in sides
     ])

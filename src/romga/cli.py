@@ -101,9 +101,11 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
     if ns.preset is not None and ns.preset not in PRESETS:
         raise ValueError(f"unknown preset {ns.preset!r}; choose from {', '.join(sorted(PRESETS))}")
     # a flag beats the preset, which beats the defaults
-    for name, value in PRESETS.get(ns.preset, {}).items():
-        if getattr(ns, name) is None:
-            setattr(ns, name, value)
+    preset = {k: v for k, v in PRESETS.get(ns.preset, {}).items() if getattr(ns, k) is None}
+    for name, value in preset.items():
+        setattr(ns, name, value)
+    flag = {k: f"--{k}" for k in vars(ns)}  # each option as an error names it
+    flag.update({k: f"--{k} (set by --preset {ns.preset})" for k in preset})
     if ns.family is None:
         raise ValueError("datagen needs --family or --preset")
     if ns.family not in _FAMILY_OPTIONS:
@@ -114,7 +116,7 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
         for name in names if getattr(ns, name) is not None
     ]
     if foreign:
-        raise ValueError(f"--{foreign[0]} does not apply to the {ns.family} family")
+        raise ValueError(f"{flag[foreign[0]]} does not apply to the {ns.family} family")
     out = _out_dir(ns.out)
     grid = Grid(ns.nx, ns.ny, DOMAIN_SIDE, DOMAIN_SIDE)
     times = TimeAxis(ns.snapshots, ns.tfinal)
@@ -132,7 +134,8 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
         kind = ParamKind.SYNTHETIC
     else:
         if (ns.velocities is None) == (ns.temperatures is None):
-            raise ValueError("cavity runs need exactly one of --velocities/--temperatures")
+            got = f", got {flag['velocities']} and {flag['temperatures']}" if ns.velocities else ""
+            raise ValueError(f"cavity runs need exactly one of --velocities/--temperatures{got}")
         if ns.velocities is not None:
             train_values, kind, varied = ns.velocities, ParamKind.VELOCITY, "inlet_velocity"
         else:

@@ -158,9 +158,9 @@ def evaluate_population(
     chromosomes always score identically, so ``cache`` maps each chromosome
     scored so far to its cost and a repeat, within the population or across
     generations, is served from it; None starts an empty one. ``aligned``
-    is handed to interpolate_reduced, so the aligned neighbor blocks
-    computed for one chromosome serve every later one on the same database
-    that shares its nearest sample, neighbor sets and m.
+    is handed to interpolate_reduced, so a neighbor block aligned for one
+    chromosome serves every later one on the same database with its nearest
+    sample and m.
     """
     cache = {} if cache is None else cache
     costs = np.empty(len(population))
@@ -256,8 +256,8 @@ def run(cfg: GaConfig, db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray
     only. Every gene is drawn inside search_bounds(db). The target is
     projected onto the database's bases once, before the first generation,
     and every chromosome is scored against that.
-    The cost cache and the aligned blocks live for this call only, so
-    nothing carries over from one search or database to the next.
+    The cost cache and the aligned-block tables live for this call only,
+    so nothing carries over from one search or database to the next.
     """
     bounds = search_bounds(db)
     projection = project_target(db, target, rows)

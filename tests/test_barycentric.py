@@ -24,7 +24,7 @@ from romga import (
     reconstruct_field,
     reconstruct_sample,
 )
-from romga.barycentric import _nearest_first
+from romga.barycentric import _nearest_first, _window
 
 PARAMS = np.array([0.2, 0.3, 0.4, 0.5, 0.6])
 
@@ -45,15 +45,13 @@ def reduced_matrix(result):
 def _neighbor_choice(db, delta, ne_x, ne_t, m=2):
     """(nearest sample, spatial neighbors, temporal neighbors) a query aligned.
 
-    Read from the keys (side, nearest, neighbors, m) of the flat aligned
-    stacks the query computed; its rotations sit under (side, nearest,
-    neighbor, m), an int where the stacks hold a tuple.
+    Read from a fresh dict: its tables sit under (side, nearest, m), and a
+    table's filled rows are the query's neighbors.
     """
     aligned: dict = {}
     interpolate_reduced(db, delta, ne_x=ne_x, ne_t=ne_t, m=m, aligned=aligned)
-    stacks = [key for key in aligned if isinstance(key[2], tuple)]
-    (nearest,) = {j for _, j, _, _ in stacks}
-    side = {s: list(neighbors) for s, _, neighbors, _ in stacks}
+    (nearest,) = {j for _, j, _ in aligned}
+    side = {s: sorted(filled) for (s, _, _), (_, filled) in aligned.items()}
     return nearest, side["x"], side["t"]
 
 
@@ -76,6 +74,45 @@ def test_neighbor_ties_prefer_the_smaller_value():
     db = _random_db(params=(0.25, 0.5, 0.75))
     assert _neighbor_choice(db, 0.375, 2, 2) == (0, [0, 1], [0, 1])
     assert _neighbor_choice(db, 0.625, 2, 3) == (1, [1, 2], [0, 1, 2])
+
+
+def test_the_neighbors_skip_no_nearer_sample():
+    # 0 and 1e-300 both lie 0.9 from the query as float64 distances; the
+    # neighbor pair of the nearest sample 1.0 is 1e-300, which is strictly
+    # nearer, not 0 as a sort by rounded distance and then value has it
+    db = _random_db(params=(0.0, 1e-300, 1.0))
+    result = interpolate_reduced(db, 0.9, ne_x=2, ne_t=2, m=3)
+    weights = lagrange_weights([1e-300, 1.0], 0.9)
+    for factor, blocks in ((result.spatial_factor, db.spatial_blocks),
+                           (result.temporal_factor, db.temporal_blocks)):
+        reference, block = blocks[2, :, :3], blocks[1, :, :3]
+        rows = np.stack([(block @ procrustes_align(reference, block)).ravel(), reference.ravel()])
+        assert np.array_equal(factor, (weights @ rows).reshape(-1, 3))
+    assert _neighbor_choice(db, 0.9, 2, 2) == (2, [1, 2], [1, 2])
+
+
+@given(
+    st.lists(
+        st.one_of(st.floats(-1.0, 1.0), st.sampled_from((0.0, 5e-324, 1e-300, 0.25, 0.5, 0.75))),
+        min_size=2,
+        max_size=8,
+    ),
+    st.data(),
+)
+def test_the_neighbor_window_is_the_nearest_contiguous_set(values, data):
+    values = sorted(set(values))
+    assume(len(values) >= 2)
+    delta = data.draw(st.floats(values[0], values[-1]))
+    ne = data.draw(st.integers(1, len(values)))
+    order = _nearest_first(np.array(values), delta)
+    j = int(order[0])
+    lo, hi = _window(values, j, delta, ne)
+    assert 0 <= lo <= j < hi <= len(values)
+    assert hi - lo == ne
+    # where the nearest ne by rounded distance are contiguous, they are the window
+    nearest = sorted(order[:ne].tolist())
+    if nearest == list(range(nearest[0], nearest[-1] + 1)):
+        assert (lo, hi) == (nearest[0], nearest[-1] + 1)
 
 
 def test_neighbor_selection_validation():

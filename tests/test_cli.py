@@ -644,6 +644,11 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
         (["--family", "fog"], "unknown family 'fog'"),
         ([], "datagen needs --family or --preset"),
         (["--family", "plume", "--deltas", "0.4,0.3,0.4"], "must be pairwise distinct"),
+        # the preset set --velocities, so the message names it as the source
+        (["--preset", "series1-velocity", "--temperatures", "5,10"],
+         "got --velocities (set by --preset series1-velocity) and --temperatures"),
+        (["--preset", "series1-velocity", "--family", "plume", "--deltas", "0.3,0.4"],
+         "--velocities (set by --preset series1-velocity) does not apply to the plume family"),
     ):
         assert cli.main(["datagen", *flags, *sizes]) == 2, flags
         assert message in capsys.readouterr().err, flags

@@ -372,23 +372,12 @@ def test_shared_rotations_change_no_cost(
         assert np.array_equal(shared, alone)
 
 
-def _stack_keys(db, delta, ne_x, ne_t, m):
-    """The (side, nearest, neighbors, m) keys of the flat aligned stacks a query sums."""
+def _windows(db, delta, ne_x, ne_t, m):
+    """((side, nearest, m), neighbors) per factor a query sums, neighbors the ne nearest, sorted."""
     order = _nearest_first(db.params, delta)
     j = int(order[0])
-    return [
-        (side, j, tuple(sorted(order[:ne].tolist())), m) for side, ne in (("x", ne_x), ("t", ne_t))
-    ]
-
-
-def _rotation_keys(db, delta, ne_x, ne_t, m):
-    """The (side, nearest, neighbor, m) keys of the rotations a query applies, nearest excluded."""
-    return [
-        (side, j, k, m)
-        for side, j, neighbors, m in _stack_keys(db, delta, ne_x, ne_t, m)
-        for k in neighbors
-        if k != j
-    ]
+    sides = (("x", ne_x), ("t", ne_t))
+    return [((side, j, m), tuple(sorted(order[:ne].tolist()))) for side, ne in sides]
 
 
 def test_run_computes_each_rotation_once(plume_db, plume_target, plume_rows, monkeypatch):
@@ -411,23 +400,29 @@ def test_run_computes_each_rotation_once(plume_db, plume_target, plume_rows, mon
 
     monkeypatch.setattr(genetic, "interpolate_reduced", interp)
     cfg = GaConfig(population_size=10, generations=6, rng_seed=3)
-    for search in (1, 2):
+    # the second search rotates what the first did again: it starts empty
+    for _ in range(2):
         seen.clear()
+        rotated.clear()
         run(cfg, plume_db, plume_target, plume_rows)
         (aligned,) = {id(d): d for _, d in seen}.values()  # one dict serves the search
-        queries = [(delta, genes) for (delta, genes), _ in seen]
-        stacks = [key for delta, genes in queries for key in _stack_keys(plume_db, delta, **genes)]
-        turns = [key for delta, genes in queries for key in _rotation_keys(plume_db, delta, **genes)]
-        assert set(aligned) == set(stacks) | set(turns)
-        assert len(set(stacks)) < len(stacks)  # some chromosomes were served aligned stacks
-        # a new stack shares rotations with stacks met before, so the search
-        # rotates fewer blocks than its stacks hold
-        assert len(set(turns)) < sum(len(key[2]) - 1 for key in set(stacks))
-        # each search computes each rotation once, in at most one batched call
-        # per new stack; the second search starts empty, so nothing carried
-        # over from the first
-        assert sum(rotated) == search * len(set(turns))
-        assert len(rotated) <= search * len(set(stacks))
+        windows = [w for (delta, genes), _ in seen for w in _windows(plume_db, delta, **genes)]
+        assert set(aligned) == {key for key, _ in windows}
+        # each factor query rotates the neighbors no earlier query rotated,
+        # in one batched call, so each (side, nearest, neighbor, m) turns once
+        turns: set = set()
+        expected = []
+        for key, neighbors in windows:
+            new = {(key, k) for k in neighbors if k != key[1]} - turns
+            turns |= new
+            expected += [len(new)] if new else []
+        assert rotated == expected
+        assert {key: filled for key, (_, filled) in aligned.items()} == {
+            key: {key[1]} | {k for other, k in turns if other == key} for key in aligned
+        }
+        # some queries were served whole, and windows share their rotations
+        assert len(rotated) < len(windows)
+        assert len(turns) < sum(len(neighbors) - 1 for _, neighbors in set(windows))
 
 
 def test_rejected_requests_raise_and_name_the_gene(plume_db, plume_projection):
