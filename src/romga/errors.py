@@ -14,7 +14,6 @@ class PersistenceError(RomgaError):
     """I/O failure while reading or writing an artifact file."""
 
     def __init__(self, path, message):
-        self.path = str(path)
         super().__init__(f"{path}: {message}")
 
 

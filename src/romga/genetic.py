@@ -78,10 +78,6 @@ def _draw(bounds, gene: int, rng: np.random.Generator) -> float | int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _clamp(bounds, c: Chromosome) -> Chromosome:
-    return Chromosome._make(min(max(g, lo), hi) for g, (lo, hi) in zip(c, bounds))
-
-
 @dataclass(frozen=True)
 class GaConfig:
     """The settings a caller chooses; the gene bounds come from the database searched."""
@@ -197,17 +193,19 @@ def crossover(
     Otherwise the float gene is blended arithmetically with a uniform
     coefficient (children stay inside the parents' span) and the integer
     genes (ne_t, ne_x, m) swap their tails at a uniformly chosen boundary.
-    Children are clamped to ``bounds``.
+    The integer genes come from parents inside ``bounds``; only a blended
+    delta can round past its bounds, so it alone is clamped.
     """
     if rng.random() > CROSSOVER_PROB:
         return parent_a, parent_b
     beta = rng.random()
-    delta_a = beta * parent_a.delta + (1.0 - beta) * parent_b.delta
-    delta_b = (1.0 - beta) * parent_a.delta + beta * parent_b.delta
+    lo, hi = bounds[0]
+    delta_a = min(max(beta * parent_a.delta + (1.0 - beta) * parent_b.delta, lo), hi)
+    delta_b = min(max((1.0 - beta) * parent_a.delta + beta * parent_b.delta, lo), hi)
     cut = 1 + int(rng.integers(1, 3))  # tails start at ne_x or at m
     child_a = Chromosome(delta_a, *parent_a[1:cut], *parent_b[cut:])
     child_b = Chromosome(delta_b, *parent_b[1:cut], *parent_a[cut:])
-    return _clamp(bounds, child_a), _clamp(bounds, child_b)
+    return child_a, child_b
 
 
 def mutate(c: Chromosome, rng: np.random.Generator, bounds) -> Chromosome:

@@ -38,12 +38,18 @@ def project_target(db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray) ->
     ``rows`` are the observed cells, as build_mask returns them: a 1D,
     strictly increasing integer array. Raises EmptyMaskError when ``rows``
     is empty, ValueError when the target or the rows do not fit the
-    database or the temporal basis columns are not orthonormal
+    database (the target must vary the database's parameter kind, on its
+    grid and time axis) or the temporal basis columns are not orthonormal
     (reduced_cost relies on T.T @ T = I), and np.linalg.LinAlgError when a
     projected piece is not finite.
     """
     if target.grid != db.grid or target.times != db.times:
         raise ValueError("target snapshot grid/time axis does not match the ROM")
+    if target.param_kind != db.param_kind:
+        raise ValueError(
+            f"target is a {target.param_kind.name.lower()} run, the ROM was built from"
+            f" {db.param_kind.name.lower()} runs"
+        )
     if rows.ndim != 1 or rows.dtype.kind not in "iu":
         raise ValueError(f"mask rows must be a 1D integer array, got {rows.dtype} {rows.shape}")
     if rows.size == 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,14 +24,19 @@ from .errors import DivergenceError
 # the largest step the convex-combination form allows.
 CFL = 0.9
 
+# The physics both families share: the cold walls, the cavity's initial field
+# and the plume's background (C); the heated floor and the plume's peak (C);
+# the cavity's thermal diffusivity (m^2/s).
+THETA_COLD = 15.0
+THETA_HOT = 35.0
+KAPPA = 2.0e-3
+
 
 @dataclass(frozen=True)
 class PlumeParams:
     """Moving-Gaussian family: delta controls the lateral sweep frequency."""
 
     delta: float
-    theta_cold: float = 15.0
-    theta_hot: float = 35.0
     sigma: float = 0.25
 
     def __post_init__(self) -> None:
@@ -44,8 +49,6 @@ class PlumeParams:
             raise ValueError(
                 f"sigma must be positive with a positive finite square, got {self.sigma!r}"
             )
-        if not self.theta_hot > self.theta_cold:
-            raise ValueError("theta_hot must exceed theta_cold")
 
 
 def analytic_plume(params: PlumeParams, grid: Grid, times: TimeAxis) -> SnapshotMatrix:
@@ -53,11 +56,11 @@ def analytic_plume(params: PlumeParams, grid: Grid, times: TimeAxis) -> Snapshot
 
     The field at cell center (x, y) and instant t is
 
-        theta_cold + (theta_hot - theta_cold)
+        THETA_COLD + (THETA_HOT - THETA_COLD)
                    * exp(-((x - xc(t))**2 + (y - yc(t))**2) / sigma**2)
 
     with xc(t) = 0.5*lx*(1 + 0.8*sin(2*pi*delta*t/t_final)) and
-    yc(t) = ly*(0.2 + 0.6*t/t_final). Values stay in (theta_cold, theta_hot].
+    yc(t) = ly*(0.2 + 0.6*t/t_final). Values stay in [THETA_COLD, THETA_HOT].
     """
     cx, cy = grid.cell_centers()
     t = times.instants()
@@ -72,7 +75,7 @@ def analytic_plume(params: PlumeParams, grid: Grid, times: TimeAxis) -> Snapshot
     # a width so narrow that r2 / sigma**2 overflows gives exp(-inf) = 0, the exact limit
     # (one expression, so numpy reuses its temporaries in place)
     with np.errstate(over="ignore"):
-        values = params.theta_cold + (params.theta_hot - params.theta_cold) * np.exp(
+        values = THETA_COLD + (THETA_HOT - THETA_COLD) * np.exp(
             -r2 / params.sigma**2
         )
     return SnapshotMatrix(grid, times, ParamKind.SYNTHETIC, params.delta, values)
@@ -96,19 +99,15 @@ def recirculating_velocity(u_ref: float, grid: Grid) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Physical setup for the cavity runs.
+    """The two inflow values of a cavity run; a series varies one and keeps the other's default.
 
-    The floor is held at theta_hot, the remaining walls at theta_cold except
+    The floor is held at THETA_HOT, the remaining walls at THETA_COLD except
     for an inlet patch spanning the top 10% of the left wall, held at
-    inlet_temperature. The initial field is uniform at theta_initial.
+    inlet_temperature. The initial field is uniform at THETA_COLD.
     """
 
-    inlet_velocity: float
-    inlet_temperature: float
-    theta_hot: float = 35.0
-    theta_cold: float = 15.0
-    theta_initial: float = 15.0
-    kappa: float = 2.0e-3
+    inlet_velocity: float = 0.57
+    inlet_temperature: float = 15.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -116,8 +115,6 @@ class CavityParams:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.inlet_velocity < 0.0:
             raise ValueError("inlet_velocity must be nonnegative")
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
 
 
 def solve_cavity(
@@ -128,7 +125,7 @@ def solve_cavity(
 ) -> list[SnapshotMatrix]:
     """Integrate the passive temperature equation on the cavity for every member.
 
-    Solves dT/dt + u . grad T = kappa * lap T with the prescribed
+    Solves dT/dt + u . grad T = KAPPA * lap T with the prescribed
     recirculating velocity, first-order upwind advection and centered
     diffusion, recording the field at every instant of ``times``. Each
     substep is one update in coefficient form: the cell moves toward each of
@@ -138,20 +135,18 @@ def solve_cavity(
     discrete maximum principle holds by construction. Dirichlet values enter
     through ghost cells set to the wall temperature.
 
-    Members that are equal in every field but ``inlet_temperature`` form a
-    group. The update is linear in the field and in the ghost values, and
-    only the inlet ghosts depend on the inlet temperature, so a group's runs
-    are affine in it. Of a group of three or more whose inlet temperatures
-    span a finite range, only the lowest- and highest-inlet members are
-    advanced; every other member is built in its own buffer as
-    ``f_lo + lam * (f_hi - f_lo)`` with
+    Members that share an ``inlet_velocity`` form a group. The update is
+    linear in the field and in the ghost values, and only the inlet ghosts
+    depend on the inlet temperature, so a group's runs are affine in it. Of
+    a group of three or more whose inlet temperatures span a finite range,
+    only the lowest- and highest-inlet members are advanced; every other
+    member is built in its own buffer as ``f_lo + lam * (f_hi - f_lo)`` with
     ``lam = (theta - theta_lo) / (theta_hi - theta_lo)`` in (0, 1). Cells
     where the two extremes agree (the initial snapshot, cells the inlet has
     not reached) stay exact, and the blend keeps the maximum principle to
     rounding; elsewhere it differs from the member solved alone by rounding
     only (about 1e-16 of the field's norm on the series-2 preset). A member
-    equal in every field to an advanced one gets its own copy of that
-    record.
+    equal to an advanced one gets its own copy of that record.
 
     The advanced members move together in one padded ``(k, ny + 2, nx + 2)``
     buffer, so each operation of a substep is one contiguous pass over every
@@ -165,8 +160,7 @@ def solve_cavity(
     Parameters
     ----------
     members : sequence of CavityParams
-        Physical configuration of each run (velocity scale, boundary
-        temperatures, kappa); at least one.
+        The inflow values of each run; at least one.
     grid, times : Grid, TimeAxis
         Output sampling. Internal substeps are sized from ``CFL`` times each
         member's stability bound and land exactly on each sampling instant.
@@ -207,9 +201,9 @@ def _solve_groups(
     members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis
 ) -> list[np.ndarray]:
     """One record per member: each group's extremes advanced, its other members blended."""
-    groups: dict[CavityParams, list[int]] = {}
+    groups: dict[float, list[int]] = {}
     for i, p in enumerate(members):
-        groups.setdefault(replace(p, inlet_temperature=0.0), []).append(i)
+        groups.setdefault(p.inlet_velocity, []).append(i)
     ends = {}  # blended member -> its group's lowest- and highest-inlet members
     for group in groups.values():
         temps = [members[i].inlet_temperature for i in group]
@@ -260,9 +254,11 @@ def _advance(
     # neighbor slice in bounds. The ghost cells hold the wall temperatures:
     # they are set once, and their neighbor rates are zero, so while the
     # field is finite every substep adds exactly zero to them and no
-    # per-substep reset is needed.
+    # per-substep reset is needed. Only the inlet patch differs by member.
     buffer = _aligned_zeros(size + 2 * row)
     padded = buffer[row : row + size].reshape(k, ny + 2, row)
+    padded[...] = THETA_COLD     # cold walls and initial field
+    padded[:, 0, :] = THETA_HOT  # heated floor at y = 0
     flat = (k, plane)
     center = buffer[row : row + size].reshape(flat)
 
@@ -278,23 +274,19 @@ def _advance(
         v = v_flat.reshape(ny, nx)
         # a rate that overflows is reported below, not by numpy's warning
         with np.errstate(over="ignore"):
-            rates[0, i, 1:-1, 1:-1] = p.kappa / dx**2 + np.maximum(u, 0.0) / dx
-            rates[1, i, 1:-1, 1:-1] = p.kappa / dx**2 - np.minimum(u, 0.0) / dx
-            rates[2, i, 1:-1, 1:-1] = p.kappa / dy**2 + np.maximum(v, 0.0) / dy
-            rates[3, i, 1:-1, 1:-1] = p.kappa / dy**2 - np.minimum(v, 0.0) / dy
+            rates[0, i, 1:-1, 1:-1] = KAPPA / dx**2 + np.maximum(u, 0.0) / dx
+            rates[1, i, 1:-1, 1:-1] = KAPPA / dx**2 - np.minimum(u, 0.0) / dx
+            rates[2, i, 1:-1, 1:-1] = KAPPA / dy**2 + np.maximum(v, 0.0) / dy
+            rates[3, i, 1:-1, 1:-1] = KAPPA / dy**2 - np.minimum(v, 0.0) / dy
             # Convex-combination stability: dt * (|u|/dx + |v|/dy + 2k/dx^2 + 2k/dy^2) <= 1,
             # which is dt times the sum of the four rates.
-            rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * p.kappa * (1.0 / dx**2 + 1.0 / dy**2)
+            rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * KAPPA * (1.0 / dx**2 + 1.0 / dy**2)
         target = CFL * (1.0 / float(rate.max()))
         if not target > 0.0:
             raise DivergenceError("the stability rate overflows, so no time step is stable")
         dt_target.append(target)
         # inlet patch on the top 10% of the left wall
-        padded[i, 1:-1, 0] = np.where(inlet_rows, p.inlet_temperature, p.theta_cold)
-        padded[i, 1:-1, -1] = p.theta_cold
-        padded[i, 0, :] = p.theta_hot          # heated floor at y = 0
-        padded[i, -1, :] = p.theta_cold
-        padded[i, 1:-1, 1:-1] = p.theta_initial
+        padded[i, 1:-1, 0][inlet_rows] = p.inlet_temperature
     rates = rates.reshape(4, *flat)
     # Each interval scales the rates by its members' dt: cw, ce, cs, cn.
     coefs = _aligned_zeros(*rates.shape)

@@ -666,6 +666,16 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
         assert cli.main([*optimize, "--target", str(foreign)]) == 2, name
         assert "target snapshot grid/time axis does not match the ROM" in capsys.readouterr().err
         assert not (tmp_path / "h.csv").exists()
+    # a target of another parameter kind on the ROM's grid and time axis
+    plume_run = read_snapshots(target)
+    velocity_run = tmp_path / "velocity.snp1"
+    write_snapshots(SnapshotMatrix(plume_run.grid, plume_run.times, ParamKind.VELOCITY, 0.5,
+                                   plume_run.values), velocity_run)
+    assert cli.main([*optimize, "--target", str(velocity_run)]) == 2
+    assert capsys.readouterr().err == (
+        "error: target is a velocity run, the ROM was built from synthetic runs\n"
+    )
+    assert not (tmp_path / "h.csv").exists()
     # a negative seed is named, not left to numpy's generator
     assert cli.main([*optimize, "--target", target, "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: rng_seed must be nonnegative\n"

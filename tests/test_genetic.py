@@ -82,8 +82,11 @@ def test_search_space_contains_and_clamp():
     assert _inside(Chromosome(0.4, 2, 5, 7))
     assert not _inside(Chromosome(0.29, 2, 5, 7))
     assert not _inside(Chromosome(0.4, 6, 5, 7))
-    clamped = genetic._clamp(SPACE, Chromosome(0.7, 1, 9, 0))
-    assert clamped == Chromosome(0.5, 2, 5, 4)
+    # a blend coefficient outside [0, 1] puts both deltas outside the hull,
+    # and crossover clamps them onto it
+    a, b = Chromosome(0.3, 2, 5, 7), Chromosome(0.5, 4, 3, 9)
+    children = crossover(a, b, ScriptedRng(randoms=[0.0, 2.0], integers=[1]), SPACE)
+    assert children == (Chromosome(0.3, 2, 3, 9), Chromosome(0.5, 4, 5, 7))
 
 
 def test_config_validation():

@@ -31,10 +31,12 @@ def _grid(nx=24, ny=24):
 # ---------------------------------------------------------------- plume
 
 
-def test_plume_matches_the_closed_form_pointwise():
+def test_plume_matches_the_closed_form_pointwise(monkeypatch):
+    monkeypatch.setattr(surrogate, "THETA_COLD", 12.0)
+    monkeypatch.setattr(surrogate, "THETA_HOT", 31.0)
     grid = Grid(8, 6, 1.2, 0.9)
     times = TimeAxis(7, 5.0)
-    params = PlumeParams(0.43, theta_cold=12.0, theta_hot=31.0, sigma=0.2)
+    params = PlumeParams(0.43, sigma=0.2)
     matrix = analytic_plume(params, grid, times)
     cx, cy = grid.cell_centers()
     t = times.instants()
@@ -67,7 +69,7 @@ def test_plume_values_stay_inside_the_temperature_band(delta, sigma, seed):
     grid = Grid(10, 10, 1.0, 1.0)
     times = TimeAxis(6, 3.0)
     matrix = analytic_plume(PlumeParams(delta, sigma=sigma), grid, times)
-    # the Gaussian tail can underflow to zero, landing exactly on theta_cold
+    # the Gaussian tail can underflow to zero, landing exactly on THETA_COLD
     assert np.all(matrix.values >= 15.0)
     assert np.all(matrix.values <= 35.0)
 
@@ -85,9 +87,7 @@ def test_plume_is_deterministic_and_tags_metadata():
 def test_plume_params_validation():
     with pytest.raises(ValueError):
         PlumeParams(0.4, sigma=0.0)
-    with pytest.raises(ValueError):
-        PlumeParams(0.4, theta_cold=30.0, theta_hot=20.0)
-    for name in ("delta", "theta_cold", "theta_hot", "sigma"):
+    for name in ("delta", "sigma"):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 PlumeParams(**{"delta": 0.4, name: bad})
@@ -150,28 +150,29 @@ def test_velocity_divergence_shrinks_at_second_order():
 def test_cavity_snapshots_obey_the_maximum_principle():
     grid = _grid()
     times = TimeAxis(12, 6.0)
-    params = CavityParams(0.6, 30.0, theta_hot=35.0, theta_cold=15.0, theta_initial=18.0)
-    (matrix,) = solve_cavity([params], grid, times)
-    lo = min(15.0, 30.0, 18.0, 35.0)
-    hi = max(15.0, 30.0, 18.0, 35.0)
-    assert matrix.values.min() >= lo - 1e-9
-    assert matrix.values.max() <= hi + 1e-9
+    (matrix,) = solve_cavity([CavityParams(0.6, 30.0)], grid, times)
+    assert matrix.values.min() >= 15.0 - 1e-9
+    assert matrix.values.max() <= 35.0 + 1e-9
 
 
-def test_cavity_uniform_case_stays_exactly_constant():
+def test_cavity_defaults_are_the_held_inflow_values():
+    assert CavityParams() == CavityParams(0.57, 15.0)
+
+
+def test_cavity_uniform_case_stays_exactly_constant(monkeypatch):
+    # the cold walls and the initial field are already at 15
+    monkeypatch.setattr(surrogate, "THETA_HOT", 15.0)
     grid = _grid(16, 16)
     times = TimeAxis(8, 4.0)
-    params = CavityParams(
-        0.0, 15.0, theta_hot=15.0, theta_cold=15.0, theta_initial=15.0
-    )
-    (matrix,) = solve_cavity([params], grid, times)
+    (matrix,) = solve_cavity([CavityParams(0.0, 15.0)], grid, times)
     assert np.all(matrix.values == 15.0)
 
 
-def test_cavity_first_snapshot_is_the_initial_field():
+def test_cavity_first_snapshot_is_the_initial_field(monkeypatch):
+    monkeypatch.setattr(surrogate, "THETA_COLD", 17.0)
     grid = _grid(16, 16)
     times = TimeAxis(6, 3.0)
-    (matrix,) = solve_cavity([CavityParams(0.5, 20.0, theta_initial=17.0)], grid, times)
+    (matrix,) = solve_cavity([CavityParams(0.5, 20.0)], grid, times)
     assert np.all(matrix.values[:, 0] == 17.0)
     assert matrix.values.shape == (16 * 16, 6)
 
@@ -212,19 +213,20 @@ def _reference_cavity(params, grid, times, cfl=0.9):
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     u_flat, v_flat = recirculating_velocity(params.inlet_velocity, grid)
     u, v = u_flat.reshape(ny, nx), v_flat.reshape(ny, nx)
-    rw = params.kappa / dx**2 + np.maximum(u, 0.0) / dx
-    re = params.kappa / dx**2 - np.minimum(u, 0.0) / dx
-    rs = params.kappa / dy**2 + np.maximum(v, 0.0) / dy
-    rn = params.kappa / dy**2 - np.minimum(v, 0.0) / dy
-    rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * params.kappa * (1.0 / dx**2 + 1.0 / dy**2)
+    cold, hot, kappa = surrogate.THETA_COLD, surrogate.THETA_HOT, surrogate.KAPPA
+    rw = kappa / dx**2 + np.maximum(u, 0.0) / dx
+    re = kappa / dx**2 - np.minimum(u, 0.0) / dx
+    rs = kappa / dy**2 + np.maximum(v, 0.0) / dy
+    rn = kappa / dy**2 - np.minimum(v, 0.0) / dy
+    rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * kappa * (1.0 / dx**2 + 1.0 / dy**2)
     dt_target = cfl / float(rate.max())
     y_col = grid.cell_centers()[1].reshape(ny, nx)[:, 0]
     padded = np.empty((ny + 2, nx + 2))
-    padded[1:-1, 0] = np.where(y_col > 0.9 * grid.ly, params.inlet_temperature, params.theta_cold)
-    padded[1:-1, -1] = params.theta_cold
-    padded[0, 1:-1] = params.theta_hot
-    padded[-1, 1:-1] = params.theta_cold
-    padded[1:-1, 1:-1] = params.theta_initial
+    padded[1:-1, 0] = np.where(y_col > 0.9 * grid.ly, params.inlet_temperature, cold)
+    padded[1:-1, -1] = cold
+    padded[0, 1:-1] = hot
+    padded[-1, 1:-1] = cold
+    padded[1:-1, 1:-1] = cold
     out = np.empty((grid.n_cells, times.n_steps))
     out[:, 0] = padded[1:-1, 1:-1].ravel()
     instants = times.instants()
@@ -248,11 +250,12 @@ def _textbook_cavity(params, grid, times, cfl=0.9):
     u, v = u_flat.reshape(ny, nx), v_flat.reshape(ny, nx)
     u_pos, u_neg = np.maximum(u, 0.0), np.minimum(u, 0.0)
     v_pos, v_neg = np.maximum(v, 0.0), np.minimum(v, 0.0)
-    rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * params.kappa * (1.0 / dx**2 + 1.0 / dy**2)
+    cold, hot, kappa = surrogate.THETA_COLD, surrogate.THETA_HOT, surrogate.KAPPA
+    rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * kappa * (1.0 / dx**2 + 1.0 / dy**2)
     dt_target = cfl / float(rate.max())
     y_col = grid.cell_centers()[1].reshape(ny, nx)[:, 0]
-    west = np.where(y_col > 0.9 * grid.ly, params.inlet_temperature, params.theta_cold)
-    field = np.full((ny, nx), params.theta_initial)
+    west = np.where(y_col > 0.9 * grid.ly, params.inlet_temperature, cold)
+    field = np.full((ny, nx), cold)
     padded = np.empty((ny + 2, nx + 2))
     out = np.empty((grid.n_cells, times.n_steps))
     out[:, 0] = field.ravel()
@@ -263,63 +266,74 @@ def _textbook_cavity(params, grid, times, cfl=0.9):
         for _ in range(n_sub):
             padded[1:-1, 1:-1] = field
             padded[1:-1, 0] = west
-            padded[1:-1, -1] = params.theta_cold
-            padded[0, 1:-1] = params.theta_hot
-            padded[-1, 1:-1] = params.theta_cold
+            padded[1:-1, -1] = cold
+            padded[0, 1:-1] = hot
+            padded[-1, 1:-1] = cold
             c, w, e = padded[1:-1, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]
             s, n = padded[:-2, 1:-1], padded[2:, 1:-1]
             adv = (
                 u_pos * (c - w) / dx + u_neg * (e - c) / dx
                 + v_pos * (c - s) / dy + v_neg * (n - c) / dy
             )
-            diff = params.kappa * ((e - 2.0 * c + w) / dx**2 + (n - 2.0 * c + s) / dy**2)
+            diff = kappa * ((e - 2.0 * c + w) / dx**2 + (n - 2.0 * c + s) / dy**2)
             field = field + span / n_sub * (diff - adv)
         out[:, l] = field.ravel()
     return out
 
 
-# three velocities, so the members take different substep counts, with
-# differing inlet, initial and wall temperatures and two diffusivities
+# five velocities, so the members take different substep counts (one stands
+# still), each with its own inlet temperature
 MIXED_ENSEMBLE = (
     CavityParams(0.51, 15.0),
-    CavityParams(0.798, 30.0, theta_hot=40.0, theta_cold=10.0, theta_initial=12.0, kappa=3e-3),
-    CavityParams(0.627, 5.0, theta_initial=20.0),
-    CavityParams(0.0, 25.0, theta_cold=18.0, kappa=3e-3),
-    CavityParams(0.57, 22.0, theta_hot=30.0, theta_initial=25.0),
+    CavityParams(0.798, 30.0),
+    CavityParams(0.627, 5.0),
+    CavityParams(0.0, 25.0),
+    CavityParams(0.57, 22.0),
 )
 
+# the shared physics, as surrogate's defaults and with every constant changed
+PHYSICS = ({}, {"THETA_COLD": 10.0, "THETA_HOT": 40.0, "KAPPA": 3e-3})
 
-def test_batched_members_equal_each_member_solved_alone():
+
+def test_batched_members_equal_each_member_solved_alone(monkeypatch):
     grid = Grid(14, 12, 1.04, 0.9)
     times = TimeAxis(7, 4.0)
-    batched = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
-    assert len(batched) == len(MIXED_ENSEMBLE)
-    for params, run in zip(MIXED_ENSEMBLE, batched):
-        (alone,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
-        assert run.equals(alone)
-        assert run.param_value == params.inlet_temperature
-        assert np.array_equal(alone.values, _reference_cavity(params, grid, times))
+    for physics in PHYSICS:
+        with monkeypatch.context() as patch:
+            for name, value in physics.items():
+                patch.setattr(surrogate, name, value)
+            batched = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
+            assert len(batched) == len(MIXED_ENSEMBLE)
+            for params, run in zip(MIXED_ENSEMBLE, batched):
+                (alone,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
+                assert run.equals(alone)
+                assert run.param_value == params.inlet_temperature
+                assert np.array_equal(alone.values, _reference_cavity(params, grid, times))
 
-    order = (3, 0, 4, 2, 1)
-    permuted = solve_cavity(
-        [MIXED_ENSEMBLE[i] for i in order], grid, times, vary=ParamKind.TEMPERATURE
-    )
-    for i, run in zip(order, permuted):
-        assert run.equals(batched[i])
+            order = (3, 0, 4, 2, 1)
+            permuted = solve_cavity(
+                [MIXED_ENSEMBLE[i] for i in order], grid, times, vary=ParamKind.TEMPERATURE
+            )
+            for i, run in zip(order, permuted):
+                assert run.equals(batched[i])
 
     with pytest.raises(ValueError, match="at least one member"):
         solve_cavity([], grid, times)
 
 
-def test_members_agree_with_the_textbook_scheme():
+def test_members_agree_with_the_textbook_scheme(monkeypatch):
     # the coefficient form regroups the upwind and diffusion terms, so it may
     # differ from them only by rounding
     grid = Grid(14, 12, 1.04, 0.9)
     times = TimeAxis(7, 4.0)
-    runs = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
-    for params, run in zip(MIXED_ENSEMBLE, runs):
-        textbook = _textbook_cavity(params, grid, times)
-        assert np.abs(run.values - textbook).max() <= 1e-13 * np.abs(textbook).max()
+    for physics in PHYSICS:
+        with monkeypatch.context() as patch:
+            for name, value in physics.items():
+                patch.setattr(surrogate, name, value)
+            runs = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
+            for params, run in zip(MIXED_ENSEMBLE, runs):
+                textbook = _textbook_cavity(params, grid, times)
+                assert np.abs(run.values - textbook).max() <= 1e-13 * np.abs(textbook).max()
 
 
 def test_full_cfl_keeps_the_maximum_principle_and_batched_equality(monkeypatch):
@@ -329,9 +343,7 @@ def test_full_cfl_keeps_the_maximum_principle_and_batched_equality(monkeypatch):
     times = TimeAxis(7, 4.0)
     batched = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
     for params, run in zip(MIXED_ENSEMBLE, batched):
-        bounds = (
-            params.theta_hot, params.theta_cold, params.inlet_temperature, params.theta_initial
-        )
+        bounds = (surrogate.THETA_HOT, surrogate.THETA_COLD, params.inlet_temperature)
         assert run.values.min() >= min(bounds) - 1e-9
         assert run.values.max() <= max(bounds) + 1e-9
         (alone,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
@@ -366,23 +378,20 @@ def test_cavity_parameter_tagging_follows_vary():
 def test_cavity_validation():
     with pytest.raises(ValueError):
         CavityParams(-0.1, 15.0)
-    with pytest.raises(ValueError):
-        CavityParams(0.5, 15.0, kappa=0.0)
-    for name in (
-        "inlet_velocity", "inlet_temperature", "theta_hot", "theta_cold", "theta_initial", "kappa"
-    ):
+    for name in ("inlet_velocity", "inlet_temperature"):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 CavityParams(**{"inlet_velocity": 0.5, "inlet_temperature": 15.0, name: bad})
 
 
-def test_a_field_that_overflows_stops_the_solver():
+def test_a_field_that_overflows_stops_the_solver(monkeypatch):
     # walls at +-1e308 overflow the first substep's differences: the solver
     # stops at the first instant it records, with no numpy warning on the way
     # (pytest turns any warning into an error)
-    params = CavityParams(0.5, 0.0, theta_hot=1e308, theta_cold=-1e308)
+    monkeypatch.setattr(surrogate, "THETA_HOT", 1e308)
+    monkeypatch.setattr(surrogate, "THETA_COLD", -1e308)
     with pytest.raises(DivergenceError, match=r"^non-finite values at t = 0\.333333s$"):
-        solve_cavity([params], _grid(8, 8), TimeAxis(4, 1.0))
+        solve_cavity([CavityParams(0.5, 0.0)], _grid(8, 8), TimeAxis(4, 1.0))
 
 
 def _solo(params, grid, times):
@@ -403,36 +412,38 @@ def _count_advanced(monkeypatch):
     return seen
 
 
-def test_an_inlet_temperature_group_advances_its_extremes_and_blends_the_rest():
+def test_an_inlet_temperature_group_advances_its_extremes_and_blends_the_rest(monkeypatch):
     grid = Grid(14, 12, 1.04, 0.9)
     times = TimeAxis(9, 6.0)
     temps = (20.0, 5.0, 12.5, 25.0, 10.0)  # the extremes are neither first nor last
-    # the members of each group share one setting besides the velocity, which
-    # must reach the blended members as it reaches the advanced ones
-    shared = {"default": {}, "init": {"theta_initial": 17.0}, "cold": {"theta_cold": 10.0},
-              "hot": {"theta_hot": 45.0}, "kappa": {"kappa": 4e-3}}
+    # each run changes one shared constant, which must reach the blended
+    # members as it reaches the advanced ones
+    shared = {"default": {}, "cold": {"THETA_COLD": 10.0}, "hot": {"THETA_HOT": 45.0},
+              "kappa": {"KAPPA": 4e-3}}
+    members = [CavityParams(0.57, t) for t in temps]
     runs = {}
     for name, setting in shared.items():
-        members = [CavityParams(0.57, t, **setting) for t in temps]
-        runs[name] = solve_cavity(members, grid, times, vary=ParamKind.TEMPERATURE)
-        for params, run in zip(members, runs[name]):
-            alone = _solo(params, grid, times)
-            assert run.param_value == params.inlet_temperature
-            if params.inlet_temperature in (5.0, 25.0):
-                assert run.equals(alone), name
-            else:
-                scale = np.abs(alone.values).max()
-                assert np.abs(run.values - alone.values).max() <= 1e-13 * scale, name
-            # the extremes agree on the initial field, so the blend keeps it exactly
-            assert np.all(run.values[:, 0] == params.theta_initial), name
-            bounds = (params.theta_hot, params.theta_cold, params.inlet_temperature,
-                      params.theta_initial)
-            assert run.values.min() >= min(bounds) - 1e-12, name
-            assert run.values.max() <= max(bounds) + 1e-12, name
+        with monkeypatch.context() as patch:
+            for constant, value in setting.items():
+                patch.setattr(surrogate, constant, value)
+            runs[name] = solve_cavity(members, grid, times, vary=ParamKind.TEMPERATURE)
+            for params, run in zip(members, runs[name]):
+                alone = _solo(params, grid, times)
+                assert run.param_value == params.inlet_temperature
+                if params.inlet_temperature in (5.0, 25.0):
+                    assert run.equals(alone), name
+                else:
+                    scale = np.abs(alone.values).max()
+                    assert np.abs(run.values - alone.values).max() <= 1e-13 * scale, name
+                # the extremes agree on the initial field, so the blend keeps it exactly
+                assert np.all(run.values[:, 0] == surrogate.THETA_COLD), name
+                bounds = (surrogate.THETA_HOT, surrogate.THETA_COLD, params.inlet_temperature)
+                assert run.values.min() >= min(bounds) - 1e-12, name
+                assert run.values.max() <= max(bounds) + 1e-12, name
     for i, default in enumerate(runs["default"]):
         ref = default.values
         cold, hot, kappa = (runs[name][i].values for name in ("cold", "hot", "kappa"))
-        # a colder wall cools every cell it reaches and warms none; a hotter
+        # colder walls and initial field cool every cell and warm none; a hotter
         # floor warms every cell it reaches and cools none
         assert np.all(cold <= ref + 1e-12) and (cold < ref - 1e-3).any()
         assert np.all(hot >= ref - 1e-12) and (hot > ref + 1e-3).any()
@@ -455,15 +466,12 @@ def test_only_inlet_temperature_groups_are_blended(monkeypatch, tmp_path, capsys
     solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
     pair = [CavityParams(0.57, 5.0), CavityParams(0.57, 25.0)]
     solve_cavity(pair, grid, times, vary=ParamKind.TEMPERATURE)
-    # two groups of three next to members that differ from the first group in
-    # one more field each: each group keeps its extremes, the others stay alone
+    # two groups of three next to a group of two and two lone members: each
+    # group of three keeps its extremes, the others are all advanced
     mixed = [CavityParams(0.57, t) for t in (5.0, 15.0, 25.0)] + [
         CavityParams(0.6, t) for t in (10.0, 20.0, 30.0)
-    ] + [
-        CavityParams(0.57, 15.0, **{name: value})
-        for name, value in (
-            ("theta_hot", 30.0), ("theta_cold", 10.0), ("theta_initial", 20.0), ("kappa", 3e-3)
-        )
+    ] + [CavityParams(0.5, t) for t in (5.0, 25.0)] + [
+        CavityParams(u, 15.0) for u in (0.65, 0.7)
     ]
     runs = solve_cavity(mixed, grid, times, vary=ParamKind.TEMPERATURE)
     # a span of inlet temperatures beyond the float range is not blended
