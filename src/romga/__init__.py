@@ -37,7 +37,6 @@ from .pod import (
     write_rom,
 )
 from .surrogate import (
-    CavityParams,
     PlumeParams,
     analytic_plume,
     recirculating_velocity,

@@ -29,7 +29,7 @@ from .dataset import (
 from .errors import DivergenceError, PersistenceError, RomgaError
 from .objective import l2_error_series
 from .pod import compress_ensemble, read_rom, reconstruct_field, write_rom
-from .surrogate import CavityParams, PlumeParams, analytic_plume, solve_cavity
+from .surrogate import PlumeParams, analytic_plume, solve_cavity
 
 MANIFEST_NAME = "manifest.txt"
 DOMAIN_SIDE = 1.04  # both families sample the square [0, 1.04 m]^2
@@ -134,14 +134,13 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
             got = f", got {flag['velocities']} and {flag['temperatures']}" if ns.velocities else ""
             raise ValueError(f"cavity runs need exactly one of --velocities/--temperatures{got}")
         if ns.velocities is not None:
-            train_values, kind, varied = ns.velocities, ParamKind.VELOCITY, "inlet_velocity"
+            train_values, kind = ns.velocities, ParamKind.VELOCITY
         else:
-            train_values, kind, varied = ns.temperatures, ParamKind.TEMPERATURE, "inlet_temperature"
+            train_values, kind = ns.temperatures, ParamKind.TEMPERATURE
 
         def make(values) -> list[SnapshotMatrix]:
-            # one solver call advances every run of the group together
-            members = [CavityParams(**{varied: value}) for value in values]
-            return solve_cavity(members, grid, times, vary=kind)
+            # one solver call advances every run of the series together
+            return solve_cavity(values, grid, times, vary=kind)
 
     train_values = tuple(sorted(train_values))
     if len(set(train_values)) != len(train_values):

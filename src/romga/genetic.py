@@ -89,8 +89,8 @@ class GaConfig:
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        if self.generations < 0:
-            raise ValueError("generations must be nonnegative")
+        if self.generations < 1:
+            raise ValueError("generations must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
 
@@ -249,9 +249,8 @@ def run(cfg: GaConfig, db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray
 
     The initial random population counts as generation 1; each later
     generation evaluates the population bred from the previous one, so
-    with the elite kept the per-generation best cost never increases. A
-    ``generations`` of 0 degenerates to evaluating the initial population
-    only. Every gene is drawn inside search_bounds(db). The target is
+    with the elite kept the per-generation best cost never increases.
+    Every gene is drawn inside search_bounds(db). The target is
     projected onto the database's bases once, before the first generation,
     and every chromosome is scored against that.
     The cost cache and the aligned-block tables live for this call only,
@@ -265,8 +264,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray
     aligned: dict = {}
     population = init_population(bounds, cfg.population_size, rng)
     records = []
-    total = max(cfg.generations, 1)
-    for generation in range(1, total + 1):
+    for generation in range(1, cfg.generations + 1):
         costs = evaluate_population(population, db, projection, cache=cache, aligned=aligned)
         leader = int(np.argmin(costs))
         records.append(
@@ -274,7 +272,7 @@ def run(cfg: GaConfig, db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray
                 generation, population[leader], float(costs[leader]), float(costs.mean())
             )
         )
-        if generation < total:
+        if generation < cfg.generations:
             population = step_generation(population, costs, rng, bounds)
     return GaHistory(tuple(records))
 

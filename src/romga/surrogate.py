@@ -31,6 +31,12 @@ THETA_COLD = 15.0
 THETA_HOT = 35.0
 KAPPA = 2.0e-3
 
+# The inflow value a cavity series holds: a velocity series keeps the inlet
+# at INLET_TEMPERATURE (C), a temperature series keeps the recirculation at
+# INLET_VELOCITY (m/s).
+INLET_VELOCITY = 0.57
+INLET_TEMPERATURE = 15.0
+
 
 @dataclass(frozen=True)
 class PlumeParams:
@@ -97,33 +103,20 @@ def recirculating_velocity(u_ref: float, grid: Grid) -> tuple[np.ndarray, np.nda
     return u, v
 
 
-@dataclass(frozen=True)
-class CavityParams:
-    """The two inflow values of a cavity run; a series varies one and keeps the other's default.
-
-    The floor is held at THETA_HOT, the remaining walls at THETA_COLD except
-    for an inlet patch spanning the top 10% of the left wall, held at
-    inlet_temperature. The initial field is uniform at THETA_COLD.
-    """
-
-    inlet_velocity: float = 0.57
-    inlet_temperature: float = 15.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if self.inlet_velocity < 0.0:
-            raise ValueError("inlet_velocity must be nonnegative")
-
-
 def solve_cavity(
-    members: Sequence[CavityParams],
+    values: Sequence[float],
     grid: Grid,
     times: TimeAxis,
     vary: ParamKind = ParamKind.VELOCITY,
 ) -> list[SnapshotMatrix]:
-    """Integrate the passive temperature equation on the cavity for every member.
+    """Integrate the passive temperature equation on the cavity for a series of runs.
+
+    A series varies one inflow value and holds the other: a velocity series
+    keeps the inlet at INLET_TEMPERATURE, a temperature series keeps the
+    recirculation at INLET_VELOCITY. The floor is held at THETA_HOT, the
+    remaining walls at THETA_COLD except for an inlet patch spanning the top
+    10% of the left wall, held at the inlet temperature. The initial field
+    is uniform at THETA_COLD.
 
     Solves dT/dt + u . grad T = KAPPA * lap T with the prescribed
     recirculating velocity, first-order upwind advection and centered
@@ -135,87 +128,85 @@ def solve_cavity(
     discrete maximum principle holds by construction. Dirichlet values enter
     through ghost cells set to the wall temperature.
 
-    Members that share an ``inlet_velocity`` form a group. The update is
+    A temperature series is affine in the inlet temperature: the update is
     linear in the field and in the ghost values, and only the inlet ghosts
-    depend on the inlet temperature, so a group's runs are affine in it. Of
-    a group of three or more whose inlet temperatures span a finite range,
-    only the lowest- and highest-inlet members are advanced; every other
-    member is built in its own buffer as ``f_lo + lam * (f_hi - f_lo)`` with
-    ``lam = (theta - theta_lo) / (theta_hi - theta_lo)`` in (0, 1). Cells
-    where the two extremes agree (the initial snapshot, cells the inlet has
-    not reached) stay exact, and the blend keeps the maximum principle to
-    rounding; elsewhere it differs from the member solved alone by rounding
-    only (about 1e-16 of the field's norm on the series-2 preset). A member
-    equal to an advanced one gets its own copy of that record.
+    depend on it. So of three or more values spanning a finite range, only
+    the lowest and highest are advanced; every other run is built in its own
+    buffer as ``f_lo + lam * (f_hi - f_lo)`` with ``lam = (theta - theta_lo)
+    / (theta_hi - theta_lo)``. Cells where the two extremes agree (the
+    initial snapshot, cells the inlet has not reached) stay exact, and the
+    blend keeps the maximum principle to rounding; elsewhere it differs from
+    the run solved alone by rounding only (about 1e-16 of the field's norm on
+    the series-2 preset). A value equal to an advanced one gets its own copy
+    of that record.
 
-    The advanced members move together in one padded ``(k, ny + 2, nx + 2)``
-    buffer, so each operation of a substep is one contiguous pass over every
-    member. Each member keeps its own velocity, time step and substep count:
-    in an interval where a member needs fewer substeps than another, it sits
-    out the extra ones. Every operation keeps the operands and the order of
-    evaluation of a member solved alone, so an advanced member's snapshots,
-    and so every member of a group of one or two, are bit-identical to that
-    member solved alone, whichever other members share the call.
+    The advanced runs move together in one batch, each with its own
+    velocity, time step and substep count, and each bit-identical to that
+    run solved alone, whichever other runs share the call.
 
     Parameters
     ----------
-    members : sequence of CavityParams
-        The inflow values of each run; at least one.
+    values : sequence of float
+        The varied inflow value of each run; at least one.
     grid, times : Grid, TimeAxis
         Output sampling. Internal substeps are sized from ``CFL`` times each
-        member's stability bound and land exactly on each sampling instant.
+        run's stability bound and land exactly on each sampling instant.
     vary : ParamKind
-        Which knob the enclosing ensemble varies; decides the parameter value
-        stored in each returned SnapshotMatrix.
+        VELOCITY or TEMPERATURE: which inflow value ``values`` holds; it is
+        also the parameter kind of each returned SnapshotMatrix.
 
     Returns
     -------
     list of SnapshotMatrix
-        One per member, in the order of ``members``.
+        One per value, in the order of ``values``.
 
     Raises
     ------
+    ValueError
+        If ``values`` is empty or holds a non-finite value or a negative
+        velocity, or ``vary`` is neither VELOCITY nor TEMPERATURE.
     DivergenceError
-        If any recorded snapshot contains non-finite values, or a member's
+        If any recorded snapshot contains non-finite values, or a run's
         stability rate or substep count overflows.
     """
-    members = tuple(members)
-    if not members:
-        raise ValueError("solve_cavity needs at least one member")
-    if vary == ParamKind.VELOCITY:
-        param_values = [p.inlet_velocity for p in members]
-    elif vary == ParamKind.TEMPERATURE:
-        param_values = [p.inlet_temperature for p in members]
-    else:
+    values = tuple(values)
+    if not values:
+        raise ValueError("solve_cavity needs at least one value")
+    if vary not in (ParamKind.VELOCITY, ParamKind.TEMPERATURE):
         raise ValueError("cavity runs vary either velocity or temperature")
+    name = "inlet_velocity" if vary == ParamKind.VELOCITY else "inlet_temperature"
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if vary == ParamKind.VELOCITY and value < 0.0:
+            raise ValueError("inlet_velocity must be nonnegative")
 
-    records = _solve_groups(members, grid, times)
-    # each SnapshotMatrix keeps its member's record, as a column-major view
+    if vary == ParamKind.VELOCITY:
+        records = _advance(values, (INLET_TEMPERATURE,) * len(values), grid, times)
+    else:
+        records = _temperature_series(values, grid, times)
+    # each SnapshotMatrix keeps its run's record, as a column-major view
     return [
         _adopt(grid, times, vary, value, record.reshape(times.n_steps, grid.n_cells).T)
-        for value, record in zip(param_values, records)
+        for value, record in zip(values, records)
     ]
 
 
-def _solve_groups(
-    members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis
+def _temperature_series(
+    temps: tuple[float, ...], grid: Grid, times: TimeAxis
 ) -> list[np.ndarray]:
-    """One record per member: each group's extremes advanced, its other members blended."""
-    groups: dict[float, list[int]] = {}
-    for i, p in enumerate(members):
-        groups.setdefault(p.inlet_velocity, []).append(i)
-    ends = {}  # blended member -> its group's lowest- and highest-inlet members
-    for group in groups.values():
-        temps = [members[i].inlet_temperature for i in group]
-        # a span that overflows would turn every lam into 0
-        if len(group) > 2 and math.isfinite(max(temps) - min(temps)):
-            lo, hi = group[temps.index(min(temps))], group[temps.index(max(temps))]
-            ends.update((i, (lo, hi)) for i in group if i not in (lo, hi))
-    advanced = [i for i in range(len(members)) if i not in ends]
-    records = dict(zip(advanced, _advance(tuple(members[i] for i in advanced), grid, times)))
-    for i, (lo, hi) in ends.items():
-        theta = members[i].inlet_temperature
-        theta_lo, theta_hi = members[lo].inlet_temperature, members[hi].inlet_temperature
+    """One record per inlet temperature: the extremes advanced, the other runs blended."""
+    # a span that overflows would turn every lam into 0
+    if len(temps) < 3 or not math.isfinite(max(temps) - min(temps)):
+        return _advance((INLET_VELOCITY,) * len(temps), temps, grid, times)
+    lo, hi = temps.index(min(temps)), temps.index(max(temps))
+    ends = sorted({lo, hi})  # a single run when every value is equal
+    solved = _advance((INLET_VELOCITY,) * len(ends), [temps[i] for i in ends], grid, times)
+    records = dict(zip(ends, solved))
+    theta_lo, theta_hi = temps[lo], temps[hi]
+    for i, theta in enumerate(temps):
+        if i in records:
+            continue
         if theta == theta_lo or theta == theta_hi:
             records[i] = records[lo if theta == theta_lo else hi].copy()
             continue
@@ -224,7 +215,7 @@ def _solve_groups(
         blend *= lam
         blend += records[lo]
         records[i] = blend
-    return [records[i] for i in range(len(members))]
+    return [records[i] for i in range(len(temps))]
 
 
 def _aligned_zeros(*shape: int) -> np.ndarray:
@@ -240,10 +231,19 @@ def _aligned_zeros(*shape: int) -> np.ndarray:
 
 
 def _advance(
-    members: tuple[CavityParams, ...], grid: Grid, times: TimeAxis
+    velocities: Sequence[float], inlets: Sequence[float], grid: Grid, times: TimeAxis
 ) -> list[np.ndarray]:
-    """The batched kernel of ``solve_cavity``: one (n_steps, ny, nx) record per member."""
-    k = len(members)
+    """The batched kernel of ``solve_cavity``: one (n_steps, ny, nx) record per run.
+
+    Run i recirculates at ``velocities[i]`` with its inlet patch at
+    ``inlets[i]``. The runs share one padded ``(k, ny + 2, nx + 2)`` buffer,
+    so each operation of a substep is one contiguous pass over every run; in
+    an interval where a run needs fewer substeps than another, it sits out
+    the extra ones. Every operation keeps the operands and the order of
+    evaluation of a run solved alone, so each record is bit-identical to
+    that run solved alone.
+    """
+    k = len(velocities)
     nx, ny = grid.nx, grid.ny
     dx, dy = grid.dx, grid.dy
     row = nx + 2                  # flat offset of the north and south neighbors
@@ -268,8 +268,8 @@ def _advance(
     dt_target = []
     _, cy = grid.cell_centers()
     inlet_rows = cy.reshape(ny, nx)[:, 0] > 0.9 * grid.ly
-    for i, p in enumerate(members):
-        u_flat, v_flat = recirculating_velocity(p.inlet_velocity, grid)
+    for i, (velocity, inlet) in enumerate(zip(velocities, inlets)):
+        u_flat, v_flat = recirculating_velocity(velocity, grid)
         u = u_flat.reshape(ny, nx)
         v = v_flat.reshape(ny, nx)
         # a rate that overflows is reported below, not by numpy's warning
@@ -286,7 +286,7 @@ def _advance(
             raise DivergenceError("the stability rate overflows, so no time step is stable")
         dt_target.append(target)
         # inlet patch on the top 10% of the left wall
-        padded[i, 1:-1, 0][inlet_rows] = p.inlet_temperature
+        padded[i, 1:-1, 0][inlet_rows] = inlet
     rates = rates.reshape(4, *flat)
     # Each interval scales the rates by its members' dt: cw, ce, cs, cn.
     coefs = _aligned_zeros(*rates.shape)
@@ -307,7 +307,7 @@ def _advance(
     dt = np.empty((k, 1))
 
     instants = times.instants()
-    records = [np.empty((times.n_steps, ny, nx)) for _ in members]
+    records = [np.empty((times.n_steps, ny, nx)) for _ in range(k)]
     for i, record in enumerate(records):
         record[0] = padded[i, 1:-1, 1:-1]
     # a field that leaves the finite range is reported by the check below,

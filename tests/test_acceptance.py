@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from romga import (
-    CavityParams,
     Grid,
     TimeAxis,
     compress_ensemble,
@@ -250,12 +249,12 @@ def test_criterion_9_solver_respects_temperature_bounds(series1, series2, monkey
                 float(matrix.values.max() - hi),
             )
 
-    # velocity 0 and every boundary and initial value 15: the cold walls and the
-    # initial field already are, and the hot floor is lowered to them
+    # velocity 0 and every boundary and initial value 15: the cold walls, the
+    # initial field and the held inlet already are, and the hot floor is lowered to them
     monkeypatch.setattr(surrogate, "THETA_HOT", 15.0)
     grid = Grid(16, 16, 1.04, 1.04)
     times = TimeAxis(8, 4.0)
-    (uniform,) = solve_cavity([CavityParams(0.0, 15.0)], grid, times)
+    (uniform,) = solve_cavity([0.0], grid, times)
     constant = bool(np.all(uniform.values == 15.0))
     print(f"criterion 9: worst bound violation {worst_violation:.2e} (bar 1e-9), "
           f"uniform case exactly constant: {constant}")

@@ -635,6 +635,9 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
     for base, flags, field in nonfinite:
         assert cli.main([*base, *flags]) == 2, flags
         assert f"{field} must be finite" in capsys.readouterr().err, flags
+    # and so is a negative inflow velocity
+    assert cli.main([*cavity, "--velocities=-0.5"]) == 2
+    assert "inlet_velocity must be nonnegative" in capsys.readouterr().err
     # a plume width whose square overflows, or underflows to zero
     for sigma in ("1e300", "1e-200"):
         assert cli.main([*plume, "--deltas", "0.3,0.4", "--sigma", sigma]) == 2, sigma
@@ -679,6 +682,10 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
     # a negative seed is named, not left to numpy's generator
     assert cli.main([*optimize, "--target", target, "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: rng_seed must be nonnegative\n"
+    assert not (tmp_path / "h.csv").exists()
+    # zero generations is named, not run as one
+    assert cli.main([*optimize, "--target", target, "--gens", "0"]) == 2
+    assert capsys.readouterr().err == "error: generations must be at least 1\n"
     assert not (tmp_path / "h.csv").exists()
 
 

@@ -92,7 +92,7 @@ def test_search_space_contains_and_clamp():
 def test_config_validation():
     with pytest.raises(ValueError):
         GaConfig(population_size=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="generations must be at least 1"):
         GaConfig(generations=-1)
     with pytest.raises(ValueError, match="rng_seed must be nonnegative"):
         GaConfig(rng_seed=-1)
@@ -571,14 +571,17 @@ def test_run_with_elitism_never_backslides(plume_db, plume_target, plume_rows):
     assert min(series) == series[-1]
 
 
-def test_run_with_zero_generations_scores_the_initial_population(
+def test_run_with_one_generation_scores_the_initial_population(
     plume_db, plume_target, plume_rows
 ):
-    cfg = GaConfig(population_size=6, generations=0, rng_seed=1)
+    cfg = GaConfig(population_size=6, generations=1, rng_seed=1)
     history = run(cfg, plume_db, plume_target, plume_rows)
     assert len(history) == 1
     assert history.records[0].generation == 1
     assert _inside(history.records[0].best)
+    # zero generations would score nothing, so it is refused, not run as one
+    with pytest.raises(ValueError, match="generations must be at least 1"):
+        GaConfig(population_size=6, generations=0, rng_seed=1)
 
 
 # ---------------------------------------------------------------- history

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from romga import (
-    CavityParams,
     DivergenceError,
     Grid,
     ParamKind,
@@ -150,21 +149,31 @@ def test_velocity_divergence_shrinks_at_second_order():
 def test_cavity_snapshots_obey_the_maximum_principle():
     grid = _grid()
     times = TimeAxis(12, 6.0)
-    (matrix,) = solve_cavity([CavityParams(0.6, 30.0)], grid, times)
+    (matrix,) = solve_cavity([30.0], grid, times, vary=ParamKind.TEMPERATURE)
     assert matrix.values.min() >= 15.0 - 1e-9
     assert matrix.values.max() <= 35.0 + 1e-9
 
 
-def test_cavity_defaults_are_the_held_inflow_values():
-    assert CavityParams() == CavityParams(0.57, 15.0)
+def test_the_two_series_meet_at_the_held_run():
+    # a velocity series holds the inlet temperature, a temperature series the
+    # velocity: each at the value the other series holds, they solve one run
+    grid = _grid(16, 16)
+    times = TimeAxis(6, 3.0)
+    u, theta = surrogate.INLET_VELOCITY, surrogate.INLET_TEMPERATURE
+    (velocity,) = solve_cavity([u], grid, times, vary=ParamKind.VELOCITY)
+    (temperature,) = solve_cavity([theta], grid, times, vary=ParamKind.TEMPERATURE)
+    assert np.array_equal(velocity.values, temperature.values)
+    assert (velocity.param_kind, velocity.param_value) == (ParamKind.VELOCITY, u)
+    assert (temperature.param_kind, temperature.param_value) == (ParamKind.TEMPERATURE, theta)
+    assert np.array_equal(velocity.values, _reference_cavity(u, theta, grid, times))
 
 
 def test_cavity_uniform_case_stays_exactly_constant(monkeypatch):
-    # the cold walls and the initial field are already at 15
+    # the cold walls, the initial field and the held inlet are already at 15
     monkeypatch.setattr(surrogate, "THETA_HOT", 15.0)
     grid = _grid(16, 16)
     times = TimeAxis(8, 4.0)
-    (matrix,) = solve_cavity([CavityParams(0.0, 15.0)], grid, times)
+    (matrix,) = solve_cavity([0.0], grid, times)
     assert np.all(matrix.values == 15.0)
 
 
@@ -172,7 +181,7 @@ def test_cavity_first_snapshot_is_the_initial_field(monkeypatch):
     monkeypatch.setattr(surrogate, "THETA_COLD", 17.0)
     grid = _grid(16, 16)
     times = TimeAxis(6, 3.0)
-    (matrix,) = solve_cavity([CavityParams(0.5, 20.0)], grid, times)
+    (matrix,) = solve_cavity([0.5], grid, times)
     assert np.all(matrix.values[:, 0] == 17.0)
     assert matrix.values.shape == (16 * 16, 6)
 
@@ -181,7 +190,7 @@ def test_cavity_fields_vary_smoothly_with_velocity():
     grid = _grid(20, 20)
     times = TimeAxis(10, 8.0)
     velocities = (0.51, 0.52, 0.798)
-    runs = solve_cavity([CavityParams(u, 15.0) for u in velocities], grid, times)
+    runs = solve_cavity(velocities, grid, times)
     final = {u: run.values[:, -1] for u, run in zip(velocities, runs)}
     near = np.linalg.norm(final[0.51] - final[0.52]) / np.linalg.norm(final[0.51])
     far = np.linalg.norm(final[0.51] - final[0.798]) / np.linalg.norm(final[0.51])
@@ -191,27 +200,24 @@ def test_cavity_fields_vary_smoothly_with_velocity():
 def test_cavity_inlet_temperature_enters_affinely():
     # the advected scalar is linear in its boundary data, so the solution at
     # theta = 15 must equal the average of the theta = 5 and theta = 25 runs;
-    # the batched call blends its middle member from the other two, so the
-    # scheme is checked on theta = 15 solved alone
+    # the series blends its middle run from the other two, so the scheme is
+    # checked on theta = 15 solved alone
     grid = _grid(16, 16)
     times = TimeAxis(8, 5.0)
     low, mid, high = (
         run.values
-        for run in solve_cavity(
-            [CavityParams(0.57, theta) for theta in (5.0, 15.0, 25.0)],
-            grid, times, vary=ParamKind.TEMPERATURE,
-        )
+        for run in solve_cavity([5.0, 15.0, 25.0], grid, times, vary=ParamKind.TEMPERATURE)
     )
-    (alone,) = solve_cavity([CavityParams(0.57, 15.0)], grid, times, vary=ParamKind.TEMPERATURE)
+    (alone,) = solve_cavity([15.0], grid, times, vary=ParamKind.TEMPERATURE)
     blend = 0.5 * (low + high)
     assert np.abs(alone.values - blend).max() < 1e-10
     assert np.abs(mid - blend).max() < 1e-10
 
 
-def _reference_cavity(params, grid, times, cfl=0.9):
-    """The cavity scheme for one member as a plain loop in the solver's coefficient form."""
+def _reference_cavity(velocity, inlet, grid, times, cfl=0.9):
+    """The cavity scheme for one run as a plain loop in the solver's coefficient form."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    u_flat, v_flat = recirculating_velocity(params.inlet_velocity, grid)
+    u_flat, v_flat = recirculating_velocity(velocity, grid)
     u, v = u_flat.reshape(ny, nx), v_flat.reshape(ny, nx)
     cold, hot, kappa = surrogate.THETA_COLD, surrogate.THETA_HOT, surrogate.KAPPA
     rw = kappa / dx**2 + np.maximum(u, 0.0) / dx
@@ -222,7 +228,7 @@ def _reference_cavity(params, grid, times, cfl=0.9):
     dt_target = cfl / float(rate.max())
     y_col = grid.cell_centers()[1].reshape(ny, nx)[:, 0]
     padded = np.empty((ny + 2, nx + 2))
-    padded[1:-1, 0] = np.where(y_col > 0.9 * grid.ly, params.inlet_temperature, cold)
+    padded[1:-1, 0] = np.where(y_col > 0.9 * grid.ly, inlet, cold)
     padded[1:-1, -1] = cold
     padded[0, 1:-1] = hot
     padded[-1, 1:-1] = cold
@@ -243,10 +249,10 @@ def _reference_cavity(params, grid, times, cfl=0.9):
     return out
 
 
-def _textbook_cavity(params, grid, times, cfl=0.9):
-    """The cavity scheme for one member as separate upwind advection and diffusion terms."""
+def _textbook_cavity(velocity, inlet, grid, times, cfl=0.9):
+    """The cavity scheme for one run as separate upwind advection and diffusion terms."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    u_flat, v_flat = recirculating_velocity(params.inlet_velocity, grid)
+    u_flat, v_flat = recirculating_velocity(velocity, grid)
     u, v = u_flat.reshape(ny, nx), v_flat.reshape(ny, nx)
     u_pos, u_neg = np.maximum(u, 0.0), np.minimum(u, 0.0)
     v_pos, v_neg = np.maximum(v, 0.0), np.minimum(v, 0.0)
@@ -254,7 +260,7 @@ def _textbook_cavity(params, grid, times, cfl=0.9):
     rate = np.abs(u) / dx + np.abs(v) / dy + 2.0 * kappa * (1.0 / dx**2 + 1.0 / dy**2)
     dt_target = cfl / float(rate.max())
     y_col = grid.cell_centers()[1].reshape(ny, nx)[:, 0]
-    west = np.where(y_col > 0.9 * grid.ly, params.inlet_temperature, cold)
+    west = np.where(y_col > 0.9 * grid.ly, inlet, cold)
     field = np.full((ny, nx), cold)
     padded = np.empty((ny + 2, nx + 2))
     out = np.empty((grid.n_cells, times.n_steps))
@@ -281,18 +287,19 @@ def _textbook_cavity(params, grid, times, cfl=0.9):
     return out
 
 
-# five velocities, so the members take different substep counts (one stands
-# still), each with its own inlet temperature
-MIXED_ENSEMBLE = (
-    CavityParams(0.51, 15.0),
-    CavityParams(0.798, 30.0),
-    CavityParams(0.627, 5.0),
-    CavityParams(0.0, 25.0),
-    CavityParams(0.57, 22.0),
-)
+# (velocity, inlet temperature) pairs: five velocities, so the members take
+# different substep counts (one stands still), each with its own inlet
+MIXED_ENSEMBLE = ((0.51, 15.0), (0.798, 30.0), (0.627, 5.0), (0.0, 25.0), (0.57, 22.0))
 
 # the shared physics, as surrogate's defaults and with every constant changed
 PHYSICS = ({}, {"THETA_COLD": 10.0, "THETA_HOT": 40.0, "KAPPA": 3e-3})
+
+
+def _advanced(pairs, grid, times):
+    """Each pair's run from one call of the batched kernel, as (n_cells, n_steps) values."""
+    velocities, inlets = zip(*pairs)
+    records = surrogate._advance(velocities, inlets, grid, times)
+    return [record.reshape(times.n_steps, grid.n_cells).T for record in records]
 
 
 def test_batched_members_equal_each_member_solved_alone(monkeypatch):
@@ -302,22 +309,19 @@ def test_batched_members_equal_each_member_solved_alone(monkeypatch):
         with monkeypatch.context() as patch:
             for name, value in physics.items():
                 patch.setattr(surrogate, name, value)
-            batched = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
+            batched = _advanced(MIXED_ENSEMBLE, grid, times)
             assert len(batched) == len(MIXED_ENSEMBLE)
-            for params, run in zip(MIXED_ENSEMBLE, batched):
-                (alone,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
-                assert run.equals(alone)
-                assert run.param_value == params.inlet_temperature
-                assert np.array_equal(alone.values, _reference_cavity(params, grid, times))
+            for pair, run in zip(MIXED_ENSEMBLE, batched):
+                (alone,) = _advanced([pair], grid, times)
+                assert np.array_equal(run, alone)
+                assert np.array_equal(alone, _reference_cavity(*pair, grid, times))
 
             order = (3, 0, 4, 2, 1)
-            permuted = solve_cavity(
-                [MIXED_ENSEMBLE[i] for i in order], grid, times, vary=ParamKind.TEMPERATURE
-            )
+            permuted = _advanced([MIXED_ENSEMBLE[i] for i in order], grid, times)
             for i, run in zip(order, permuted):
-                assert run.equals(batched[i])
+                assert np.array_equal(run, batched[i])
 
-    with pytest.raises(ValueError, match="at least one member"):
+    with pytest.raises(ValueError, match="at least one value"):
         solve_cavity([], grid, times)
 
 
@@ -330,10 +334,10 @@ def test_members_agree_with_the_textbook_scheme(monkeypatch):
         with monkeypatch.context() as patch:
             for name, value in physics.items():
                 patch.setattr(surrogate, name, value)
-            runs = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
-            for params, run in zip(MIXED_ENSEMBLE, runs):
-                textbook = _textbook_cavity(params, grid, times)
-                assert np.abs(run.values - textbook).max() <= 1e-13 * np.abs(textbook).max()
+            runs = _advanced(MIXED_ENSEMBLE, grid, times)
+            for pair, run in zip(MIXED_ENSEMBLE, runs):
+                textbook = _textbook_cavity(*pair, grid, times)
+                assert np.abs(run - textbook).max() <= 1e-13 * np.abs(textbook).max()
 
 
 def test_full_cfl_keeps_the_maximum_principle_and_batched_equality(monkeypatch):
@@ -341,14 +345,14 @@ def test_full_cfl_keeps_the_maximum_principle_and_batched_equality(monkeypatch):
     monkeypatch.setattr(surrogate, "CFL", 1.0)
     grid = Grid(14, 12, 1.04, 0.9)
     times = TimeAxis(7, 4.0)
-    batched = solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
-    for params, run in zip(MIXED_ENSEMBLE, batched):
-        bounds = (surrogate.THETA_HOT, surrogate.THETA_COLD, params.inlet_temperature)
-        assert run.values.min() >= min(bounds) - 1e-9
-        assert run.values.max() <= max(bounds) + 1e-9
-        (alone,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
-        assert run.equals(alone)
-        assert np.array_equal(alone.values, _reference_cavity(params, grid, times, cfl=1.0))
+    batched = _advanced(MIXED_ENSEMBLE, grid, times)
+    for (velocity, inlet), run in zip(MIXED_ENSEMBLE, batched):
+        bounds = (surrogate.THETA_HOT, surrogate.THETA_COLD, inlet)
+        assert run.min() >= min(bounds) - 1e-9
+        assert run.max() <= max(bounds) + 1e-9
+        (alone,) = _advanced([(velocity, inlet)], grid, times)
+        assert np.array_equal(run, alone)
+        assert np.array_equal(alone, _reference_cavity(velocity, inlet, grid, times, cfl=1.0))
 
 
 def test_solver_work_arrays_start_on_a_cache_line():
@@ -366,22 +370,27 @@ def test_solver_work_arrays_start_on_a_cache_line():
 def test_cavity_parameter_tagging_follows_vary():
     grid = _grid(16, 16)
     times = TimeAxis(4, 2.0)
-    params = CavityParams(0.6, 22.0)
-    (a,) = solve_cavity([params], grid, times, vary=ParamKind.VELOCITY)
+    (a,) = solve_cavity([0.6], grid, times, vary=ParamKind.VELOCITY)
     assert (a.param_kind, a.param_value) == (ParamKind.VELOCITY, 0.6)
-    (b,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
+    (b,) = solve_cavity([22.0], grid, times, vary=ParamKind.TEMPERATURE)
     assert (b.param_kind, b.param_value) == (ParamKind.TEMPERATURE, 22.0)
     with pytest.raises(ValueError):
-        solve_cavity([params], grid, times, vary=ParamKind.SYNTHETIC)
+        solve_cavity([0.6], grid, times, vary=ParamKind.SYNTHETIC)
 
 
-def test_cavity_validation():
-    with pytest.raises(ValueError):
-        CavityParams(-0.1, 15.0)
-    for name in ("inlet_velocity", "inlet_temperature"):
+def test_cavity_validation(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("nothing may run before the values are checked")
+
+    monkeypatch.setattr(surrogate, "_advance", no_run)
+    grid, times = _grid(8, 8), TimeAxis(4, 1.0)
+    with pytest.raises(ValueError, match="inlet_velocity must be nonnegative"):
+        solve_cavity([0.5, -0.1], grid, times)
+    for vary, name in ((ParamKind.VELOCITY, "inlet_velocity"),
+                       (ParamKind.TEMPERATURE, "inlet_temperature")):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                CavityParams(**{"inlet_velocity": 0.5, "inlet_temperature": 15.0, name: bad})
+                solve_cavity([0.5, bad], grid, times, vary=vary)
 
 
 def test_a_field_that_overflows_stops_the_solver(monkeypatch):
@@ -391,22 +400,22 @@ def test_a_field_that_overflows_stops_the_solver(monkeypatch):
     monkeypatch.setattr(surrogate, "THETA_HOT", 1e308)
     monkeypatch.setattr(surrogate, "THETA_COLD", -1e308)
     with pytest.raises(DivergenceError, match=r"^non-finite values at t = 0\.333333s$"):
-        solve_cavity([CavityParams(0.5, 0.0)], _grid(8, 8), TimeAxis(4, 1.0))
+        solve_cavity([0.5], _grid(8, 8), TimeAxis(4, 1.0))
 
 
-def _solo(params, grid, times):
-    (run,) = solve_cavity([params], grid, times, vary=ParamKind.TEMPERATURE)
+def _solo(theta, grid, times):
+    (run,) = solve_cavity([theta], grid, times, vary=ParamKind.TEMPERATURE)
     return run
 
 
 def _count_advanced(monkeypatch):
-    """Record the member count of every batched ``_advance`` call."""
+    """Record the run count of every batched ``_advance`` call."""
     seen = []
     advance = surrogate._advance
 
-    def counting(members, *args):
-        seen.append(len(members))
-        return advance(members, *args)
+    def counting(velocities, *args):
+        seen.append(len(velocities))
+        return advance(velocities, *args)
 
     monkeypatch.setattr(surrogate, "_advance", counting)
     return seen
@@ -417,27 +426,26 @@ def test_an_inlet_temperature_group_advances_its_extremes_and_blends_the_rest(mo
     times = TimeAxis(9, 6.0)
     temps = (20.0, 5.0, 12.5, 25.0, 10.0)  # the extremes are neither first nor last
     # each run changes one shared constant, which must reach the blended
-    # members as it reaches the advanced ones
+    # runs as it reaches the advanced ones
     shared = {"default": {}, "cold": {"THETA_COLD": 10.0}, "hot": {"THETA_HOT": 45.0},
               "kappa": {"KAPPA": 4e-3}}
-    members = [CavityParams(0.57, t) for t in temps]
     runs = {}
     for name, setting in shared.items():
         with monkeypatch.context() as patch:
             for constant, value in setting.items():
                 patch.setattr(surrogate, constant, value)
-            runs[name] = solve_cavity(members, grid, times, vary=ParamKind.TEMPERATURE)
-            for params, run in zip(members, runs[name]):
-                alone = _solo(params, grid, times)
-                assert run.param_value == params.inlet_temperature
-                if params.inlet_temperature in (5.0, 25.0):
+            runs[name] = solve_cavity(temps, grid, times, vary=ParamKind.TEMPERATURE)
+            for theta, run in zip(temps, runs[name]):
+                alone = _solo(theta, grid, times)
+                assert run.param_value == theta
+                if theta in (5.0, 25.0):
                     assert run.equals(alone), name
                 else:
                     scale = np.abs(alone.values).max()
                     assert np.abs(run.values - alone.values).max() <= 1e-13 * scale, name
                 # the extremes agree on the initial field, so the blend keeps it exactly
                 assert np.all(run.values[:, 0] == surrogate.THETA_COLD), name
-                bounds = (surrogate.THETA_HOT, surrogate.THETA_COLD, params.inlet_temperature)
+                bounds = (surrogate.THETA_HOT, surrogate.THETA_COLD, theta)
                 assert run.values.min() >= min(bounds) - 1e-12, name
                 assert run.values.max() <= max(bounds) + 1e-12, name
     for i, default in enumerate(runs["default"]):
@@ -463,25 +471,12 @@ def test_only_inlet_temperature_groups_are_blended(monkeypatch, tmp_path, capsys
 
     seen.clear()
     grid, times = Grid(14, 12, 1.04, 0.9), TimeAxis(7, 4.0)
-    solve_cavity(MIXED_ENSEMBLE, grid, times, vary=ParamKind.TEMPERATURE)
-    pair = [CavityParams(0.57, 5.0), CavityParams(0.57, 25.0)]
-    solve_cavity(pair, grid, times, vary=ParamKind.TEMPERATURE)
-    # two groups of three next to a group of two and two lone members: each
-    # group of three keeps its extremes, the others are all advanced
-    mixed = [CavityParams(0.57, t) for t in (5.0, 15.0, 25.0)] + [
-        CavityParams(0.6, t) for t in (10.0, 20.0, 30.0)
-    ] + [CavityParams(0.5, t) for t in (5.0, 25.0)] + [
-        CavityParams(u, 15.0) for u in (0.65, 0.7)
-    ]
-    runs = solve_cavity(mixed, grid, times, vary=ParamKind.TEMPERATURE)
+    solve_cavity([5.0, 25.0], grid, times, vary=ParamKind.TEMPERATURE)
     # a span of inlet temperatures beyond the float range is not blended
-    huge = [CavityParams(0.57, t) for t in (-1e308, 0.0, 1e308)]
+    huge = (-1e308, 0.0, 1e308)
     middle = solve_cavity(huge, grid, times, vary=ParamKind.TEMPERATURE)[1]
-    assert seen == [5, 2, 8, 3]
+    assert seen == [2, 3]
     assert middle.equals(_solo(huge[1], grid, times))
-    for params, run in zip(mixed, runs):
-        alone = _solo(params, grid, times)
-        assert np.abs(run.values - alone.values).max() <= 1e-13 * np.abs(alone.values).max()
 
 
 def test_equal_members_each_get_their_own_record(monkeypatch):
@@ -494,12 +489,11 @@ def test_equal_members_each_get_their_own_record(monkeypatch):
         ((25.0, 5.0, 25.0, 5.0, 15.0, 15.0), 2, (15.0,)),
     ):
         seen.clear()
-        members = [CavityParams(0.57, t) for t in temps]
-        runs = solve_cavity(members, grid, times, vary=ParamKind.TEMPERATURE)
+        runs = solve_cavity(temps, grid, times, vary=ParamKind.TEMPERATURE)
         assert seen == [advanced]
-        for params, run in zip(members, runs):
-            alone = _solo(params, grid, times)
-            if params.inlet_temperature in blended:
+        for theta, run in zip(temps, runs):
+            alone = _solo(theta, grid, times)
+            if theta in blended:
                 assert np.abs(run.values - alone.values).max() <= 1e-13 * 35.0
             else:
                 assert run.equals(alone)
