@@ -10,9 +10,9 @@ at the recovered genes and reports:
 
 Artifacts go to OUTDIR/<campaign>/, named after each target's %g form as
 datagen names the target files (--targets 0.540 reads target_0.54.snp1).
-Each campaign prints a recovery table and the wall times of its datagen and
-compress, all timed after one warm-up SVD per shape the campaigns factorize;
---digest prints one sorted
+Each campaign prints a recovery table, the wall times of its datagen and
+compress, all timed after one warm-up SVD per shape the campaigns factorize,
+and the ranks r and s that compress built; --digest prints one sorted
 ``sha256  relative-path`` line per file under OUTDIR instead, so two
 checkouts wrote byte-identical artifacts exactly when their digests diff empty.
 
@@ -32,6 +32,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 import sys
 import time
 from contextlib import redirect_stdout
@@ -73,6 +74,8 @@ class Row(NamedTuple):
 class Campaign(NamedTuple):
     datagen_s: float  # wall time of datagen, training runs and targets
     compress_s: float  # wall time of compress
+    r: int  # ranks of the ROM's global spatial and temporal bases, as compress printed them
+    s: int
     rows: list[Row]  # one per target
 
 
@@ -85,7 +88,7 @@ WARMUP_SHAPES = ((1600, 60), (1600, 50), (60, 50), (2304, 150), (2304, 90), (150
 
 HEADER = "{:>7}  recovered  miss % ne_t ne_x   m      cost  max L2 %  time s"
 ROW = "{:7.3f} {:10.4f} {:7.2f} {:4d} {:4d} {:3d} {:9.3e} {:9.3f} {:7.1f}"
-SETUP = "set-up: datagen {:.2f} s, compress {:.2f} s"
+SETUP = "set-up: datagen {:.2f} s, compress {:.2f} s, r={}, s={}"
 
 
 def run_cli(argv: list[str]) -> str:
@@ -119,9 +122,10 @@ def run_campaign(root: Path, name: str, targets=None) -> Campaign:
     root.mkdir(parents=True, exist_ok=True)
     _, datagen_s = _timed(["datagen", *datagen, "--target", ",".join(targets), "--out", str(root)])
     rom = str(root / "db.rom1")
-    _, compress_s = _timed(
+    compressed, compress_s = _timed(
         ["compress", "--snapshots", str(root / "manifest.txt"), "--q", q, "--out", rom]
     )
+    r, s = (int(v) for v in re.search(r" r=(\d+), s=(\d+) ", compressed).groups())
     rows = []
     for value in targets:
         truth, tag = float(value), f"{float(value):g}"
@@ -141,7 +145,7 @@ def run_campaign(root: Path, name: str, targets=None) -> Campaign:
         rows.append(Row(truth, delta, 100 * abs(delta - truth) / truth,
                         *(int(genes[k]) for k in ("ne_t", "ne_x", "m")), float(genes["cost"]),
                         float(errors.max()), seconds))
-    return Campaign(datagen_s, compress_s, rows)
+    return Campaign(datagen_s, compress_s, r, s, rows)
 
 
 # Bounds of the tolerance standard: how far an artifact may move from its
@@ -286,7 +290,7 @@ def main() -> None:
         if not args.digest:
             print(name, HEADER.format(CAMPAIGNS[name][3]), sep="\n")
             print(*(ROW.format(*row) for row in done.rows), sep="\n")
-            print(SETUP.format(done.datagen_s, done.compress_s) + "\n")
+            print(SETUP.format(done.datagen_s, done.compress_s, done.r, done.s) + "\n")
     if args.digest:
         files = {p.relative_to(args.outdir).as_posix(): p
                  for p in args.outdir.rglob("*") if p.is_file()}

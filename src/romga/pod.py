@@ -14,10 +14,9 @@ each sample is reduced to the pair of small projection blocks
 so that Y_k ~ spatial_basis @ spatial_block_k @ temporal_block_k.T
 @ temporal_basis.T. The blocks are what the barycentric interpolation
 operates on; the two global bases never change between queries. r and s
-are the numerical ranks of the two stacked matrices: the directions whose
-singular values lie at rounding level are dropped, since every sample
-rebuilds to rounding without them and every lift and search cost would
-carry them.
+count the singular values of the stacked matrices above sigma_1 * RANK_RTOL,
+far above rounding: the dropped directions carry about 1e-10 of a sample,
+which no result uses but every lift and search cost would pay for.
 
 SVD signs are pinned deterministically: within each left singular vector the
 entry of largest magnitude is made nonnegative (first index wins ties), with
@@ -49,6 +48,8 @@ _MAGIC = b"ROM1"
 _VERSION = 2
 # magic, version, q, r, s, n_params, nx, ny, n_steps, lx, ly, t_final, param_kind
 _HEADER = struct.Struct("<4sIIIIIIIQdddB")
+# level-2 singular values at or below sigma_1 * RANK_RTOL are dropped
+RANK_RTOL = 1e-10
 
 
 def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> None:
@@ -186,19 +187,18 @@ class RomDatabase:
         return float(self.params[0]), float(self.params[-1])
 
 
-def _numerical_rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
-    """Singular values above numpy's matrix_rank tolerance, at least one."""
-    return max(1, int(np.count_nonzero(sv > sv[0] * max(shape) * np.finfo(sv.dtype).eps)))
+def _numerical_rank(sv: np.ndarray) -> int:
+    """Singular values above sv[0] * RANK_RTOL, at least one."""
+    return max(1, int(np.count_nonzero(sv > sv[0] * RANK_RTOL)))
 
 
 def two_level_compress(pairs) -> RomDatabase:
     """Compress an ensemble of per-sample factorizations into a RomDatabase.
 
-    The ranks r and s of the global spatial and temporal bases are the
-    numerical ranks of the stacked spatial modes and temporal coefficients:
-    the count of singular values above sigma_1 * max(rows, cols) * eps, the
-    default tolerance of np.linalg.matrix_rank, and at least 1. That keeps
-    the stacked column spaces to rounding.
+    The ranks r and s of the global spatial and temporal bases count the
+    singular values of the stacked spatial modes and temporal coefficients
+    above sigma_1 * RANK_RTOL, at least 1. Each sample then rebuilds its
+    rank-q factorization to about RANK_RTOL, relative.
 
     Parameters
     ----------
@@ -225,8 +225,7 @@ def two_level_compress(pairs) -> RomDatabase:
     stacked_temporal = np.hstack([p.temporal_coeffs for p in pairs])
     us, svs, vts = np.linalg.svd(stacked_spatial, full_matrices=False)
     ut, svt, vtt = np.linalg.svd(stacked_temporal, full_matrices=False)
-    r = _numerical_rank(svs, stacked_spatial.shape)
-    s = _numerical_rank(svt, stacked_temporal.shape)
+    r, s = _numerical_rank(svs), _numerical_rank(svt)
     spatial_basis, temporal_basis = us[:, :r], ut[:, :s]
     _fix_svd_signs(spatial_basis, vts[:r])
     _fix_svd_signs(temporal_basis, vtt[:s])

@@ -486,7 +486,7 @@ def test_reduced_cost_rejects_mismatched_factors(plume_projection):
     r, s = plume_projection.factor.shape[1], plume_projection.projected.shape[1]
     spatial, temporal = np.zeros((r, 4)), np.zeros((s, 4))
     assert reduced_cost(spatial, temporal, plume_projection) > 0.0
-    for bad in ((spatial[:49], temporal), (spatial, temporal[:1]), (spatial, temporal[:, :3])):
+    for bad in ((spatial[:r - 1], temporal), (spatial, temporal[:1]), (spatial, temporal[:, :3])):
         with pytest.raises(ValueError):
             reduced_cost(*bad, plume_projection)
 

@@ -27,6 +27,7 @@ from romga import (
     two_level_compress,
     write_rom,
 )
+from romga.pod import RANK_RTOL
 
 HEADER = struct.Struct("<4sIIIIIIIQdddB")
 
@@ -181,8 +182,8 @@ def test_compress_ensemble_sorts_by_parameter(rng):
 
 
 def test_default_rank_clips_to_matrix_dimensions(rng):
-    # r and s default to the numerical ranks of the stacked factors, which
-    # random samples fill: min(q * n_params, n_cells) and min(q * n_params, n_steps)
+    # r and s are the numerical ranks of the stacked factors, which random
+    # samples fill: min(q * n_params, n_cells) and min(q * n_params, n_steps)
     for n_cells, n_steps, q, n_params, ranks in (
         (40, 12, 3, 2, (6, 6)),
         (6, 12, 2, 5, (6, 10)),
@@ -212,9 +213,28 @@ def test_default_ranks_are_the_numerical_ranks_of_the_stacked_factors(plume_matr
     for mats, q in ensembles:
         pairs = [pod_factorize(m, q) for m in mats]
         db = two_level_compress(pairs)
-        stacked = (np.hstack([p.spatial_modes for p in pairs]),
-                   np.hstack([p.temporal_coeffs for p in pairs]))
-        assert (db.r, db.s) == tuple(np.linalg.matrix_rank(m) for m in stacked)
+        for rank, attr in ((db.r, "spatial_modes"), (db.s, "temporal_coeffs")):
+            sv = np.linalg.svd(np.hstack([getattr(p, attr) for p in pairs]), compute_uv=False)
+            assert sv[rank - 1] > sv[0] * RANK_RTOL
+            assert rank == sv.size or sv[rank] <= sv[0] * RANK_RTOL
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ranks_hold_when_every_singular_value_moves_by_1e_15_of_the_largest(plume_matrices, sign):
+    # an SVD that differs at rounding moves each level-2 singular value by about
+    # 1e-16 * sigma_1; ten times that, on both sides of the threshold, moves no rank
+    pairs = [pod_factorize(m, 10) for m in plume_matrices]
+    db = two_level_compress(pairs)
+    sides = []
+    for attr in ("spatial_modes", "temporal_coeffs"):
+        u, sv, vt = np.linalg.svd(np.hstack([getattr(p, attr) for p in pairs]), full_matrices=False)
+        moved = (u * np.maximum(sv + sign * 1e-15 * sv[0], 0.0)) @ vt
+        sides.append(np.hsplit(moved, len(pairs)))
+    perturbed = two_level_compress(
+        dataclasses.replace(p, spatial_modes=a, temporal_coeffs=b)
+        for p, a, b in zip(pairs, *sides)
+    )
+    assert (perturbed.r, perturbed.s) == (db.r, db.s)
 
 
 def test_a_rank_deficient_ensemble_keeps_its_rank_and_rebuilds(rng):

@@ -45,6 +45,7 @@ def test_series_script_recovers_a_target_named_with_trailing_zeros(tmp_path):
     setup = lines[header + 2].split()
     assert setup[:2] == ["set-up:", "datagen"] and setup[4] == "compress"
     assert float(setup[2]) > 0.0 and float(setup[5]) > 0.0
+    assert setup[7:] == ["r=88,", "s=51"]  # the ranks compress printed
     workdir = tmp_path / "runs" / "series1"
     for name in ("target_0.54.snp1", "history_0.54.csv", "pred_0.54.snp1",
                  "report_0.54/error_series.csv"):
