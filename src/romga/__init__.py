@@ -26,7 +26,6 @@ from .errors import (
 from .genetic import Chromosome, GaConfig, GaHistory, read_history_csv, run
 from .objective import l2_error_series, project_target, reduced_cost
 from .pod import (
-    PodPair,
     RomDatabase,
     compress_ensemble,
     pod_factorize,

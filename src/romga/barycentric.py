@@ -29,6 +29,7 @@ neighbors are a contiguous window of rows, summed as one slice.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -51,12 +52,6 @@ class BarycentricResult(NamedTuple):
     # constants, not fields: perfbench/layers.py::_interp reads them
     iterations = 1
     converged = True
-
-
-def _nearest_first(params: np.ndarray, delta_new: float) -> np.ndarray:
-    """All indices of ``params``, nearest to ``delta_new`` first, ties to the smaller value."""
-    # lexsort keys: primary |distance|, secondary the value itself for ties
-    return np.lexsort((params, np.abs(params - delta_new)))
 
 
 def lagrange_weights(nodes, delta_new: float) -> np.ndarray:
@@ -159,10 +154,10 @@ def interpolate_reduced(
 
     Aligns the ne_x nearest spatial and the ne_t nearest temporal neighbor
     blocks, truncated to their first m columns, to the truncated block pair
-    of the training sample nearest to the query, and returns their sums
-    weighted by the Lagrange weights on the neighbor parameter values. The
-    genes are keyword-only, so the two neighbor counts cannot be swapped by
-    position.
+    of the training sample nearest to the query, the smaller value on a
+    tie, and returns their sums weighted by the Lagrange weights on the
+    neighbor parameter values. The genes are keyword-only, so the two
+    neighbor counts cannot be swapped by position.
 
     ``aligned`` holds what earlier queries on the same database computed:
     one aligned-block table per ``(side, nearest, m)``, side ``"x"`` or
@@ -188,8 +183,11 @@ def interpolate_reduced(
         raise ValueError(f"query {delta!r} outside the training hull [{lo!r}, {hi!r}]")
 
     aligned = {} if aligned is None else aligned
-    j = int(_nearest_first(db.params, delta)[0])
     values = db.params.tolist()
+    # the nearest sample is one of the two around delta, the left one on a tie as in _window
+    j = bisect_left(values, delta)
+    if j > 0 and delta - values[j - 1] <= values[j] - delta:
+        j -= 1
     sides = (("x", db.spatial_blocks, ne_x), ("t", db.temporal_blocks, ne_t))
     return BarycentricResult(*[
         _interpolate_factor(side, stack, j, ne, values, float(delta), m, aligned)

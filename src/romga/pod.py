@@ -18,6 +18,11 @@ count the singular values of the stacked matrices above sigma_1 * RANK_RTOL,
 far above rounding: the dropped directions carry about 1e-10 of a sample,
 which no result uses but every lift and search cost would pay for.
 
+pod_factorize returns the two factor arrays alone and two_level_compress
+takes them as plain lists: compress_ensemble is the one place that holds a
+sample's grid, time axis, kind and value, and checks each sample against the
+first before factorizing it.
+
 SVD signs are pinned deterministically: within each left singular vector the
 entry of largest magnitude is made nonnegative (first index wins ties), with
 the matching right singular vector flipped to preserve the product.
@@ -64,38 +69,7 @@ def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> None:
     vt *= signs[:, None]
 
 
-@dataclass(frozen=True, eq=False)
-class PodPair:
-    """Rank-q factorization of one sample: values ~ spatial_modes @ temporal_coeffs.T.
-
-    spatial_modes has orthonormal columns; temporal_coeffs carries the
-    singular values, so its column norms are the singular values themselves.
-    Sample metadata rides along for later reassembly.
-    """
-
-    spatial_modes: np.ndarray   # (n_cells, q)
-    temporal_coeffs: np.ndarray  # (n_steps, q)
-    grid: Grid
-    times: TimeAxis
-    param_kind: ParamKind
-    param_value: float
-
-    def __post_init__(self) -> None:
-        s = _frozen_array(self.spatial_modes)
-        t = _frozen_array(self.temporal_coeffs)
-        if s.ndim != 2 or t.ndim != 2:
-            raise ValueError("malformed factor shapes")
-        if t.shape[1] != s.shape[1]:
-            raise ValueError("factor ranks disagree")
-        object.__setattr__(self, "spatial_modes", s)
-        object.__setattr__(self, "temporal_coeffs", t)
-
-    @property
-    def q(self) -> int:
-        return int(self.spatial_modes.shape[1])
-
-
-def pod_factorize(matrix: SnapshotMatrix, q: int) -> PodPair:
+def pod_factorize(matrix: SnapshotMatrix, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated SVD of one snapshot matrix at order ``q``.
 
     Parameters
@@ -107,23 +81,20 @@ def pod_factorize(matrix: SnapshotMatrix, q: int) -> PodPair:
 
     Returns
     -------
-    PodPair
-        With ``spatial_modes`` the first q left singular vectors (signs
+    (spatial_modes, temporal_coeffs) : (n_cells, q) and (n_steps, q) C-order arrays
+        ``spatial_modes`` holds the first q left singular vectors (signs
         pinned), ``temporal_coeffs`` the matching right singular vectors
-        scaled by their singular values. The reconstruction error satisfies
+        scaled by their singular values, so its column norms are the
+        singular values. Each owns its memory: the SVD's factors are dropped.
         ||Y - S @ T.T||_F**2 == sum of the squared discarded singular values.
     """
-    n_cells, n_steps = matrix.values.shape
-    limit = min(n_cells, n_steps)
+    limit = min(matrix.values.shape)
     if not 1 <= q <= limit:
         raise ValueError(f"q must lie in [1, {limit}], got {q}")
     u, sv, vt = np.linalg.svd(matrix.values, full_matrices=False)
     spatial, temporal = u[:, :q], vt[:q]
     _fix_svd_signs(spatial, temporal)
-    temporal = temporal.T * sv[:q]
-    return PodPair(
-        spatial, temporal, matrix.grid, matrix.times, matrix.param_kind, matrix.param_value
-    )
+    return np.ascontiguousarray(spatial), np.ascontiguousarray(temporal.T * sv[:q])
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,52 +163,32 @@ def _numerical_rank(sv: np.ndarray) -> int:
     return max(1, int(np.count_nonzero(sv > sv[0] * RANK_RTOL)))
 
 
-def two_level_compress(pairs) -> RomDatabase:
-    """Compress an ensemble of per-sample factorizations into a RomDatabase.
+def two_level_compress(spatial_modes, temporal_coeffs) -> tuple[np.ndarray, ...]:
+    """Compress per-sample factorizations into two global bases and per-sample blocks.
 
-    The ranks r and s of the global spatial and temporal bases count the
-    singular values of the stacked spatial modes and temporal coefficients
-    above sigma_1 * RANK_RTOL, at least 1. Each sample then rebuilds its
-    rank-q factorization to about RANK_RTOL, relative.
+    ``spatial_modes`` and ``temporal_coeffs`` are sequences holding each
+    sample's (n_cells, q) and (n_steps, q) factors, listed in one order. The
+    ranks r and s of the global spatial and temporal bases count the singular
+    values of the stacked factors above sigma_1 * RANK_RTOL, at least 1. Each
+    sample then rebuilds its rank-q factorization to about RANK_RTOL, relative.
 
-    Parameters
-    ----------
-    pairs : sequence of PodPair
-        One factorization per sample, all with identical grid, time axis,
-        parameter kind and order q, listed in strictly increasing order of
-        their parameter values.
+    Returns ``(spatial_basis, temporal_basis, spatial_blocks,
+    temporal_blocks)``: the (n_cells, r) and (n_steps, s) bases and the
+    lists of (r, q) and (s, q) blocks, in the order of the samples.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one factorized sample")
-    first = pairs[0]
-    q = first.q
-    for p in pairs:
-        if p.q != q:
-            raise ValueError("all samples must share the same order q")
-        if p.grid != first.grid or p.times != first.times:
-            raise ValueError("all samples must share grid and time axis")
-        if p.param_kind != first.param_kind:
-            raise ValueError("all samples must share the parameter kind")
-    params = np.array([p.param_value for p in pairs])  # RomDatabase checks the order
-
-    stacked_spatial = np.hstack([p.spatial_modes for p in pairs])
-    stacked_temporal = np.hstack([p.temporal_coeffs for p in pairs])
+    stacked_spatial = np.hstack(spatial_modes)
+    stacked_temporal = np.hstack(temporal_coeffs)
     us, svs, vts = np.linalg.svd(stacked_spatial, full_matrices=False)
     ut, svt, vtt = np.linalg.svd(stacked_temporal, full_matrices=False)
     r, s = _numerical_rank(svs), _numerical_rank(svt)
     spatial_basis, temporal_basis = us[:, :r], ut[:, :s]
     _fix_svd_signs(spatial_basis, vts[:r])
     _fix_svd_signs(temporal_basis, vtt[:s])
-    return RomDatabase(
+    return (
         spatial_basis,
         temporal_basis,
-        [spatial_basis.T @ p.spatial_modes for p in pairs],
-        [temporal_basis.T @ p.temporal_coeffs for p in pairs],
-        params,
-        first.grid,
-        first.times,
-        first.param_kind,
+        [spatial_basis.T @ modes for modes in spatial_modes],
+        [temporal_basis.T @ coeffs for coeffs in temporal_coeffs],
     )
 
 
@@ -245,13 +196,25 @@ def compress_ensemble(matrices, q: int) -> RomDatabase:
     """Factorize and compress an ensemble of SnapshotMatrix in one call.
 
     ``matrices`` may be any iterable, a generator included: each matrix is
-    factorized as it arrives and dropped, so only its PodPair stays alive
+    checked against the first one's grid, time axis and parameter kind,
+    factorized as it arrives and dropped, so only its factors stay alive
     and a generator that reads samples from disk holds one at a time. The
-    pairs are sorted by parameter value and handed to two_level_compress,
-    which derives the ranks r and s.
+    factors are sorted by parameter value and handed to two_level_compress,
+    which derives the ranks r and s; RomDatabase rejects a repeated value.
     """
-    pairs = sorted((pod_factorize(m, q) for m in matrices), key=lambda p: p.param_value)
-    return two_level_compress(pairs)
+    samples, shared = [], None
+    for matrix in matrices:
+        if shared is None:
+            shared = (matrix.grid, matrix.times, matrix.param_kind)
+        if (matrix.grid, matrix.times) != shared[:2]:
+            raise ValueError("all samples must share grid and time axis")
+        if matrix.param_kind != shared[2]:
+            raise ValueError("all samples must share the parameter kind")
+        samples.append((matrix.param_value, *pod_factorize(matrix, q)))
+    if shared is None:
+        raise ValueError("need at least one sample")
+    params, spatial_modes, temporal_coeffs = zip(*sorted(samples, key=lambda sample: sample[0]))
+    return RomDatabase(*two_level_compress(spatial_modes, temporal_coeffs), params, *shared)
 
 
 def reconstruct_field(db: RomDatabase, spatial: np.ndarray, temporal: np.ndarray) -> np.ndarray:

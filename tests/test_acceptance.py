@@ -106,8 +106,8 @@ def test_criterion_2_truncation_error_equals_the_singular_tail():
         sv = np.linalg.svd(values, compute_uv=False)
         scale = float(np.linalg.norm(values))
         for q in range(1, min(nx * ny, n_steps) + 1):
-            pair = pod_factorize(matrix, q)
-            err = float(np.linalg.norm(values - pair.spatial_modes @ pair.temporal_coeffs.T))
+            spatial, temporal = pod_factorize(matrix, q)
+            err = float(np.linalg.norm(values - spatial @ temporal.T))
             tail = float(np.sqrt((sv[q:] ** 2).sum()))
             worst = max(worst, abs(err - tail) / scale)
     print(f"criterion 2: worst |error - tail| = {worst:.3e} of scale (bar 1e-10)")

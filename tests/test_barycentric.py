@@ -24,9 +24,14 @@ from romga import (
     reconstruct_field,
     reconstruct_sample,
 )
-from romga.barycentric import _nearest_first, _window
+from romga.barycentric import _window
 
 PARAMS = np.array([0.2, 0.3, 0.4, 0.5, 0.6])
+
+
+def _nearest_first(params, delta):
+    """Reference order: all indices, nearest by float64 distance first, ties to the smaller value."""
+    return np.lexsort((params, np.abs(params - delta)))
 
 
 def random_orthogonal(rng, n):
@@ -89,6 +94,14 @@ def test_the_neighbors_skip_no_nearer_sample():
         rows = np.stack([(block @ procrustes_align(reference, block)).ravel(), reference.ravel()])
         assert np.array_equal(factor, (weights @ rows).reshape(-1, 3))
     assert _neighbor_choice(db, 0.9, 2, 2) == (2, [1, 2], [1, 2])
+
+
+def test_the_frame_is_the_nearest_sample_where_distances_round_equal():
+    # 0 and 1e-300 both lie 0.05 from the query as float64 distances, but
+    # 1e-300 is strictly nearer: the tables are keyed by it, not by 0 as a
+    # sort by rounded distance and then value has it
+    db = _random_db(params=(0.0, 1e-300, 1.0))
+    assert _neighbor_choice(db, 0.05, 2, 2) == (1, [0, 1], [0, 1])
 
 
 @given(

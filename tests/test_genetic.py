@@ -28,7 +28,6 @@ from romga import (
     run,
 )
 from romga import barycentric, genetic
-from romga.barycentric import _nearest_first
 from romga.genetic import (
     HISTORY_COLUMNS,
     GenerationRecord,
@@ -377,7 +376,8 @@ def test_shared_rotations_change_no_cost(
 
 def _windows(db, delta, ne_x, ne_t, m):
     """((side, nearest, m), neighbors) per factor a query sums, neighbors the ne nearest, sorted."""
-    order = _nearest_first(db.params, delta)
+    # nearest by float64 distance first, ties to the smaller value
+    order = np.lexsort((db.params, np.abs(db.params - delta)))
     j = int(order[0])
     sides = (("x", ne_x), ("t", ne_t))
     return [((side, j, m), tuple(sorted(order[:ne].tolist()))) for side, ne in sides]
