@@ -147,10 +147,12 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
         raise ValueError("training parameter values must be pairwise distinct")
 
     targets = ns.target or ()
-    target_names = [f"target_{value:g}.snp1" for value in targets]
+    target_name = "target_{:g}.snp1".format
+    target_names = [target_name(value) for value in targets]
     clashes = [v for v, name in zip(targets, target_names) if target_names.count(name) > 1]
     if clashes:
         raise ValueError(f"target values {clashes} would overwrite each other's target file")
+    targets = sorted(targets)  # the solver takes a strictly increasing series
     manifest_lines = []
     written: list[Path] = []
     try:
@@ -162,8 +164,8 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
         manifest = out / MANIFEST_NAME
         _write_file(manifest, "manifest", [("\n".join(manifest_lines) + "\n").encode("utf-8")])
         written.append(manifest)
-        for name, matrix in zip(target_names, make(targets) if targets else ()):
-            path = out / name
+        for value, matrix in zip(targets, make(targets) if targets else ()):
+            path = out / target_name(value)
             write_snapshots(matrix, path)
             written.append(path)
     except BaseException:

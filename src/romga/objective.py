@@ -62,12 +62,14 @@ def project_target(db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray) ->
     gram = temporal.T @ temporal
     root_w = np.sqrt(db.grid.cell_area)
     q, factor = np.linalg.qr(root_w * db.spatial_basis[rows])
-    weighted = root_w * target.values[rows]
-    # einsum sums over the mask rows in one fixed order; a threaded BLAS
-    # product would split them by thread count and move the search's costs
-    projected = np.einsum("ki,kj->ij", q, weighted @ temporal)
-    leftover = weighted - (q @ projected) @ temporal.T
-    residual = float(np.sum(leftover * leftover))
+    # a piece that overflows is reported below, not by numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = root_w * target.values[rows]
+        # einsum sums over the mask rows in one fixed order; a threaded BLAS
+        # product would split them by thread count and move the search's costs
+        projected = np.einsum("ki,kj->ij", q, weighted @ temporal)
+        leftover = weighted - (q @ projected) @ temporal.T
+        residual = float(np.sum(leftover * leftover))
     pieces = (gram, factor, projected, residual)
     if not all(np.isfinite(piece).all() for piece in pieces):
         raise np.linalg.LinAlgError("target projection is not finite")
@@ -113,13 +115,20 @@ def l2_error_series(predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
 
     e[l] = 100 * ||predicted[:, l] - target[:, l]|| / ||target[:, l]||.
     Column-major copies fix the summation order whatever the inputs' layout.
-    Raises ValueError when shapes differ or a target column has zero norm.
+    Raises ValueError when shapes differ or a target column has zero norm,
+    and np.linalg.LinAlgError when an error is not finite, as when the
+    fields overflow it.
     """
     predicted = np.asfortranarray(predicted, dtype=np.float64)
     target = np.asfortranarray(target, dtype=np.float64)
     if predicted.shape != target.shape or predicted.ndim != 2:
         raise ValueError("predicted and target must share a 2D shape")
-    denom = np.linalg.norm(target, axis=0)
-    if np.any(denom == 0.0):
-        raise ValueError("target columns must have nonzero norm")
-    return 100.0 * np.linalg.norm(predicted - target, axis=0) / denom
+    # an error that overflows is reported below, not by numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = np.linalg.norm(target, axis=0)
+        if np.any(denom == 0.0):
+            raise ValueError("target columns must have nonzero norm")
+        errors = 100.0 * np.linalg.norm(predicted - target, axis=0) / denom
+    if not np.isfinite(errors).all():
+        raise np.linalg.LinAlgError("per-instant error is not finite")
+    return errors

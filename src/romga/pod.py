@@ -103,6 +103,7 @@ class RomDatabase:
 
     The constructor keeps C-order copies of the arrays it is given; read_rom
     hands over views of the one buffer it read, which are kept themselves.
+    Every array must be finite, so a database that is written can be read.
     """
 
     spatial_basis: np.ndarray     # (n_cells, r), orthonormal columns
@@ -118,7 +119,7 @@ class RomDatabase:
         params = _frozen_array(self.params)
         if params.ndim != 1 or params.size < 1:
             raise ValueError("params must be a nonempty 1D array")
-        if not np.isfinite(params).all():
+        if not _all_finite(params):
             raise ValueError("params must be finite")
         if np.any(np.diff(params) <= 0.0):
             raise ValueError("params must be strictly increasing")
@@ -133,6 +134,8 @@ class RomDatabase:
         for name, arr, shape in zip(names, arrays, shapes):
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            if not _all_finite(arr):
+                raise ValueError(f"{name} holds a non-finite value")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "param_kind", ParamKind(self.param_kind))
@@ -276,8 +279,6 @@ def read_rom(path) -> RomDatabase:
         path, "ROM file", _MAGIC, _VERSION, _HEADER,
         lambda q, r, s, n, nx, ny, nt, *_: n + nx * ny * r + nt * s + n * q * (r + s),
     )
-    if not _all_finite(data):
-        raise CorruptionError(f"{path}: payload holds a non-finite value")
     # C-order views of the one payload, which RomDatabase keeps without a copy
     ends = np.cumsum([n_params, nx * ny * r, n_steps * s, n_params * r * q])
     shapes = ((n_params,), (nx * ny, r), (n_steps, s), (n_params, r, q), (n_params, s, q))

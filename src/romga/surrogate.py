@@ -131,14 +131,13 @@ def solve_cavity(
     A temperature series is affine in the inlet temperature: the update is
     linear in the field and in the ghost values, and only the inlet ghosts
     depend on it. So of three or more values spanning a finite range, only
-    the lowest and highest are advanced; every other run is built in its own
+    the first and last are advanced; every other run is built in its own
     buffer as ``f_lo + lam * (f_hi - f_lo)`` with ``lam = (theta - theta_lo)
     / (theta_hi - theta_lo)``. Cells where the two extremes agree (the
     initial snapshot, cells the inlet has not reached) stay exact, and the
     blend keeps the maximum principle to rounding; elsewhere it differs from
     the run solved alone by rounding only (about 1e-16 of the field's norm on
-    the series-2 preset). A value equal to an advanced one gets its own copy
-    of that record.
+    the series-2 preset).
 
     The advanced runs move together in one batch, each with its own
     velocity, time step and substep count, and each bit-identical to that
@@ -147,7 +146,7 @@ def solve_cavity(
     Parameters
     ----------
     values : sequence of float
-        The varied inflow value of each run; at least one.
+        The varied inflow value of each run: at least one, strictly increasing.
     grid, times : Grid, TimeAxis
         Output sampling. Internal substeps are sized from ``CFL`` times each
         run's stability bound and land exactly on each sampling instant.
@@ -163,8 +162,9 @@ def solve_cavity(
     Raises
     ------
     ValueError
-        If ``values`` is empty or holds a non-finite value or a negative
-        velocity, or ``vary`` is neither VELOCITY nor TEMPERATURE.
+        If ``values`` is empty, holds a non-finite value or a negative
+        velocity, or is not strictly increasing, or ``vary`` is neither
+        VELOCITY nor TEMPERATURE.
     DivergenceError
         If any recorded snapshot contains non-finite values, or a run's
         stability rate or substep count overflows.
@@ -180,6 +180,8 @@ def solve_cavity(
             raise ValueError(f"{name} must be finite, got {value!r}")
         if vary == ParamKind.VELOCITY and value < 0.0:
             raise ValueError("inlet_velocity must be nonnegative")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} values must be strictly increasing, got {values}")
 
     if vary == ParamKind.VELOCITY:
         records = _advance(values, (INLET_TEMPERATURE,) * len(values), grid, times)
@@ -195,27 +197,20 @@ def solve_cavity(
 def _temperature_series(
     temps: tuple[float, ...], grid: Grid, times: TimeAxis
 ) -> list[np.ndarray]:
-    """One record per inlet temperature: the extremes advanced, the other runs blended."""
+    """One record per inlet temperature: the first and last advanced, the rest blended."""
     # a span that overflows would turn every lam into 0
-    if len(temps) < 3 or not math.isfinite(max(temps) - min(temps)):
-        return _advance((INLET_VELOCITY,) * len(temps), temps, grid, times)
-    lo, hi = temps.index(min(temps)), temps.index(max(temps))
-    ends = sorted({lo, hi})  # a single run when every value is equal
-    solved = _advance((INLET_VELOCITY,) * len(ends), [temps[i] for i in ends], grid, times)
-    records = dict(zip(ends, solved))
-    theta_lo, theta_hi = temps[lo], temps[hi]
-    for i, theta in enumerate(temps):
-        if i in records:
-            continue
-        if theta == theta_lo or theta == theta_hi:
-            records[i] = records[lo if theta == theta_lo else hi].copy()
-            continue
+    if len(temps) < 3 or not math.isfinite(temps[-1] - temps[0]):
+        return list(_advance((INLET_VELOCITY,) * len(temps), temps, grid, times))
+    theta_lo, theta_hi = temps[0], temps[-1]
+    low, high = _advance((INLET_VELOCITY,) * 2, (theta_lo, theta_hi), grid, times)
+    records = [low]
+    for theta in temps[1:-1]:
         lam = (theta - theta_lo) / (theta_hi - theta_lo)
-        blend = np.subtract(records[hi], records[lo])
+        blend = np.subtract(high, low)
         blend *= lam
-        blend += records[lo]
-        records[i] = blend
-    return [records[i] for i in range(len(temps))]
+        blend += low
+        records.append(blend)
+    return [*records, high]
 
 
 def _aligned_zeros(*shape: int) -> np.ndarray:
@@ -232,8 +227,8 @@ def _aligned_zeros(*shape: int) -> np.ndarray:
 
 def _advance(
     velocities: Sequence[float], inlets: Sequence[float], grid: Grid, times: TimeAxis
-) -> list[np.ndarray]:
-    """The batched kernel of ``solve_cavity``: one (n_steps, ny, nx) record per run.
+) -> np.ndarray:
+    """The batched kernel of ``solve_cavity``: a (k, n_steps, ny, nx) block, one record per run.
 
     Run i recirculates at ``velocities[i]`` with its inlet patch at
     ``inlets[i]``. The runs share one padded ``(k, ny + 2, nx + 2)`` buffer,
@@ -307,9 +302,8 @@ def _advance(
     dt = np.empty((k, 1))
 
     instants = times.instants()
-    records = [np.empty((times.n_steps, ny, nx)) for _ in range(k)]
-    for i, record in enumerate(records):
-        record[0] = padded[i, 1:-1, 1:-1]
+    records = np.empty((k, times.n_steps, ny, nx))
+    records[:, 0] = padded[:, 1:-1, 1:-1]
     # a field that leaves the finite range is reported by the check below,
     # not by numpy's overflow warnings along the way
     with np.errstate(over="ignore", invalid="ignore"):
@@ -338,6 +332,5 @@ def _advance(
             interior = padded[:, 1:-1, 1:-1]
             if not np.isfinite(interior).all():
                 raise DivergenceError(f"non-finite values at t = {instants[l]:.6g}s")
-            for i, record in enumerate(records):
-                record[l] = interior[i]
+            records[:, l] = interior
     return records

@@ -705,6 +705,21 @@ def test_datagen_rejects_targets_that_would_share_a_file(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_datagen_target_files_do_not_depend_on_the_order_of_the_targets(tmp_path, capsys):
+    # the targets are solved as one increasing series, each named by its value
+    small = ["--nx", "12", "--ny", "12", "--snapshots", "6", "--tfinal", "3"]
+    written = {}
+    for targets in ("22.5,7.5,17.5", "7.5,17.5,22.5"):
+        out = tmp_path / targets
+        out.mkdir()
+        argv = ["datagen", "--preset", "series2-temperature", *small, "--target", targets]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        written[targets] = {p.name: p.read_bytes() for p in out.glob("target_*.snp1")}
+    capsys.readouterr()
+    assert sorted(written["7.5,17.5,22.5"]) == [f"target_{v}.snp1" for v in ("17.5", "22.5", "7.5")]
+    assert written["22.5,7.5,17.5"] == written["7.5,17.5,22.5"]
+
+
 def test_a_failed_report_writes_nothing(pipeline, tmp_path, capsys):
     history = tmp_path / "history.csv"
     history.write_text(",".join(HISTORY_COLUMNS) + "\n1,0.4,3,2,5,0.25,1.5\n", encoding="utf-8")
@@ -891,6 +906,30 @@ def test_numerical_failures_exit_with_three(tmp_path, capsys):
         assert cli.main([*base, *flags, "--out", str(out)]) == 3, flags
         assert capsys.readouterr().err == f"numerical failure: {message}\n", flags
     assert list(out.iterdir()) == []
+
+
+def test_a_target_that_overflows_the_projection_or_the_error_exits_three(
+    pipeline, tmp_path, capsys
+):
+    # a finite target whose squares overflow stops optimize and report, with no
+    # numpy warning on the way (pytest turns any warning into an error)
+    target = read_snapshots(pipeline / "target_0.375.snp1")
+    huge = tmp_path / "huge.snp1"
+    write_snapshots(SnapshotMatrix(target.grid, target.times, target.param_kind,
+                                   target.param_value, target.values * 1e300), huge)
+    out = tmp_path / "out"
+    out.mkdir()
+    optimize = ["optimize", "--rom", str(pipeline / "db.rom1"), "--target", str(huge),
+                "--pop", "6", "--gens", "2", "--seed", "3", "--out", str(out / "history.csv")]
+    report = ["report", "--predicted", str(huge), "--target", str(pipeline / "target_0.375.snp1"),
+              "--out", str(out)]
+    for argv, message in (
+        (optimize, "target projection is not finite"),
+        (report, "per-instant error is not finite"),
+    ):
+        assert cli.main(argv) == 3, argv[0]
+        assert capsys.readouterr().err == f"numerical failure: {message}\n", argv[0]
+        assert list(out.iterdir()) == [], argv[0]
 
 
 def test_nan_in_a_stored_block_is_rejected_at_load(pipeline, tmp_path, capsys):

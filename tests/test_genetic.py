@@ -514,11 +514,16 @@ def test_projection_rejects_what_it_cannot_score(plume_db, plume_target, plume_r
     off_grid = analytic_plume(PlumeParams(0.4, sigma=0.3), wider_grid, plume_times)
     with pytest.raises(ValueError, match="grid/time axis does not match"):
         project_target(plume_db, off_grid, plume_rows)
+    # a basis holding a NaN is refused when the database is built; a finite
+    # target whose squares overflow is refused by the projection, with no
+    # numpy warning on the way
     broken = np.array(plume_db.spatial_basis)
     broken[plume_rows[0], 0] = np.nan
-    poisoned = dataclasses.replace(plume_db, spatial_basis=broken)
-    with pytest.raises(np.linalg.LinAlgError):
-        project_target(poisoned, plume_target, plume_rows)
+    with pytest.raises(ValueError, match="spatial_basis holds a non-finite value"):
+        dataclasses.replace(plume_db, spatial_basis=broken)
+    huge = dataclasses.replace(plume_target, values=plume_target.values * 1e300)
+    with pytest.raises(np.linalg.LinAlgError, match="target projection is not finite"):
+        project_target(plume_db, huge, plume_rows)
     # rows build_mask cannot return: none would make every prediction cost
     # the same, a repeated row would count its cell twice
     empty = np.array([], dtype=np.int64)

@@ -443,11 +443,16 @@ def test_rom_read_rejects_damage(tmp_path, rng):
     no_samples.write_bytes(HEADER.pack(*fields) + payload)
     with pytest.raises(CorruptionError, match=r"params must be a nonempty 1D array"):
         read_rom(no_samples)
-    # read_rom stops a non-finite payload first; a database built in memory
-    # with such a parameter is refused before it can be written
+    # a database built in memory with a non-finite parameter or array entry is
+    # refused before it can be written, as read_rom refuses one read from a file
     for value in (np.inf, np.nan):
         with pytest.raises(ValueError, match="params must be finite"):
             dataclasses.replace(db, params=np.array([value]))
+        for name in ("spatial_basis", "temporal_basis", "spatial_blocks", "temporal_blocks"):
+            poisoned = np.array(getattr(db, name))
+            poisoned.flat[-1] = value
+            with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
+                dataclasses.replace(db, **{name: poisoned})
 
     with pytest.raises(PersistenceError):
         read_rom(tmp_path / "absent.rom1")

@@ -170,3 +170,31 @@ def test_against_fails_a_history_out_of_bounds(plume_campaign, tmp_path, column,
 def test_against_a_missing_directory_exits_two(plume_campaign, tmp_path):
     # an empty comparison would otherwise pass
     _run_script("campaign.py", "absent", "--against", str(plume_campaign), cwd=tmp_path, code=2)
+
+
+def test_code_lines_skips_blank_comment_and_docstring_lines(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import math  # a trailing comment\n"
+        "\n"
+        "\n"
+        "class Box:\n"
+        '    """One line."""\n'
+        "\n"
+        "    def area(self):\n"
+        "        '''A docstring\n"
+        "        in single quotes.'''\n"
+        "        text = '''a string that is\n"
+        "        not a docstring'''\n"
+        "        return math.pi, text\n",
+        encoding="utf-8",
+    )
+    (package / "sub" / "empty.py").write_text("# nothing but a comment\n", encoding="utf-8")
+    out = _run_script("code_lines.py", str(package), cwd=tmp_path)
+    # import, class, def, the two lines of the assigned string, return
+    assert out.splitlines() == ["     6  mod.py", "     0  sub/empty.py", "     6  total"]
+    _run_script("code_lines.py", str(tmp_path / "absent"), cwd=tmp_path, code=2)

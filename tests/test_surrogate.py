@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -424,7 +425,7 @@ def _count_advanced(monkeypatch):
 def test_an_inlet_temperature_group_advances_its_extremes_and_blends_the_rest(monkeypatch):
     grid = Grid(14, 12, 1.04, 0.9)
     times = TimeAxis(9, 6.0)
-    temps = (20.0, 5.0, 12.5, 25.0, 10.0)  # the extremes are neither first nor last
+    temps = (5.0, 10.0, 12.5, 20.0, 25.0)
     # each run changes one shared constant, which must reach the blended
     # runs as it reaches the advanced ones
     shared = {"default": {}, "cold": {"THETA_COLD": 10.0}, "hot": {"THETA_HOT": 45.0},
@@ -448,6 +449,9 @@ def test_an_inlet_temperature_group_advances_its_extremes_and_blends_the_rest(mo
                 bounds = (surrogate.THETA_HOT, surrogate.THETA_COLD, theta)
                 assert run.values.min() >= min(bounds) - 1e-12, name
                 assert run.values.max() <= max(bounds) + 1e-12, name
+            # each run owns its own part of memory, whether advanced or blended
+            for a, b in itertools.combinations(runs[name], 2):
+                assert not np.shares_memory(a.values, b.values), name
     for i, default in enumerate(runs["default"]):
         ref = default.values
         cold, hot, kappa = (runs[name][i].values for name in ("cold", "hot", "kappa"))
@@ -479,23 +483,17 @@ def test_only_inlet_temperature_groups_are_blended(monkeypatch, tmp_path, capsys
     assert middle.equals(_solo(huge[1], grid, times))
 
 
-def test_equal_members_each_get_their_own_record(monkeypatch):
-    seen = _count_advanced(monkeypatch)
-    grid, times = Grid(12, 12, 1.04, 1.04), TimeAxis(6, 3.0)
-    # (inlet temperatures, members advanced, temperatures blended)
-    for temps, advanced, blended in (
-        ((15.0, 15.0, 15.0), 1, ()),
-        ((15.0, 15.0), 2, ()),
-        ((25.0, 5.0, 25.0, 5.0, 15.0, 15.0), 2, (15.0,)),
+def test_a_series_that_is_not_strictly_increasing_is_refused(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("nothing may run before the values are checked")
+
+    monkeypatch.setattr(surrogate, "_advance", no_run)
+    grid, times = _grid(8, 8), TimeAxis(4, 1.0)
+    for vary, name, series in (
+        (ParamKind.VELOCITY, "inlet_velocity", ([0.6, 0.5, 0.7], [0.5, 0.5])),
+        (ParamKind.TEMPERATURE, "inlet_temperature", ([25.0, 5.0, 15.0], [5.0, 15.0, 15.0, 25.0])),
     ):
-        seen.clear()
-        runs = solve_cavity(temps, grid, times, vary=ParamKind.TEMPERATURE)
-        assert seen == [advanced]
-        for theta, run in zip(temps, runs):
-            alone = _solo(theta, grid, times)
-            if theta in blended:
-                assert np.abs(run.values - alone.values).max() <= 1e-13 * 35.0
-            else:
-                assert run.equals(alone)
-        for a, b in itertools.combinations(runs, 2):
-            assert not np.shares_memory(a.values, b.values)
+        for values in series:
+            message = f"{name} values must be strictly increasing, got {tuple(values)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                solve_cavity(values, grid, times, vary=vary)
