@@ -15,14 +15,7 @@ from .dataset import (
     read_snapshots,
     write_snapshots,
 )
-from .errors import (
-    CorruptionError,
-    DivergenceError,
-    EmptyMaskError,
-    FormatError,
-    PersistenceError,
-    RomgaError,
-)
+from .errors import DivergenceError, PersistenceError, RomgaError
 from .genetic import Chromosome, GaConfig, GaHistory, read_history_csv, run
 from .objective import l2_error_series, project_target, reduced_cost
 from .pod import (

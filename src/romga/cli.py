@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -153,26 +156,28 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
     if clashes:
         raise ValueError(f"target values {clashes} would overwrite each other's target file")
     targets = sorted(targets)  # the solver takes a strictly increasing series
-    manifest_lines = []
-    written: list[Path] = []
+    # Every file is written into a staging directory and moved into --out
+    # only once all are written, the manifest first, so a failed run leaves
+    # --out as it was.
+    manifest_lines, names = [], [MANIFEST_NAME]
     try:
-        for i, (value, matrix) in enumerate(zip(train_values, make(train_values))):
-            name = f"train_{i:02d}_{value:g}.snp1"
-            write_snapshots(matrix, out / name)
-            written.append(out / name)
-            manifest_lines.append(f"{ParamKind(kind).name.lower()},{value!r},{name}")
-        manifest = out / MANIFEST_NAME
-        _write_file(manifest, "manifest", [("\n".join(manifest_lines) + "\n").encode("utf-8")])
-        written.append(manifest)
-        for value, matrix in zip(targets, make(targets) if targets else ()):
-            path = out / target_name(value)
-            write_snapshots(matrix, path)
-            written.append(path)
-    except BaseException:
-        # a failed run leaves none of the files it wrote behind
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+        staging = Path(tempfile.mkdtemp(prefix=".datagen.", dir=out))
+        try:
+            for i, (value, matrix) in enumerate(zip(train_values, make(train_values))):
+                names.append(f"train_{i:02d}_{value:g}.snp1")
+                write_snapshots(matrix, staging / names[-1])
+                manifest_lines.append(f"{ParamKind(kind).name.lower()},{value!r},{names[-1]}")
+            manifest = staging / MANIFEST_NAME
+            _write_file(manifest, "manifest", [("\n".join(manifest_lines) + "\n").encode("utf-8")])
+            for value, matrix in zip(targets, make(targets) if targets else ()):
+                names.append(target_name(value))
+                write_snapshots(matrix, staging / names[-1])
+            for name in names:
+                os.replace(staging / name, out / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+    except OSError as exc:  # making the staging directory or moving a file out of it
+        raise PersistenceError(out, f"cannot write the dataset ({exc})") from exc
 
     print(
         f"wrote {len(train_values)} training runs and {len(targets)} target runs to {out}"

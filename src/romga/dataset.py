@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptionError, EmptyMaskError, FormatError, PersistenceError
+from .errors import PersistenceError
 
 _MAGIC = b"SNP1"
 _VERSION = 1
@@ -221,9 +221,10 @@ def _read_file(path, what: str, magic: bytes, version: int, header: struct.Struc
     """Header fields after magic and version, and the float64 payload they size.
 
     The payload of ``n_floats(*fields)`` floats is checked against the file
-    size before it is allocated, then read once. Raises FormatError on a bad
-    magic/version, CorruptionError on a size mismatch and PersistenceError
-    naming ``what`` when the file cannot be read.
+    size before it is allocated, then read once. Raises ValueError, its
+    message starting with ``path``, on a bad magic/version or a size
+    mismatch, and PersistenceError naming ``what`` when the file cannot be
+    read.
     """
     tag = magic.decode("ascii")
     try:
@@ -231,24 +232,24 @@ def _read_file(path, what: str, magic: bytes, version: int, header: struct.Struc
             size = os.fstat(handle.fileno()).st_size
             head = handle.read(header.size)
             if len(head) < 4:
-                raise CorruptionError(f"{path}: file shorter than its magic tag")
+                raise ValueError(f"{path}: file shorter than its magic tag")
             if head[:4] != magic:
                 # "an SNP1 file" is read letter by letter, "a ROM1 file" as a word
-                raise FormatError(f"{path}: not {'an' if tag[0] == 'S' else 'a'} {tag} file")
+                raise ValueError(f"{path}: not {'an' if tag[0] == 'S' else 'a'} {tag} file")
             if len(head) < header.size:
-                raise CorruptionError(f"{path}: truncated header")
+                raise ValueError(f"{path}: truncated header")
             _, found, *fields = header.unpack(head)
             if found != version:
-                raise FormatError(f"{path}: unsupported {tag} version {found}")
+                raise ValueError(f"{path}: unsupported {tag} version {found}")
             expected = 8 * n_floats(*fields)
             if size - header.size != expected:
-                raise CorruptionError(
+                raise ValueError(
                     f"{path}: payload holds {size - header.size} bytes, header implies {expected}"
                 )
             payload = np.empty(expected // 8, dtype="<f8")
             got = handle.readinto(payload)
             if got != expected:
-                raise CorruptionError(f"{path}: read {got} payload bytes, header implies {expected}")
+                raise ValueError(f"{path}: read {got} payload bytes, header implies {expected}")
     except OSError as exc:
         raise PersistenceError(path, f"cannot read {what} ({exc})") from exc
     return fields, payload
@@ -321,8 +322,9 @@ def read_snapshots(path) -> SnapshotMatrix:
     """Load a SnapshotMatrix from an SNP1 file, validating all invariants.
 
     The payload is read once by _read_file, into the array the matrix keeps.
-    Raises FormatError on a bad magic/version, CorruptionError when header
-    and payload disagree, PersistenceError when the file cannot be read.
+    Raises ValueError, its message starting with ``path``, on a bad
+    magic/version or when header and payload disagree, and PersistenceError
+    when the file cannot be read.
     """
     (nx, ny, n_steps, lx, ly, t_final, kind, value), payload = _read_file(
         path, "snapshot file", _MAGIC, _VERSION, _HEADER, lambda nx, ny, n, *_: nx * ny * n
@@ -333,14 +335,14 @@ def read_snapshots(path) -> SnapshotMatrix:
         values = payload.reshape((nx * ny, n_steps), order="F")
         return _adopt(grid, times, ParamKind(kind), value, values)
     except ValueError as exc:
-        raise CorruptionError(f"{path}: inconsistent header or payload ({exc})") from exc
+        raise ValueError(f"{path}: inconsistent header or payload ({exc})") from exc
 
 
 def build_mask(grid: Grid, rect) -> np.ndarray:
     """Increasing int64 row indices of the cells with center strictly inside ``rect``.
 
     ``rect`` is (x_min, x_max, y_min, y_max). Raises ValueError for a
-    degenerate rectangle and EmptyMaskError when no center lies inside.
+    degenerate rectangle and when no center lies inside.
     """
     x_min, x_max, y_min, y_max = (float(v) for v in rect)
     if not (x_min < x_max and y_min < y_max):
@@ -349,5 +351,5 @@ def build_mask(grid: Grid, rect) -> np.ndarray:
     inside = (cx > x_min) & (cx < x_max) & (cy > y_min) & (cy < y_max)
     indices = np.flatnonzero(inside)
     if indices.size == 0:
-        raise EmptyMaskError(f"rectangle {rect} contains no cell centers")
+        raise ValueError(f"rectangle {rect} contains no cell centers")
     return indices

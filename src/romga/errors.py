@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
-Plain argument violations raise the builtin ValueError; the classes here
-cover failures that deserve their own identity at the CLI boundary
-(file-format problems map to exit code 2, numerical blowups to exit code 3).
+A rejected input raises the builtin ValueError: a bad argument, an empty
+observation window, or a damaged or foreign file, whose message then
+starts with the file's path. The classes here cover only the failures the
+command line treats differently from a ValueError: an unreadable or
+unwritable file (exit code 2, the file named) and a numerical blowup
+(exit code 3, beside numpy's LinAlgError).
 """
 
 
@@ -15,18 +18,6 @@ class PersistenceError(RomgaError):
 
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
-
-
-class FormatError(RomgaError):
-    """File is not in the expected binary format (bad magic or version)."""
-
-
-class CorruptionError(RomgaError):
-    """File has the right format tag but inconsistent or damaged content."""
-
-
-class EmptyMaskError(RomgaError):
-    """Requested observation rectangle contains no cell centers."""
 
 
 class DivergenceError(RomgaError):

@@ -8,7 +8,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import SnapshotMatrix
-from .errors import EmptyMaskError
 from .pod import RomDatabase
 
 # Largest entry of |T.T @ T - I| that reduced_cost's identity with the lifted
@@ -36,12 +35,12 @@ def project_target(db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray) ->
     """Project the ``rows`` of ``target`` onto the bases of ``db``, once per search.
 
     ``rows`` are the observed cells, as build_mask returns them: a 1D,
-    strictly increasing integer array. Raises EmptyMaskError when ``rows``
-    is empty, ValueError when the target or the rows do not fit the
-    database (the target must vary the database's parameter kind, on its
-    grid and time axis) or the temporal basis columns are not orthonormal
-    (reduced_cost relies on T.T @ T = I), and np.linalg.LinAlgError when a
-    projected piece is not finite.
+    strictly increasing integer array. Raises ValueError when ``rows`` is
+    empty, when the target or the rows do not fit the database (the target
+    must vary the database's parameter kind, on its grid and time axis) or
+    when the temporal basis columns are not orthonormal (reduced_cost
+    relies on T.T @ T = I), and np.linalg.LinAlgError when a projected
+    piece is not finite.
     """
     if target.grid != db.grid or target.times != db.times:
         raise ValueError("target snapshot grid/time axis does not match the ROM")
@@ -53,7 +52,7 @@ def project_target(db: RomDatabase, target: SnapshotMatrix, rows: np.ndarray) ->
     if rows.ndim != 1 or rows.dtype.kind not in "iu":
         raise ValueError(f"mask rows must be a 1D integer array, got {rows.dtype} {rows.shape}")
     if rows.size == 0:
-        raise EmptyMaskError("mask selects no cells, so every prediction would cost the same")
+        raise ValueError("mask selects no cells, so every prediction would cost the same")
     if np.any(rows[1:] <= rows[:-1]):
         raise ValueError("mask rows must be strictly increasing")
     if rows[0] < 0 or rows[-1] >= db.grid.n_cells:

@@ -47,7 +47,6 @@ from .dataset import (
     _read_file,
     _write_file,
 )
-from .errors import CorruptionError
 
 _MAGIC = b"ROM1"
 _VERSION = 2
@@ -273,7 +272,8 @@ def write_rom(db: RomDatabase, path) -> None:
 def read_rom(path) -> RomDatabase:
     """Load a RomDatabase from a ROM1 file, validating header consistency.
 
-    A payload holding a NaN or an infinity raises CorruptionError.
+    A damaged or foreign file, or a payload holding a NaN or an infinity,
+    raises ValueError with a message that starts with ``path``.
     """
     (q, r, s, n_params, nx, ny, n_steps, lx, ly, t_final, kind), data = _read_file(
         path, "ROM file", _MAGIC, _VERSION, _HEADER,
@@ -292,4 +292,4 @@ def read_rom(path) -> RomDatabase:
             ParamKind(kind),
         )
     except ValueError as exc:
-        raise CorruptionError(f"{path}: inconsistent header or payload ({exc})") from exc
+        raise ValueError(f"{path}: inconsistent header or payload ({exc})") from exc

@@ -15,8 +15,7 @@ import pytest
 
 from romga import (
     Chromosome,
-    CorruptionError,
-    FormatError,
+    DivergenceError,
     GaHistory,
     GaConfig,
     Grid,
@@ -618,7 +617,7 @@ def test_usage_problems_exit_with_two(pipeline, tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.strip() != ""
     assert [p.name for p in blocked_report.iterdir()] == ["error_series.csv"]
-    # the blocked manifest fails the run, which takes its snapshot files with it
+    # the blocked manifest fails the run before any file moves into --out
     assert [p.name for p in blocked_datagen.iterdir()] == ["manifest.txt"]
 
     # a non-finite physical input is rejected by name before any solve
@@ -718,6 +717,55 @@ def test_datagen_target_files_do_not_depend_on_the_order_of_the_targets(tmp_path
     capsys.readouterr()
     assert sorted(written["7.5,17.5,22.5"]) == [f"target_{v}.snp1" for v in ("17.5", "22.5", "7.5")]
     assert written["22.5,7.5,17.5"] == written["7.5,17.5,22.5"]
+
+
+def _datagen_over_a_dataset(out: Path, argv: list, code: int, capsys) -> str:
+    """Run datagen ``argv`` over the dataset in ``out``, check its exit code and
+    that ``out`` keeps every file's bytes with nothing added, and return its stderr."""
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(out)]) == code
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, solver, bad_target, message",
+    [
+        (["--preset", "series1-velocity"], "solve_cavity", "-0.5", "inlet_velocity must be nonnegative"),
+        (["--family", "plume", "--deltas", "0.3,0.5"], "analytic_plume", "nan", "delta must be finite, got nan"),
+    ],
+    ids=["cavity", "plume"],
+)
+def test_a_failed_datagen_leaves_the_dataset_in_out_as_it_was(
+    tmp_path, monkeypatch, capsys, family, solver, bad_target, message
+):
+    # the training runs are written before the target solve fails
+    argv = ["datagen", *family, "--nx", "16", "--ny", "16", "--snapshots", "20"]
+    assert cli.main([*argv, "--target", "0.54", "--out", str(tmp_path)]) == 0
+    assert {"manifest.txt", "target_0.54.snp1"} < {p.name for p in tmp_path.iterdir()}
+    err = _datagen_over_a_dataset(tmp_path, [*argv, f"--target={bad_target}"], 2, capsys)
+    assert err == f"error: {message}\n"
+
+    solve = getattr(cli, solver)
+
+    def diverging_target(values, *args, **kwargs):
+        # the cavity solver takes the whole series, the plume one value's parameters
+        if 0.7 in (values if solver == "solve_cavity" else [values.delta]):
+            raise DivergenceError("non-finite values at t = 1s")
+        return solve(values, *args, **kwargs)
+
+    monkeypatch.setattr(cli, solver, diverging_target)
+    err = _datagen_over_a_dataset(tmp_path, [*argv, "--target", "0.7"], 3, capsys)
+    assert err == "numerical failure: non-finite values at t = 1s\n"
+
+    # a staging directory that cannot be made is a failed write
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.tempfile, "mkdtemp", no_space)
+    err = _datagen_over_a_dataset(tmp_path, [*argv, "--target", "0.54"], 2, capsys)
+    assert err == f"error: {tmp_path}: cannot write the dataset ([Errno 28] No space left on device)\n"
 
 
 def test_a_failed_report_writes_nothing(pipeline, tmp_path, capsys):
@@ -948,11 +996,11 @@ def test_nan_in_a_stored_block_is_rejected_at_load(pipeline, tmp_path, capsys):
     blob[offset : offset + 8] = struct.pack("<d", float("nan"))
     rom = tmp_path / "nan.rom1"
     rom.write_bytes(bytes(blob))
-    with pytest.raises(CorruptionError, match="non-finite"):
+    with pytest.raises(ValueError, match="spatial_blocks holds a non-finite value"):
         read_rom(rom)
     blob[offset : offset + 8] = struct.pack("<d", float("-inf"))
     (tmp_path / "inf.rom1").write_bytes(bytes(blob))
-    with pytest.raises(CorruptionError, match="non-finite"):
+    with pytest.raises(ValueError, match="spatial_blocks holds a non-finite value"):
         read_rom(tmp_path / "inf.rom1")
     predict = ["predict", "--rom", str(rom), "--delta", "0.42", "--out", str(tmp_path / "p.snp1")]
     assert cli.main(predict) == 2
@@ -1014,7 +1062,7 @@ def test_failed_writes_keep_the_old_file_and_leave_no_temp(
         assert message in capsys.readouterr().err
         for path, data in old.items():
             assert path.read_bytes() == data, path.name
-        # no temp file, and datagen removed the training runs it had written
+        # no temp file, and datagen moved none of the runs it had written into place
         assert {p for p in tmp_path.rglob("*") if p.is_file()} == set(old)
         monkeypatch.undo()
 
@@ -1055,9 +1103,9 @@ def test_a_zero_filled_artifact_is_rejected_by_its_reader(tmp_path):
     # what a file replaced just before a power cut may read back as
     zeros = tmp_path / "zeros"
     zeros.write_bytes(bytes(4096))
-    with pytest.raises(FormatError, match="not an SNP1 file"):
+    with pytest.raises(ValueError, match="not an SNP1 file"):
         read_snapshots(zeros)
-    with pytest.raises(FormatError, match="not a ROM1 file"):
+    with pytest.raises(ValueError, match="not a ROM1 file"):
         read_rom(zeros)
     with pytest.raises(ValueError, match="not a search history file"):
         read_history_csv(zeros)

@@ -21,8 +21,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from romga import (
-    CorruptionError,
-    FormatError,
     Grid,
     ParamKind,
     PlumeParams,
@@ -46,6 +44,10 @@ SNP_HEADER = struct.calcsize("<4sIIIQdddBd")
 # magic, version, nx, ny, n_steps
 SNP_INT_FIELDS = struct.calcsize("<4sIIIQ")
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# what a reader's message says after the path, when the header and payload disagree
+# in content and when the file size disagrees with the header
+INCONSISTENT = r"inconsistent header or payload \("
+WRONG_SIZE = r"payload holds \d+ bytes, header implies \d+$"
 
 
 @pytest.fixture(scope="module")
@@ -63,20 +65,22 @@ def files(tmp_path_factory):
     return root
 
 
-def _rejected_rom(root, blob: bytes, error=(CorruptionError, FormatError), match=None) -> None:
-    """read_rom raises ``error`` on ``blob``, and predict on it exits 2 without writing."""
+def _rejected_rom(root, blob: bytes, detail: str = "") -> None:
+    """read_rom rejects ``blob`` with a message of its path and then ``detail``, a pattern,
+    and predict on it exits 2 without writing."""
     rom, out = root / "damaged.rom1", root / "p.snp1"
     rom.write_bytes(blob)
-    with pytest.raises(error, match=match):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(rom))}: {detail}"):
         read_rom(rom)
     assert cli.main(["predict", "--rom", str(rom), "--delta", "0.4", "--out", str(out)]) == 2
     assert not out.exists()
 
 
-def _rejected_snapshots(root, blob: bytes, error=(CorruptionError, FormatError)) -> None:
+def _rejected_snapshots(root, blob: bytes, detail: str = "") -> None:
+    """read_snapshots rejects ``blob`` with a message of its path and then ``detail``, a pattern."""
     path = root / "damaged.snp1"
     path.write_bytes(blob)
-    with pytest.raises(error):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {detail}"):
         read_snapshots(path)
 
 
@@ -103,7 +107,7 @@ def test_truncated_rom_is_rejected(files, data):
 def test_non_finite_rom_payload_is_rejected(files, data, value):
     blob = (files / "db.rom1").read_bytes()
     slot = data.draw(st.integers(0, (len(blob) - ROM_HEADER) // 8 - 1))
-    _rejected_rom(files, _poke(blob, ROM_HEADER + 8 * slot, value), CorruptionError)
+    _rejected_rom(files, _poke(blob, ROM_HEADER + 8 * slot, value), INCONSISTENT)
 
 
 @given(position=st.integers(0, ROM_INT_FIELDS - 1), flip=st.integers(1, 255))
@@ -124,8 +128,7 @@ def test_rom_header_of_rank_zero_is_rejected(files, rank):
     params = blob[ROM_HEADER : ROM_HEADER + 8 * n]
     rest = nx * ny * r + n_steps * s + n * q * (r + s)
     damaged = struct.pack(ROM_FORMAT, *header) + params + bytes(8 * rest)
-    path = re.escape(str(files / "damaged.rom1"))
-    _rejected_rom(files, damaged, CorruptionError, match=f"{path}: .*must be at least 1")
+    _rejected_rom(files, damaged, f"{INCONSISTENT}.*must be at least 1")
 
 
 def test_rom_of_version_one_is_rejected(files):
@@ -133,8 +136,7 @@ def test_rom_of_version_one_is_rejected(files):
     # stores the bases and blocks column-major: only the version field tells them apart
     blob = (files / "db.rom1").read_bytes()
     old = blob[:4] + struct.pack("<I", 1) + blob[8:]
-    path = re.escape(str(files / "damaged.rom1"))
-    _rejected_rom(files, old, FormatError, match=f"{path}: unsupported ROM1 version 1$")
+    _rejected_rom(files, old, "unsupported ROM1 version 1$")
 
 
 @given(data=st.data())
@@ -147,7 +149,7 @@ def test_truncated_snapshot_file_is_rejected(files, data):
 def test_non_finite_snapshot_payload_is_rejected(files, data, value):
     blob = (files / "m.snp1").read_bytes()
     slot = data.draw(st.integers(0, (len(blob) - SNP_HEADER) // 8 - 1))
-    _rejected_snapshots(files, _poke(blob, SNP_HEADER + 8 * slot, value), CorruptionError)
+    _rejected_snapshots(files, _poke(blob, SNP_HEADER + 8 * slot, value), INCONSISTENT)
 
 
 @given(position=st.integers(0, SNP_INT_FIELDS - 1), flip=st.integers(1, 255))
@@ -170,9 +172,9 @@ def test_header_claiming_a_huge_grid_is_rejected_before_allocating(files, name, 
     nx_at = struct.calcsize("<4sI" if reader is read_snapshots else "<4sIIIII")
     huge = blob[:nx_at] + struct.pack("<II", 2**31, 2**31) + blob[nx_at + 8 :]
     if reader is read_rom:
-        _rejected_rom(files, huge, CorruptionError)
+        _rejected_rom(files, huge, WRONG_SIZE)
         return
-    _rejected_snapshots(files, huge, CorruptionError)
+    _rejected_snapshots(files, huge, WRONG_SIZE)
     path, out = files / "damaged.snp1", files / "report"
     out.mkdir(exist_ok=True)
     report = ["report", "--predicted", str(path), "--target", str(path), "--out", str(out)]
@@ -193,7 +195,7 @@ def test_file_shorter_than_its_size_at_open_is_rejected(files, monkeypatch, name
         return os.stat_result((*st[:6], len(blob), *st[7:10]))
 
     monkeypatch.setattr(dataset.os, "fstat", size_at_open)
-    with pytest.raises(CorruptionError, match=r"read \d+ payload bytes"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: read \d+ payload bytes"):
         reader(path)
 
 
@@ -209,7 +211,8 @@ def test_a_16_mb_file_of_the_wrong_size_is_rejected_before_allocating(
     os.truncate(path, 16 << 20)
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError if damage == "foreign" else CorruptionError):
+        detail = f"not an? {name[-4:].upper()} file$" if damage == "foreign" else WRONG_SIZE
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {detail}"):
             reader(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -9,7 +9,6 @@ import pytest
 
 from romga import (
     Chromosome,
-    EmptyMaskError,
     GaConfig,
     GaHistory,
     Grid,
@@ -527,9 +526,9 @@ def test_projection_rejects_what_it_cannot_score(plume_db, plume_target, plume_r
     # rows build_mask cannot return: none would make every prediction cost
     # the same, a repeated row would count its cell twice
     empty = np.array([], dtype=np.int64)
-    with pytest.raises(EmptyMaskError):
+    with pytest.raises(ValueError, match="mask selects no cells"):
         project_target(plume_db, plume_target, empty)
-    with pytest.raises(EmptyMaskError):
+    with pytest.raises(ValueError, match="mask selects no cells"):
         run(cfg, plume_db, plume_target, empty)
     for bad, message in (
         (plume_rows.astype(float), "1D integer"),
