@@ -3,7 +3,6 @@
 from .barycentric import (
     BarycentricResult,
     interpolate_reduced,
-    lagrange_weights,
     procrustes_align,
 )
 from .dataset import (

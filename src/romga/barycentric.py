@@ -54,24 +54,14 @@ class BarycentricResult(NamedTuple):
     converged = True
 
 
-def lagrange_weights(nodes, delta_new: float) -> np.ndarray:
-    """Classical Lagrange cardinal weights of ``nodes`` evaluated at ``delta_new``.
-
-    weight_k = prod_{i != k} (delta_new - node_i) / (node_k - node_i), in order of i.
-    The weights sum to one; a query placed on a node yields the Kronecker
-    vector for that node. Duplicate nodes raise ValueError.
-    """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    if nodes.ndim != 1 or nodes.size == 0:
-        raise ValueError("nodes must be a nonempty 1D array")
-    values = nodes.tolist()
-    if len(set(values)) != len(values):
-        raise ValueError("nodes must be pairwise distinct")
-    return _weights(values, float(delta_new))
-
-
 def _weights(values: list, delta_new: float) -> np.ndarray:
-    """lagrange_weights of the distinct Python floats ``values``, unchecked."""
+    """Lagrange cardinal weights of the distinct Python floats ``values`` at ``delta_new``.
+
+    weight_k = prod_{i != k} (delta_new - x_i) / (x_k - x_i), in order of i.
+    The weights sum to one; a query placed on a node yields the Kronecker
+    vector for that node. The nodes are not checked: the sorted, strictly
+    increasing parameters of a RomDatabase are distinct.
+    """
     # Python floats round like float64 and skip numpy's per-call overhead on a few nodes
     return np.array([
         math.prod((delta_new - x_i) / (x_k - x_i) for i, x_i in enumerate(values) if i != k)

@@ -46,6 +46,12 @@ PRESETS = {
 
 # The datagen options only one family reads, by family.
 _FAMILY_OPTIONS = {"plume": ("deltas", "sigma"), "cavity": ("velocities", "temperatures")}
+# Each value-list option of datagen, by the parameter kind its series varies.
+_SERIES_KINDS = {
+    "deltas": ParamKind.SYNTHETIC,
+    "velocities": ParamKind.VELOCITY,
+    "temperatures": ParamKind.TEMPERATURE,
+}
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -92,7 +98,7 @@ _DATAGEN_OPTS = (
     ("--ny", int, 48, "cells along y"),
     ("--snapshots", int, 150, "number of recorded instants"),
     ("--tfinal", float, 60.0, "simulated time span (s)"),
-    ("--sigma", float, None, "plume width (m), default 0.25"),
+    ("--sigma", float, None, f"plume width (m), default {PlumeParams.sigma}"),
     ("--out", str, ..., "existing output directory"),
 )
 
@@ -102,10 +108,11 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
         raise ValueError(f"unknown preset {ns.preset!r}; choose from {', '.join(sorted(PRESETS))}")
     # a flag beats the preset, which beats the defaults
     preset = {k: v for k, v in PRESETS.get(ns.preset, {}).items() if getattr(ns, k) is None}
-    for name, value in preset.items():
-        setattr(ns, name, value)
-    flag = {k: f"--{k}" for k in vars(ns)}  # each option as an error names it
-    flag.update({k: f"--{k} (set by --preset {ns.preset})" for k in preset})
+    vars(ns).update(preset)
+
+    def flag(name: str) -> str:  # an option as an error names it
+        return f"--{name} (set by --preset {ns.preset})" if name in preset else f"--{name}"
+
     if ns.family is None:
         raise ValueError("datagen needs --family or --preset")
     if ns.family not in _FAMILY_OPTIONS:
@@ -116,38 +123,28 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
         for name in names if getattr(ns, name) is not None
     ]
     if foreign:
-        raise ValueError(f"{flag[foreign[0]]} does not apply to the {ns.family} family")
+        raise ValueError(f"{flag(foreign[0])} does not apply to the {ns.family} family")
     out = _out_dir(ns.out)
     grid = Grid(ns.nx, ns.ny, DOMAIN_SIDE, DOMAIN_SIDE)
     times = TimeAxis(ns.snapshots, ns.tfinal)
 
-    if ns.family == "plume":
-        if ns.deltas is None:
+    # the foreign check above leaves only this family's value lists
+    given = [name for name in _SERIES_KINDS if getattr(ns, name) is not None]
+    if len(given) != 1:
+        if ns.family == "plume":
             raise ValueError("the plume family needs --deltas")
-        train_values = ns.deltas
-
-        width = {} if ns.sigma is None else {"sigma": ns.sigma}
-
-        def make(values) -> list[SnapshotMatrix]:
-            return [analytic_plume(PlumeParams(v, **width), grid, times) for v in values]
-
-        kind = ParamKind.SYNTHETIC
-    else:
-        if (ns.velocities is None) == (ns.temperatures is None):
-            got = f", got {flag['velocities']} and {flag['temperatures']}" if ns.velocities else ""
-            raise ValueError(f"cavity runs need exactly one of --velocities/--temperatures{got}")
-        if ns.velocities is not None:
-            train_values, kind = ns.velocities, ParamKind.VELOCITY
-        else:
-            train_values, kind = ns.temperatures, ParamKind.TEMPERATURE
-
-        def make(values) -> list[SnapshotMatrix]:
-            # one solver call advances every run of the series together
-            return solve_cavity(values, grid, times, vary=kind)
-
-    train_values = tuple(sorted(train_values))
+        got = f", got {flag('velocities')} and {flag('temperatures')}" if given else ""
+        raise ValueError(f"cavity runs need exactly one of --velocities/--temperatures{got}")
+    train_values, kind = tuple(sorted(getattr(ns, given[0]))), _SERIES_KINDS[given[0]]
     if len(set(train_values)) != len(train_values):
         raise ValueError("training parameter values must be pairwise distinct")
+    sigma = PlumeParams.sigma if ns.sigma is None else ns.sigma
+
+    def make(values) -> list[SnapshotMatrix]:
+        if kind is ParamKind.SYNTHETIC:
+            return [analytic_plume(PlumeParams(v, sigma), grid, times) for v in values]
+        # one solver call advances every run of the series together
+        return solve_cavity(values, grid, times, vary=kind)
 
     targets = ns.target or ()
     target_name = "target_{:g}.snp1".format
@@ -166,7 +163,7 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
             for i, (value, matrix) in enumerate(zip(train_values, make(train_values))):
                 names.append(f"train_{i:02d}_{value:g}.snp1")
                 write_snapshots(matrix, staging / names[-1])
-                manifest_lines.append(f"{ParamKind(kind).name.lower()},{value!r},{names[-1]}")
+                manifest_lines.append(f"{kind.name.lower()},{value!r},{names[-1]}")
             manifest = staging / MANIFEST_NAME
             _write_file(manifest, "manifest", [("\n".join(manifest_lines) + "\n").encode("utf-8")])
             for value, matrix in zip(targets, make(targets) if targets else ()):
@@ -174,14 +171,15 @@ def _cmd_datagen(ns: argparse.Namespace) -> int:
                 write_snapshots(matrix, staging / names[-1])
             for name in names:
                 os.replace(staging / name, out / name)
+        except PersistenceError as exc:  # name the file's place in --out: staging is removed below
+            exc.args = (str(exc).replace(str(staging), str(out)),)
+            raise
         finally:
             shutil.rmtree(staging, ignore_errors=True)
     except OSError as exc:  # making the staging directory or moving a file out of it
         raise PersistenceError(out, f"cannot write the dataset ({exc})") from exc
 
-    print(
-        f"wrote {len(train_values)} training runs and {len(targets)} target runs to {out}"
-    )
+    print(f"wrote {len(train_values)} training runs and {len(targets)} target runs to {out}")
     return 0
 
 
@@ -278,9 +276,9 @@ _OPTIMIZE_OPTS = (
     ("--rom", str, ..., "ROM database file"),
     ("--target", str, ..., "target snapshot file"),
     ("--mask", _rect, (0.1, 0.9, 0.15, 0.7), "observation window x_min,x_max,y_min,y_max"),
-    ("--pop", int, 20, "population size"),
-    ("--gens", int, 30, "number of generations"),
-    ("--seed", int, 0, "random seed"),
+    ("--pop", int, genetic.GaConfig.population_size, "population size"),
+    ("--gens", int, genetic.GaConfig.generations, "number of generations"),
+    ("--seed", int, genetic.GaConfig.rng_seed, "random seed"),
     ("--out", str, ..., "history CSV output file"),
 )
 

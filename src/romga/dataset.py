@@ -287,16 +287,6 @@ class SnapshotMatrix:
         object.__setattr__(self, "param_kind", ParamKind(self.param_kind))
         object.__setattr__(self, "param_value", value)
 
-    def equals(self, other: "SnapshotMatrix") -> bool:
-        """Exact equality of metadata and payload (used by round-trip tests)."""
-        return (
-            self.grid == other.grid
-            and self.times == other.times
-            and self.param_kind == other.param_kind
-            and self.param_value == other.param_value
-            and np.array_equal(self.values, other.values)
-        )
-
 
 def write_snapshots(matrix: SnapshotMatrix, path) -> None:
     """Serialize a SnapshotMatrix to ``path`` in the SNP1 layout.

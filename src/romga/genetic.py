@@ -107,12 +107,6 @@ class GenerationRecord:
 class GaHistory:
     records: tuple
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
     def write_csv(self, path) -> None:
         rows = (
             (

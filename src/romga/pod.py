@@ -174,24 +174,22 @@ def two_level_compress(spatial_modes, temporal_coeffs) -> tuple[np.ndarray, ...]
     values of the stacked factors above sigma_1 * RANK_RTOL, at least 1. Each
     sample then rebuilds its rank-q factorization to about RANK_RTOL, relative.
 
+    One pass serves each side in turn, so the stacked spatial factors are
+    freed before the temporal SVD.
+
     Returns ``(spatial_basis, temporal_basis, spatial_blocks,
     temporal_blocks)``: the (n_cells, r) and (n_steps, s) bases and the
     lists of (r, q) and (s, q) blocks, in the order of the samples.
     """
-    stacked_spatial = np.hstack(spatial_modes)
-    stacked_temporal = np.hstack(temporal_coeffs)
-    us, svs, vts = np.linalg.svd(stacked_spatial, full_matrices=False)
-    ut, svt, vtt = np.linalg.svd(stacked_temporal, full_matrices=False)
-    r, s = _numerical_rank(svs), _numerical_rank(svt)
-    spatial_basis, temporal_basis = us[:, :r], ut[:, :s]
-    _fix_svd_signs(spatial_basis, vts[:r])
-    _fix_svd_signs(temporal_basis, vtt[:s])
-    return (
-        spatial_basis,
-        temporal_basis,
-        [spatial_basis.T @ modes for modes in spatial_modes],
-        [temporal_basis.T @ coeffs for coeffs in temporal_coeffs],
-    )
+    bases, blocks = [], []
+    for factors in (spatial_modes, temporal_coeffs):
+        u, sv, vt = np.linalg.svd(np.hstack(factors), full_matrices=False)
+        rank = _numerical_rank(sv)
+        basis = u[:, :rank]
+        _fix_svd_signs(basis, vt[:rank])
+        bases.append(basis)
+        blocks.append([basis.T @ factor for factor in factors])
+    return (*bases, *blocks)
 
 
 def compress_ensemble(matrices, q: int) -> RomDatabase:

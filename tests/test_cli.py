@@ -347,7 +347,7 @@ def test_optimize_recovers_the_target_parameter(pipeline, tmp_path, capsys):
     assert 2 <= int(fields["ne_x"]) <= 5
     assert 4 <= int(fields["m"]) <= 8
     history = read_history_csv(history_path)
-    assert len(history) == 6
+    assert len(history.records) == 6
     # the first generation to reach the least cost holds the printed genes
     costs = [r.best_cost for r in history.records]
     best = history.records[costs.index(min(costs))]
@@ -1022,7 +1022,7 @@ def test_failed_writes_keep_the_old_file_and_leave_no_temp(
 ):
     db = read_rom(pipeline / "db.rom1")
     matrix = read_snapshots(pipeline / "target_0.375.snp1")
-    history = GaHistory([GenerationRecord(1, Chromosome(0.4, 3, 2, 5), 0.25, 1.5)])
+    history = GaHistory((GenerationRecord(1, Chromosome(0.4, 3, 2, 5), 0.25, 1.5),))
     writers = {
         "snapshots.snp1": lambda path: write_snapshots(matrix, path),
         "db.rom1": lambda path: write_rom(db, path),
@@ -1059,7 +1059,10 @@ def test_failed_writes_keep_the_old_file_and_leave_no_temp(
             with pytest.raises(PersistenceError, match="No space left"):
                 write(tmp_path / name)
         assert cli.main(datagen) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the file is named by its path in --out, not in the removed staging directory
+        assert message in err and err.startswith(f"error: {datagen_dir}/"), err
+        assert ".datagen." not in err, err
         for path, data in old.items():
             assert path.read_bytes() == data, path.name
         # no temp file, and datagen moved none of the runs it had written into place

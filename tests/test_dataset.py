@@ -29,6 +29,13 @@ def make_matrix(nx=4, ny=3, n_steps=5, seed=0, kind=ParamKind.SYNTHETIC, value=0
     return SnapshotMatrix(grid, times, kind, value, values)
 
 
+def _same_matrix(a, b) -> bool:
+    """Equal grid, time axis, kind and value, and bit-equal field values."""
+    meta_a = (a.grid, a.times, a.param_kind, a.param_value)
+    meta_b = (b.grid, b.times, b.param_kind, b.param_value)
+    return meta_a == meta_b and np.array_equal(a.values, b.values)
+
+
 # ---------------------------------------------------------------- grid/time
 
 
@@ -106,7 +113,7 @@ def test_loading_reads_the_payload_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert loaded.equals(matrix)
+    assert _same_matrix(loaded, matrix)
     assert not loaded.values.flags.writeable and loaded.values.flags.f_contiguous
     # the payload's one buffer and the finiteness check's 64 KiB chunk mask; a
     # full-size mask adds an eighth of the payload, a copy of the file's bytes all of it
@@ -118,7 +125,7 @@ def test_snp1_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "sample.snp1"
     write_snapshots(matrix, path)
     loaded = read_snapshots(path)
-    assert loaded.equals(matrix)
+    assert _same_matrix(loaded, matrix)
 
 
 @given(
@@ -133,7 +140,7 @@ def test_snp1_round_trip_property(tmp_path_factory, nx, ny, n_steps, seed, kind,
     matrix = make_matrix(nx, ny, n_steps, seed, kind, value)
     path = tmp_path_factory.mktemp("snp") / "m.snp1"
     write_snapshots(matrix, path)
-    assert read_snapshots(path).equals(matrix)
+    assert _same_matrix(read_snapshots(path), matrix)
 
 
 def test_snp1_bytes_do_not_depend_on_the_memory_layout(tmp_path):
@@ -149,7 +156,7 @@ def test_snp1_bytes_do_not_depend_on_the_memory_layout(tmp_path):
         write_snapshots(copy, path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
-    assert read_snapshots(tmp_path / "m.snp1").equals(matrix)
+    assert _same_matrix(read_snapshots(tmp_path / "m.snp1"), matrix)
 
 
 def test_snp1_header_layout_is_frozen(tmp_path):

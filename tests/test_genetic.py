@@ -556,7 +556,7 @@ def test_run_recovers_the_generating_parameter(plume_db, plume_target, plume_row
     history = run(cfg, plume_db, plume_target, plume_rows)
     best = min(history.records, key=lambda rec: rec.best_cost).best
     assert abs(best.delta - 0.40) <= 0.02
-    assert len(history) == 8
+    assert len(history.records) == 8
     assert [r.generation for r in history.records] == list(range(1, 9))
 
 
@@ -580,7 +580,7 @@ def test_run_with_one_generation_scores_the_initial_population(
 ):
     cfg = GaConfig(population_size=6, generations=1, rng_seed=1)
     history = run(cfg, plume_db, plume_target, plume_rows)
-    assert len(history) == 1
+    assert len(history.records) == 1
     assert history.records[0].generation == 1
     assert _inside(history.records[0].best)
     # zero generations would score nothing, so it is refused, not run as one

@@ -409,6 +409,13 @@ def _solo(theta, grid, times):
     return run
 
 
+def _same_matrix(a, b) -> bool:
+    """Equal grid, time axis, kind and value, and bit-equal field values."""
+    meta_a = (a.grid, a.times, a.param_kind, a.param_value)
+    meta_b = (b.grid, b.times, b.param_kind, b.param_value)
+    return meta_a == meta_b and np.array_equal(a.values, b.values)
+
+
 def _count_advanced(monkeypatch):
     """Record the run count of every batched ``_advance`` call."""
     seen = []
@@ -440,7 +447,7 @@ def test_an_inlet_temperature_group_advances_its_extremes_and_blends_the_rest(mo
                 alone = _solo(theta, grid, times)
                 assert run.param_value == theta
                 if theta in (5.0, 25.0):
-                    assert run.equals(alone), name
+                    assert _same_matrix(run, alone), name
                 else:
                     scale = np.abs(alone.values).max()
                     assert np.abs(run.values - alone.values).max() <= 1e-13 * scale, name
@@ -480,7 +487,7 @@ def test_only_inlet_temperature_groups_are_blended(monkeypatch, tmp_path, capsys
     huge = (-1e308, 0.0, 1e308)
     middle = solve_cavity(huge, grid, times, vary=ParamKind.TEMPERATURE)[1]
     assert seen == [2, 3]
-    assert middle.equals(_solo(huge[1], grid, times))
+    assert _same_matrix(middle, _solo(huge[1], grid, times))
 
 
 def test_a_series_that_is_not_strictly_increasing_is_refused(monkeypatch):
